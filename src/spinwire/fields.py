@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .core import FieldDirectionError, zeeman_matrix
 
@@ -287,6 +286,8 @@ class TabulatedField(PlanarField):
         self.length = float(self.ys[-1])
         self.b1s = b1s
         self.b3s = b3s
+        from scipy.interpolate import CubicSpline  # deferred: slow import, needed only here
+
         self._spl1 = CubicSpline(self.ys, b1s, bc_type="clamped")
         self._spl3 = CubicSpline(self.ys, b3s, bc_type="clamped")
         self._d1 = self._spl1.derivative()

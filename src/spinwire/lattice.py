@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .core import (
     E_LOWER,
@@ -77,7 +76,7 @@ def lattice_wavenumbers(energy: float, spacing: float) -> tuple[complex, complex
                 raise ChannelMismatchError(
                     "lattice band too narrow for this energy; reduce the spacing"
                 )
-            ka = np.arccos(1.0 - 0.5 * spacing**2 * x)
+            ka = 2.0 * np.arcsin(0.5 * spacing * np.sqrt(x))
             if ka >= _MAX_OPEN_KA:
                 raise ChannelMismatchError(
                     f"open channel resolved with ka={ka:.3f} >= {_MAX_OPEN_KA}; "
@@ -85,7 +84,7 @@ def lattice_wavenumbers(energy: float, spacing: float) -> tuple[complex, complex
                 )
             ks.append(complex(ka / spacing))
         else:
-            kappa = np.arccosh(1.0 + 0.5 * spacing**2 * (-x)) / spacing
+            kappa = 2.0 * np.arcsinh(0.5 * spacing * np.sqrt(-x)) / spacing
             ks.append(1j * kappa)
     return ks[0], ks[1]
 
@@ -148,6 +147,8 @@ def fd_scattering(field: PlanarField, energy: float, spacing: float) -> ScatterR
     for inc in range(2):
         source = (1.0 / lam[inc] - lam[inc]) * chi_l[inc]
         rhs[0:2, inc] = inv_a2 * source
+    from scipy.linalg import solve_banded  # deferred: slow import, needed only here
+
     psi = solve_banded((2, 2), ab, rhs)
 
     psi_0 = psi[0:2, :]

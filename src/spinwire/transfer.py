@@ -25,6 +25,7 @@ from .berry import planar_rotation
 from .fields import PlanarField
 
 GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
+_BLOCK_BYTES = 1 << 20  # one block of factors, small enough to stay in L2 cache
 
 
 def _propagator_entries(q, length: float):
@@ -134,6 +135,11 @@ def _ordered_product(
     ``leading_jump`` includes the crossing at the starting boundary,
     ``trailing_jump`` the one at the final boundary, so that
     product(m, N) @ product(0, m, trailing_jump=False) composes exactly.
+
+    The factors of each block of segments are built in one vectorised pass;
+    only the left multiplication runs per segment.  The arithmetic and the
+    association are those of a plain per-segment loop, so the result does not
+    depend on the block size.
     """
     if j_stop is None:
         j_stop = plan.n_segments
@@ -144,26 +150,33 @@ def _ordered_product(
     gamma[:, :2, :2] = start
     gamma[:, 2:, 2:] = start
     growth = np.zeros(n_e)
-    factor = np.empty((n_e, 4, 4), dtype=complex)
-    for j in range(j_start, j_stop):
-        mag = plan.magnitudes[j]
-        q = np.stack([energies + mag, energies - mag], axis=-1)
+    block = max(1, _BLOCK_BYTES // (max(n_e, 1) * 16 * 16))  # 16 complex128 per factor
+    for j0 in range(j_start, j_stop, block):
+        j1 = min(j0 + block, j_stop)
+        mags = plan.magnitudes[j0:j1, None]
+        q = np.stack([energies + mags, energies - mags], axis=-1)
         c, s, ms, kappa = _propagator_entries(q, plan.seg_length)
-        growth += kappa.max(axis=-1)
+        # running growth summed in segment order; it never decreases, so
+        # testing the block's last row catches any crossing inside the block
+        steps = kappa.max(axis=-1)
+        steps[0] += growth
+        growth = np.cumsum(steps, axis=0)[-1]
         if growth.max() > GROWTH_GUARD:
             raise EvanescentOverflowError(
                 f"evanescent growth exceeds exp({GROWTH_GUARD:g}); "
                 "region too long for this energy"
             )
-        if j + 1 < j_stop or trailing_jump:
-            u = plan.jumps[j + 1]
-        else:
-            u = ID2
-        factor[:, :2, :2] = u * c[:, None, :]
-        factor[:, :2, 2:] = u * s[:, None, :]
-        factor[:, 2:, :2] = u * ms[:, None, :]
-        factor[:, 2:, 2:] = u * c[:, None, :]
-        gamma = factor @ gamma
+        u = plan.jumps[j0 + 1 : j1 + 1, None]
+        if j1 == j_stop and not trailing_jump:
+            u = u.copy()
+            u[-1] = ID2
+        factors = np.empty((j1 - j0, n_e, 4, 4), dtype=complex)
+        factors[..., :2, :2] = u * c[..., None, :]
+        factors[..., :2, 2:] = u * s[..., None, :]
+        factors[..., 2:, :2] = u * ms[..., None, :]
+        factors[..., 2:, 2:] = u * c[..., None, :]
+        for factor in factors:
+            gamma = factor @ gamma
     return gamma
 
 
@@ -192,15 +205,6 @@ class TransferMatrix4:
     @property
     def x11(self) -> np.ndarray:
         return self.gamma_tilde[2:, 2:]
-
-
-def strip_berry(gamma: np.ndarray, berry: np.ndarray) -> np.ndarray:
-    """Remove the geometric factor: gamma_tilde = diag(U^dag, U^dag) @ gamma."""
-    ud = berry.conj().T
-    stripper = np.zeros((4, 4), dtype=complex)
-    stripper[:2, :2] = ud
-    stripper[2:, 2:] = ud
-    return stripper @ gamma
 
 
 def gamma_piecewise_batch(

@@ -261,3 +261,16 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("E,")
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is imported only by TabulatedField and the lattice oracle
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, spinwire, spinwire.cli; print('scipy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

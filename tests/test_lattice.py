@@ -1,4 +1,5 @@
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -110,3 +111,14 @@ def test_oracle_shares_no_solver_code_with_the_engine():
     for banned in ("from .berry", "from .transfer", "import berry", "import transfer",
                    "solve_scattering", "gamma_piecewise", "berry_operator"):
         assert banned not in text, f"oracle must not touch engine path: {banned}"
+
+
+def test_band_edge_energy_gives_finite_amplitudes():
+    # E = -1 + 1e-9 is where the CLI nudges a grid point on the lower band
+    # edge; there a^2 (E + 1) / 2 is below the rounding of 1 at a = L/16384
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = fd_scattering(scheme2_field(0, 0, 3.0), -1.0 + 1e-9, 3.0 / 16384)
+    assert np.all(np.isfinite(res.t))
+    assert np.all(np.isfinite(res.r))
+    assert res.unitarity_defect <= 1e-8

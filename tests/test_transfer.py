@@ -4,11 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from spinwire.core import J4, EvanescentOverflowError, hs_norm
+from spinwire import transfer
+from spinwire.core import ID2, J4, EvanescentOverflowError, hs_norm
 from spinwire.berry import planar_rotation
-from spinwire.fields import magnetic_wall_field, scheme1_field, scheme2_field, uniform_field
+from spinwire.fields import (
+    TabulatedField,
+    magnetic_wall_field,
+    scheme1_field,
+    scheme2_field,
+    uniform_field,
+)
+from spinwire.scattering import solve_scattering_batch
 from spinwire.transfer import (
+    GROWTH_GUARD,
     _ordered_product,
+    _propagator_entries,
     dblock,
     flow_defect,
     gamma_piecewise,
@@ -163,3 +173,100 @@ class TestGammaPiecewise:
         kappa_max = np.sqrt(1.0 - energy)
         bound = 4.0 * np.exp(kappa_max * f.length)
         assert np.max(np.abs(tm.gamma_tilde)) < bound
+
+
+def ordered_product_reference(
+    plan, energies, j_start=0, j_stop=None, leading_jump=True, trailing_jump=True
+):
+    """Per-segment loop that builds each factor and multiplies it on the left."""
+    if j_stop is None:
+        j_stop = plan.n_segments
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    n_e = energies.shape[0]
+    gamma = np.zeros((n_e, 4, 4), dtype=complex)
+    start = plan.jumps[j_start] if leading_jump else ID2
+    gamma[:, :2, :2] = start
+    gamma[:, 2:, 2:] = start
+    growth = np.zeros(n_e)
+    factor = np.empty((n_e, 4, 4), dtype=complex)
+    for j in range(j_start, j_stop):
+        mag = plan.magnitudes[j]
+        q = np.stack([energies + mag, energies - mag], axis=-1)
+        c, s, ms, kappa = _propagator_entries(q, plan.seg_length)
+        growth += kappa.max(axis=-1)
+        if growth.max() > GROWTH_GUARD:
+            raise EvanescentOverflowError("evanescent growth")
+        if j + 1 < j_stop or trailing_jump:
+            u = plan.jumps[j + 1]
+        else:
+            u = ID2
+        factor[:, :2, :2] = u * c[:, None, :]
+        factor[:, :2, 2:] = u * s[:, None, :]
+        factor[:, 2:, :2] = u * ms[:, None, :]
+        factor[:, 2:, 2:] = u * c[:, None, :]
+        gamma = factor @ gamma
+    return gamma
+
+
+def tabulated_field():
+    src = scheme2_field(1, 0, 4.0)
+    ys = np.linspace(0.0, 4.0, 201)
+    b1, b3 = src.components(ys)
+    return TabulatedField(ys, np.asarray(b1, dtype=float), np.asarray(b3, dtype=float))
+
+
+PRODUCT_FIELDS = {
+    "scheme1": lambda: scheme1_field(1, 0, 3.0),
+    "scheme2": lambda: scheme2_field(0, 1, 6.0),
+    "wall": lambda: magnetic_wall_field(0.3, 2.1, 2.0),
+    "tabulated": tabulated_field,
+}
+
+
+class TestBlockedProduct:
+    """The blocked factor build reproduces the per-segment loop bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+    @pytest.mark.parametrize("n_segments", [1, 7, 512])
+    def test_bit_identical_to_per_segment_loop(self, name, n_segments):
+        plan = segment_plan(PRODUCT_FIELDS[name](), n_segments)
+        energies = np.array([-0.5, 0.3, 2.5])
+        for batch in (energies, energies[:1], energies[1:2], energies[2:]):
+            want = ordered_product_reference(plan, batch)
+            assert np.array_equal(_ordered_product(plan, batch), want)
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+    def test_sub_range_and_small_blocks(self, name, monkeypatch):
+        plan = segment_plan(PRODUCT_FIELDS[name](), 64)
+        energies = np.array([-0.5, 0.3, 2.5])
+        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 16 * energies.size)
+        for args in [(0, 64), (0, 40, True, False), (40, 64, False, True), (3, 61, True, False)]:
+            want = ordered_product_reference(plan, energies, *args)
+            assert np.array_equal(_ordered_product(plan, energies, *args), want)
+
+    def test_batch_equals_chunks_and_single_energies(self):
+        f = scheme2_field(1, 0, 5.0)
+        energies = np.linspace(-0.99, 10.0, 600)
+        whole = solve_scattering_batch(f, energies, 512)
+        chunks = [
+            res
+            for part in np.array_split(energies, 7)
+            for res in solve_scattering_batch(f, part, 512)
+        ]
+        singles = [solve_scattering_batch(f, [e], 512)[0] for e in energies]
+        for got in (chunks, singles):
+            for a, b in zip(whole, got):
+                assert np.array_equal(a.t, b.t)
+                assert np.array_equal(a.r, b.r)
+
+    def test_growth_guard_trips_after_the_first_block(self, monkeypatch):
+        # uniform field at E = -0.99: each of the 64 segments adds
+        # (50/64) * sqrt(1.99) ~ 1.1 to the growth, which passes 60 in segment 55
+        plan = segment_plan(uniform_field(0.0, 50.0), 64)
+        energies = np.array([-0.99])
+        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 8 * 16 * 16)
+        assert np.isfinite(_ordered_product(plan, energies, 0, 48)).all()
+        with pytest.raises(EvanescentOverflowError):
+            ordered_product_reference(plan, energies)
+        with pytest.raises(EvanescentOverflowError):
+            _ordered_product(plan, energies)
