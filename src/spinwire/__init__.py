@@ -24,7 +24,6 @@ from .core import (
 )
 from .fields import (
     MagneticWallField,
-    OmegaDiag,
     PlanarField,
     Scheme1Field,
     Scheme2Field,
@@ -32,10 +31,8 @@ from .fields import (
     UniformField,
     load_profile,
     magnetic_wall_field,
-    omega_of,
     scheme1_field,
     scheme2_field,
-    theta_of,
     uniform_field,
 )
 from .berry import (
@@ -48,18 +45,14 @@ from .berry import (
 from .transfer import (
     SegmentPlan,
     TransferMatrix4,
-    dblock,
     flow_defect,
     gamma_piecewise,
     gamma_piecewise_batch,
     segment_plan,
 )
 from .scattering import (
-    BoundaryMatrices,
     ReciprocityReport,
     ScatterResult,
-    boundary_matrices,
-    conductance,
     landauer_current,
     reciprocity_check,
     solve_scattering,

@@ -33,7 +33,7 @@ def high_energy_t(field: PlanarField) -> np.ndarray:
     Equals the full-interval eigenbasis transport; reflection vanishes in the
     same limit.  Useful once E is large compared to the maximal local gap.
     """
-    return berry_operator_planar(field, field.y_left, field.y_right)
+    return berry_operator_planar(field, 0.0, field.length)
 
 
 def _rotated_sigma_z(delta_theta):

@@ -45,8 +45,8 @@ def berry_connection_planar(field: PlanarField, y: float) -> np.ndarray:
 
 def berry_operator_planar(field: PlanarField, y1: float, y2: float) -> np.ndarray:
     """Transport operator from y1 to y2 for a planar field (closed form)."""
-    if not (field.y_left <= y1 <= y2 <= field.y_right):
-        raise ValueError("need y_left <= y1 <= y2 <= y_right")
+    if not (0.0 <= y1 <= y2 <= field.length):
+        raise ValueError("need 0 <= y1 <= y2 <= length")
     if field.zero_field_interior:
         # the zero-field interior carries no geometry; the full rotation lives
         # on the interval only when it spans both interfaces

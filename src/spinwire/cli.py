@@ -29,7 +29,6 @@ from .core import (
     ChannelMismatchError,
     EvanescentOverflowError,
     FieldDirectionError,
-    Regime,
     RegimeError,
     SingularSystemError,
     hs_distance,
@@ -208,7 +207,7 @@ def _fmt(x: float) -> str:
 
 def _sweep_rows(field, energies, segments):
     results = solve_scattering_batch(field, np.asarray(energies), segments)
-    berry = berry_operator_planar(field, field.y_left, field.y_right)
+    berry = berry_operator_planar(field, 0.0, field.length)
     rows = []
     for res in results:
         table = transmission_probabilities(res)
@@ -353,7 +352,7 @@ def run_validate(cfg: SweepConfig, against: str, out, diag) -> int:
             raise ConfigError("validate --against berry needs a continuous profile")
         tol = 1e-8
         segmented = berry_operator_segmented(field_directions(field, cfg.segments))
-        planar = berry_operator_planar(field, field.y_left, field.y_right)
+        planar = berry_operator_planar(field, 0.0, field.length)
         dev = float(np.max(np.abs(align_sign(segmented, planar) - planar)))
         lines.append(("segmented vs planar transport (sign-aligned)", dev, tol, float("nan")))
     elif against == "convergence":

@@ -18,11 +18,6 @@ import numpy as np
 E_LOWER = -1.0  # band bottom of the lower spin channel in the leads
 E_UPPER = +1.0  # band bottom of the upper spin channel
 
-ID2 = np.eye(2, dtype=complex)
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-
 # Symplectic form preserved by the dynamical part of the transfer matrix;
 # its conservation is what guarantees flux unitarity of the scattering matrix.
 J4 = np.block([[np.zeros((2, 2)), np.eye(2)], [-np.eye(2), np.zeros((2, 2))]]).astype(complex)
@@ -140,24 +135,3 @@ def planar_spinors(theta: float) -> tuple[np.ndarray, np.ndarray]:
 def zeeman_matrix(b1: float, b3: float) -> np.ndarray:
     """Zeeman term b1*sigma_x + b3*sigma_z in the fixed (up, down) basis."""
     return np.array([[b3, b1], [b1, -b3]], dtype=complex)
-
-
-def eigh2(q: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Closed-form spectral decomposition of a Hermitian 2x2 matrix.
-
-    Returns (w0, w1, P0, P1) with w0 <= w1 and orthogonal projectors such that
-    q = w0*P0 + w1*P1.  Degenerate matrices get the trivial split.
-    """
-    q = np.asarray(q, dtype=complex)
-    a = q[0, 0].real
-    d = q[1, 1].real
-    b = q[0, 1]
-    mean = 0.5 * (a + d)
-    radius = np.hypot(0.5 * (a - d), abs(b))
-    if radius < 1e-15 * max(1.0, abs(mean)):
-        return mean, mean, np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)
-    w0 = mean - radius
-    w1 = mean + radius
-    p1 = (q - w0 * ID2) / (w1 - w0)
-    p0 = ID2 - p1
-    return float(w0), float(w1), p0, p1

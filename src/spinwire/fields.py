@@ -21,14 +21,6 @@ import numpy as np
 from .core import FieldDirectionError, zeeman_matrix
 
 
-@dataclass(frozen=True)
-class OmegaDiag:
-    """Instantaneous Zeeman eigenvalues (lower, upper) at one position."""
-
-    e0: float
-    e1: float
-
-
 class PlanarField:
     """Base class; subclasses provide magnitude/theta and their derivative.
 
@@ -40,14 +32,6 @@ class PlanarField:
     theta_left: float
     theta_right: float
     zero_field_interior = False
-
-    @property
-    def y_left(self) -> float:
-        return 0.0
-
-    @property
-    def y_right(self) -> float:
-        return self.length
 
     def magnitude(self, y):
         raise NotImplementedError
@@ -75,8 +59,8 @@ class PlanarField:
 
 def _check_length(length: float) -> float:
     length = float(length)
-    if length <= 0.0:
-        raise ValueError("scattering region length must be positive")
+    if not (np.isfinite(length) and length > 0.0):
+        raise ValueError(f"scattering region length must be positive and finite, got {length}")
     return length
 
 
@@ -219,8 +203,8 @@ class MagneticWallField(PlanarField):
 
     def __post_init__(self):
         object.__setattr__(self, "length", float(self.length))
-        if self.length < 0.0:
-            raise ValueError("wall length must be non-negative")
+        if not (np.isfinite(self.length) and self.length >= 0.0):
+            raise ValueError(f"wall length must be non-negative and finite, got {self.length}")
         object.__setattr__(self, "theta_left", float(self.theta_l))
         object.__setattr__(self, "theta_right", float(self.theta_r))
 
@@ -333,17 +317,6 @@ def uniform_field(theta: float, length: float) -> UniformField:
 
 def magnetic_wall_field(theta_l: float, theta_r: float, length: float) -> MagneticWallField:
     return MagneticWallField(theta_l=theta_l, theta_r=theta_r, length=length)
-
-
-def theta_of(field: PlanarField, y) -> float:
-    """Continuous unwrapped polar angle of the field at y."""
-    return field.theta(y)
-
-
-def omega_of(field: PlanarField, y: float) -> OmegaDiag:
-    """Instantaneous Zeeman eigenvalues (-|B|, +|B|) in gap units."""
-    mag = float(field.magnitude(y))
-    return OmegaDiag(e0=-mag, e1=+mag)
 
 
 def load_profile(path) -> TabulatedField:

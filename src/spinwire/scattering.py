@@ -33,29 +33,15 @@ DEFAULT_SEGMENTS = 4096
 
 
 @dataclass(frozen=True)
-class BoundaryMatrices:
-    """Diagonal lead matrices entering the matching equations."""
-
-    w: np.ndarray  # diag(1, sqrt(k1/k0)) flux normalization
-    v: np.ndarray  # diag(k0, k1)
-    f_left: np.ndarray  # identity with the y_left = 0 convention
-    f_right: np.ndarray  # diag(exp(i k l L))
-
-
-def boundary_matrices(channel: ChannelData, length: float) -> BoundaryMatrices:
-    if channel.regime is Regime.CLOSED:
-        raise RegimeError(f"no open channel at E={channel.energy}")
-    k0, k1 = channel.k0, channel.k1
-    w = np.diag([1.0, np.sqrt(k1 / k0)]).astype(complex)
-    v = np.diag([k0, k1]).astype(complex)
-    f_left = np.eye(2, dtype=complex)
-    f_right = np.diag([np.exp(1j * k0 * length), np.exp(1j * k1 * length)]).astype(complex)
-    return BoundaryMatrices(w=w, v=v, f_left=f_left, f_right=f_right)
-
-
-@dataclass(frozen=True)
 class ScatterResult:
-    """Scattering matrices at one energy plus derived observables."""
+    """Scattering matrices at one energy plus derived observables.
+
+    ``flow_defect`` is `transfer.flow_defect` of the energy's gamma_tilde: an
+    absolute norm that grows like eps * |gamma_tilde|^2 once a channel is
+    evanescent, so it bounds the rounding of the product only above the upper
+    band.  It reads 1.4e-4 for scheme1 at L = 10, E = -0.95, on a result
+    within 7e-8 of the lattice oracle.
+    """
 
     t: np.ndarray
     r: np.ndarray
@@ -136,21 +122,21 @@ def solve_scattering_batch(
     energies,
     n_segments: int = DEFAULT_SEGMENTS,
     plan: SegmentPlan | None = None,
-    wall_jump_side: str = "right",
 ) -> list[ScatterResult]:
     """Scattering matrices of the field for a batch of energies.
 
-    All energies must be strictly above the lower band edge and away from the
-    exact thresholds; the sweep layer is responsible for nudging its grids.
+    The batch is a non-empty 1-D sequence (or one scalar).  All energies must
+    be strictly above the lower band edge and away from the exact thresholds;
+    the sweep layer is responsible for nudging its grids.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    if energies.ndim != 1 or energies.size == 0:
+        raise ValueError(f"energies must be a non-empty 1-D batch, got shape {energies.shape}")
     channels = [wave_vectors(e) for e in energies]
     for ch in channels:
         _check_solvable(ch)
 
-    gamma, gamma_tilde, berry = gamma_piecewise_batch(
-        field, energies, n_segments, plan=plan, wall_jump_side=wall_jump_side
-    )
+    gamma, gamma_tilde, berry = gamma_piecewise_batch(field, energies, n_segments, plan=plan)
     x00 = gamma_tilde[:, :2, :2]
     x01 = gamma_tilde[:, :2, 2:]
     x10 = gamma_tilde[:, 2:, :2]
@@ -188,12 +174,9 @@ def solve_scattering(
     field: PlanarField,
     energy: float,
     n_segments: int = DEFAULT_SEGMENTS,
-    wall_jump_side: str = "right",
 ) -> ScatterResult:
     """Scattering matrices of the field at one energy."""
-    return solve_scattering_batch(
-        field, [float(energy)], n_segments, wall_jump_side=wall_jump_side
-    )[0]
+    return solve_scattering_batch(field, [float(energy)], n_segments)[0]
 
 
 def transmission_probabilities(result: ScatterResult) -> dict[str, float]:
@@ -217,15 +200,12 @@ def transmission_probabilities(result: ScatterResult) -> dict[str, float]:
     return table
 
 
-def conductance(result: ScatterResult) -> float:
-    """Dimensionless conductance: Tr[t^dag t], or |t00|^2 below the upper band."""
-    return result.conductance
-
-
 def fermi_occupation(energy, mu: float, temperature: float):
     energy = np.asarray(energy, dtype=float)
-    if temperature < 0.0:
-        raise ValueError("temperature must be non-negative")
+    if np.isnan(mu):
+        raise ValueError("chemical potential must not be NaN")
+    if not temperature >= 0.0:
+        raise ValueError(f"temperature must be non-negative, got {temperature}")
     if temperature == 0.0:
         return (energy < mu).astype(float)
     x = np.clip((energy - mu) / temperature, -700.0, 700.0)
@@ -246,6 +226,9 @@ def landauer_current(
     emitted when the conductance jumps by more than 10% between neighbours.
     """
     energies = np.sort(np.atleast_1d(np.asarray(energies, dtype=float)))
+    occ = fermi_occupation(energies, mu_left, temperature) - fermi_occupation(
+        energies, mu_right, temperature
+    )
     if mu_left == mu_right:
         return 0.0
     g = np.array([res.conductance for res in solve_scattering_batch(field, energies, n_segments)])
@@ -258,9 +241,6 @@ def landauer_current(
             GridCoarseWarning,
             stacklevel=2,
         )
-    occ = fermi_occupation(energies, mu_left, temperature) - fermi_occupation(
-        energies, mu_right, temperature
-    )
     return float(np.trapezoid(g * occ, energies) / (2.0 * np.pi))
 
 

@@ -12,7 +12,3 @@ def random_cmat2(rng, scale=1.0):
     im = rng.normal(size=(2, 2))
     return scale * (re + 1j * im)
 
-
-def random_hermitian2(rng, scale=1.0):
-    a = random_cmat2(rng, scale)
-    return 0.5 * (a + a.conj().T)

@@ -1,9 +1,11 @@
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import spinwire
 from spinwire import cli
 from spinwire.fields import load_profile
 
@@ -12,6 +14,13 @@ def run_cli(argv, capsys):
     code = cli.main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def package_env():
+    """Environment whose PYTHONPATH finds the spinwire these tests import."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spinwire.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
 
 
 SWEEP_ARGS = [
@@ -140,6 +149,16 @@ def test_closed_window_rejected(capsys):
     assert "closed regime" in err
 
 
+def test_non_finite_length_is_a_config_error(capsys):
+    code, out, err = run_cli(
+        ["sweep", "--scheme", "scheme1", "--L", "nan", "--points", "4", "--segments", "16"],
+        capsys,
+    )
+    assert code == 1
+    assert "length must be positive and finite" in err
+    assert out == ""
+
+
 def test_numeric_failure_exit_code(capsys):
     # evanescent growth across a 60-unit region trips the overflow guard
     code, _, err = run_cli(
@@ -250,6 +269,21 @@ def test_current_transparent_wire(capsys):
     assert value == pytest.approx(2.0 * 0.1 / (2.0 * np.pi), rel=0.01)
 
 
+@pytest.mark.parametrize("flag", ["--mu-left", "--mu-right", "--temp"])
+def test_current_rejects_nan(flag, capsys):
+    values = {"--mu-left": "5.05", "--mu-right": "4.95", "--temp": "0"}
+    values[flag] = "nan"
+    code, out, err = run_cli(
+        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2",
+         "--E-min", "4.9", "--E-max", "5.1", "--points", "21", "--segments", "64"]
+        + [tok for item in values.items() for tok in item],
+        capsys,
+    )
+    assert code == 1
+    assert "nan" in err.lower()
+    assert out == ""
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "spinwire.cli", "sweep", "--scheme", "uniform",
@@ -258,6 +292,7 @@ def test_console_entry_point_runs():
         capture_output=True,
         text=True,
         timeout=120,
+        env=package_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("E,")
@@ -271,6 +306,7 @@ def test_import_leaves_scipy_unloaded():
         capture_output=True,
         text=True,
         timeout=120,
+        env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

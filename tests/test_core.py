@@ -8,7 +8,6 @@ from spinwire.core import (
     E_UPPER,
     Regime,
     RegimeError,
-    eigh2,
     hs_distance,
     momentum_transfer,
     planar_spinors,
@@ -96,21 +95,3 @@ def test_planar_spinors_are_zeeman_eigenvectors():
         assert np.allclose(h @ lo, -lo, atol=1e-14)
         assert np.allclose(h @ up, +up, atol=1e-14)
         assert abs(np.vdot(lo, up)) < 1e-15
-
-
-def test_eigh2_reconstructs_random_hermitian(rng):
-    for _ in range(50):
-        a = random_cmat2(rng, 3.0)
-        q = 0.5 * (a + a.conj().T)
-        w0, w1, p0, p1 = eigh2(q)
-        assert w0 <= w1
-        assert np.allclose(w0 * p0 + w1 * p1, q, atol=1e-12)
-        assert np.allclose(p0 + p1, np.eye(2), atol=1e-13)
-        assert np.allclose(p0 @ p1, 0.0, atol=1e-12)
-
-
-def test_eigh2_degenerate():
-    w0, w1, p0, p1 = eigh2(2.5 * np.eye(2))
-    assert w0 == pytest.approx(2.5)
-    assert w1 == pytest.approx(2.5)
-    assert np.allclose(p0 + p1, np.eye(2))

@@ -6,10 +6,8 @@ from spinwire.fields import (
     TabulatedField,
     load_profile,
     magnetic_wall_field,
-    omega_of,
     scheme1_field,
     scheme2_field,
-    theta_of,
     uniform_field,
 )
 
@@ -137,23 +135,28 @@ def test_uniform_field_is_flat():
 class TestOmega:
     def test_lead_values(self):
         f = scheme1_field(0, 0, 3.0)
-        om = omega_of(f, 0.0)
-        assert (om.e0, om.e1) == (pytest.approx(-1.0), pytest.approx(1.0))
+        assert float(f.magnitude(0.0)) == pytest.approx(1.0)
 
     def test_wall_interior_is_gapless(self):
         w = magnetic_wall_field(0.0, np.pi, 2.0)
-        om = omega_of(w, 1.0)
-        assert (om.e0, om.e1) == (0.0, 0.0)
+        assert float(w.magnitude(1.0)) == 0.0
 
     def test_scheme1_midpoint(self):
-        om = omega_of(scheme1_field(0, 0, 3.0), 1.5)
-        assert (om.e0, om.e1) == (pytest.approx(-1.0), pytest.approx(1.0))
+        assert float(scheme1_field(0, 0, 3.0).magnitude(1.5)) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("length", [float("nan"), float("inf")])
+def test_non_finite_length_rejected(length):
+    with pytest.raises(ValueError, match="finite"):
+        scheme1_field(0, 0, length)
+    with pytest.raises(ValueError, match="finite"):
+        magnetic_wall_field(0.0, 1.0, length)
 
 
 def test_wall_direction_undefined_inside():
     w = magnetic_wall_field(0.2, 1.3, 2.0)
     with pytest.raises(FieldDirectionError):
-        theta_of(w, 1.0)
+        w.theta(1.0)
     assert float(w.theta(0.0)) == pytest.approx(0.2)
     assert float(w.theta(2.0)) == pytest.approx(1.3)
 

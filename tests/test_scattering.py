@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import spinwire
+from spinwire import cli, scattering
 from spinwire.core import (
     GridCoarseWarning,
     Regime,
@@ -17,41 +19,15 @@ from spinwire.fields import (
     uniform_field,
 )
 from spinwire.scattering import (
-    boundary_matrices,
+    DEFAULT_SEGMENTS,
     build_result,
-    conductance,
     landauer_current,
     reciprocity_check,
     solve_scattering,
     solve_scattering_batch,
     transmission_probabilities,
 )
-
-
-class TestBoundaryMatrices:
-    def test_two_channel_values(self):
-        bm = boundary_matrices(wave_vectors(5.0), 3.0)
-        assert np.allclose(np.diag(bm.v), [np.sqrt(6.0), 2.0])
-        assert np.allclose(np.diag(bm.w), [1.0, np.sqrt(2.0 / np.sqrt(6.0))])
-        assert np.allclose(bm.f_left, np.eye(2))
-        assert np.allclose(
-            np.diag(bm.f_right), [np.exp(3j * np.sqrt(6.0)), np.exp(6j)]
-        )
-
-    def test_evanescent_phase_decays(self):
-        bm = boundary_matrices(wave_vectors(0.0), 3.0)
-        # channel 1 has k = i, so the right phase factor is a real decay
-        assert bm.f_right[1, 1] == pytest.approx(np.exp(-3.0))
-
-    def test_high_energy_limits(self):
-        energy = 1e8
-        bm = boundary_matrices(wave_vectors(energy), 1.0)
-        assert np.allclose(bm.w, np.eye(2), atol=1e-8)
-        assert np.allclose(np.diag(bm.v) / np.sqrt(energy), [1.0, 1.0], atol=1e-8)
-
-    def test_closed_regime_rejected(self):
-        with pytest.raises(RegimeError):
-            boundary_matrices(wave_vectors(-2.0), 1.0)
+from spinwire.transfer import gamma_piecewise_batch, segment_plan
 
 
 class TestSolve:
@@ -97,19 +73,23 @@ class TestSolve:
             assert np.max(np.abs(res.t - single.t)) < 1e-12
             assert np.max(np.abs(res.r - single.r)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "energies",
+        [[], np.zeros(0), [[0.5, 2.0]], np.full((2, 2), 2.0)],
+        ids=["empty-list", "empty-array", "row", "square"],
+    )
+    def test_batch_must_be_non_empty_and_1d(self, energies):
+        f = scheme1_field(0, 0, 3.0)
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            solve_scattering_batch(f, energies, 64)
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            landauer_current(f, 0.6, 0.4, 0.0, energies, 64)
+
     @pytest.mark.parametrize("energy", [-0.7, 0.1, 0.9])
     def test_single_channel_flux_identity(self, energy):
         for f in (scheme1_field(0, 0, 3.0), scheme2_field(0, 0, 6.0)):
             res = solve_scattering(f, energy, 2048)
             assert res.unitarity_defect < 1e-8
-
-    def test_wall_rotation_placement_is_gauge_only(self):
-        w = magnetic_wall_field(0.0, np.pi, 3.0)
-        right = solve_scattering(w, 2.5, 16, wall_jump_side="right")
-        left = solve_scattering(w, 2.5, 16, wall_jump_side="left")
-        assert np.max(np.abs(right.probabilities - left.probabilities)) < 1e-9
-        assert abs(right.unitarity_defect - left.unitarity_defect) < 1e-9
-        assert abs(right.conductance - left.conductance) < 1e-9
 
 
 class TestProbabilityTable:
@@ -135,12 +115,12 @@ class TestProbabilityTable:
 class TestConductance:
     def test_transparent_wire(self):
         res = solve_scattering(uniform_field(0.0, 2.0), 5.0, 32)
-        assert conductance(res) == pytest.approx(2.0, abs=1e-10)
+        assert res.conductance == pytest.approx(2.0, abs=1e-10)
 
     def test_single_open_channel_near_gap(self):
         res = solve_scattering(scheme1_field(0, 0, 3.0), 0.99, 2048)
-        assert conductance(res) == pytest.approx(res.probabilities[0, 0])
-        assert conductance(res) > 0.95
+        assert res.conductance == pytest.approx(res.probabilities[0, 0])
+        assert res.conductance > 0.95
 
 
 class TestLandauer:
@@ -166,6 +146,15 @@ class TestLandauer:
         f = scheme1_field(0, 0, 3.0)
         with pytest.warns(GridCoarseWarning):
             landauer_current(f, 1.35, 0.65, 0.0, np.linspace(0.65, 1.35, 8), 256)
+
+    @pytest.mark.parametrize(
+        "mu_left, mu_right, temperature",
+        [(np.nan, 4.95, 0.0), (5.05, np.nan, 0.0), (5.05, 4.95, np.nan), (5.0, 5.0, np.nan)],
+    )
+    def test_nan_inputs_rejected(self, mu_left, mu_right, temperature):
+        u = uniform_field(0.0, 2.0)
+        with pytest.raises(ValueError, match="NaN|non-negative"):
+            landauer_current(u, mu_left, mu_right, temperature, np.linspace(4.9, 5.1, 21), 64)
 
     def test_finite_temperature_smooths(self):
         u = uniform_field(0.0, 2.0)
@@ -230,3 +219,27 @@ def test_amplitudes_stable_under_segment_doubling(make):
         fine = solve_scattering(f, energy, 8192)
         assert np.max(np.abs(coarse.t - fine.t)) < 5e-8
         assert np.max(np.abs(coarse.r - fine.r)) < 5e-8
+
+
+def test_entry_points_used_by_the_benchmark():
+    """The calls perfbench/run.py makes, with its keywords, keep working."""
+    field = scheme1_field(0, 0, 3.0)
+    energies = np.array([0.5, 2.0])
+    plan = segment_plan(field, 64)
+    gamma, gamma_tilde, berry = gamma_piecewise_batch(field, energies, 64, plan=plan)
+    assert gamma.shape == gamma_tilde.shape == (2, 4, 4) and berry.shape == (2, 2)
+    planned = solve_scattering_batch(field, energies, 64, plan=plan)
+    for a, b in zip(planned, solve_scattering_batch(field, energies, 64)):
+        assert np.array_equal(a.t, b.t) and np.array_equal(a.r, b.r)
+    one = segment_plan(field, 1)
+    gamma_piecewise_batch(field, energies, 1, plan=one)
+    assert [res.n_segments for res in solve_scattering_batch(field, energies, 1, plan=one)] == [1, 1]
+    assert scattering.DEFAULT_SEGMENTS == DEFAULT_SEGMENTS >= 1
+    assert cli.SweepConfig().segments >= 1
+    for name in (
+        "scheme1_field", "scheme2_field", "magnetic_wall_field", "load_profile",
+        "segment_plan", "gamma_piecewise_batch", "solve_scattering", "solve_scattering_batch",
+        "transmission_probabilities", "fd_scattering", "WallConfig",
+        "magnetic_wall_scattering", "EvanescentOverflowError",
+    ):
+        assert hasattr(spinwire, name), name
