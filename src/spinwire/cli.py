@@ -164,6 +164,8 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         raise ConfigError("segments must be >= 1")
     if cfg.L <= 0 and not cfg.scheme.startswith("wall"):
         raise ConfigError("L must be positive")
+    if not (np.isfinite(cfg.defect_tol) and cfg.defect_tol >= 0.0):
+        raise ConfigError(f"defect_tol must be non-negative and finite, got {cfg.defect_tol}")
     cfg.output_groups()
     return cfg
 
@@ -248,7 +250,8 @@ def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
     columns = cfg.csv_columns()
     print(",".join(columns), file=out)
     for row in rows:
-        row["defect_flag"] = int(row["unitarity_defect"] > cfg.defect_tol)
+        # a NaN defect is flagged too
+        row["defect_flag"] = int(not row["unitarity_defect"] <= cfg.defect_tol)
         cells = []
         for col in columns:
             value = row[col]

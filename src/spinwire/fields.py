@@ -64,6 +64,13 @@ def _check_length(length: float) -> float:
     return length
 
 
+def _check_angle(name: str, theta: float) -> float:
+    theta = float(theta)
+    if not np.isfinite(theta):
+        raise ValueError(f"lead angle {name} must be finite, got {theta}")
+    return theta
+
+
 @dataclass(frozen=True)
 class Scheme1Field(PlanarField):
     """Winding profile between antiparallel leads: B points along +n3 at the
@@ -175,8 +182,8 @@ class UniformField(PlanarField):
 
     def __post_init__(self):
         object.__setattr__(self, "length", _check_length(self.length))
-        object.__setattr__(self, "theta_left", float(self.theta0))
-        object.__setattr__(self, "theta_right", float(self.theta0))
+        object.__setattr__(self, "theta_left", _check_angle("theta0", self.theta0))
+        object.__setattr__(self, "theta_right", self.theta_left)
 
     def magnitude(self, y):
         return np.ones_like(self._clamp(y))
@@ -205,8 +212,8 @@ class MagneticWallField(PlanarField):
         object.__setattr__(self, "length", float(self.length))
         if not (np.isfinite(self.length) and self.length >= 0.0):
             raise ValueError(f"wall length must be non-negative and finite, got {self.length}")
-        object.__setattr__(self, "theta_left", float(self.theta_l))
-        object.__setattr__(self, "theta_right", float(self.theta_r))
+        object.__setattr__(self, "theta_left", _check_angle("theta_l", self.theta_l))
+        object.__setattr__(self, "theta_right", _check_angle("theta_r", self.theta_r))
 
     def magnitude(self, y):
         y = np.asarray(y, dtype=float)
@@ -256,6 +263,9 @@ class TabulatedField(PlanarField):
             raise ValueError("need at least 4 samples")
         if not (b1s.shape == b3s.shape == ys.shape):
             raise ValueError("y, b1, b3 must have the same length")
+        if not (np.isfinite(ys).all() and np.isfinite(b1s).all() and np.isfinite(b3s).all()):
+            # the lead angles are those of the boundary samples
+            raise ValueError("profile samples must be finite")
         if np.any(np.diff(ys) <= 0):
             raise ValueError("y samples must be strictly increasing")
         mags = np.hypot(b1s, b3s)

@@ -159,6 +159,46 @@ def test_non_finite_length_is_a_config_error(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize(
+    "scheme_args",
+    [
+        ["--scheme", "wall", "--thetaL", "0", "--thetaR", "nan", "--L", "2"],
+        ["--scheme", "uniform", "--thetaL", "inf", "--L", "2"],
+    ],
+)
+def test_non_finite_angle_is_a_config_error(scheme_args, capsys):
+    code, out, err = run_cli(
+        ["sweep", *scheme_args, "--points", "3", "--E-min", "0", "--E-max", "2"],
+        capsys,
+    )
+    assert code == 1
+    assert "lead angle" in err and "must be finite" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
+def test_defect_tol_must_be_non_negative_and_finite(tol, capsys):
+    code, out, err = run_cli(SWEEP_ARGS + [f"--defect-tol={tol}"], capsys)
+    assert code == 1
+    assert "defect_tol must be non-negative and finite" in err
+    assert out == ""
+
+
+def test_nan_defect_is_flagged(monkeypatch, capsys):
+    sweep_rows = cli._sweep_rows
+
+    def first_row_nan(*args):
+        rows = sweep_rows(*args)
+        rows[0]["unitarity_defect"] = float("nan")
+        return rows
+
+    monkeypatch.setattr(cli, "_sweep_rows", first_row_nan)
+    code, out, _ = run_cli(SWEEP_ARGS, capsys)
+    assert code == 0
+    flags = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
+    assert flags == ["1"] + ["0"] * (len(flags) - 1)
+
+
 def test_numeric_failure_exit_code(capsys):
     # evanescent growth across a 60-unit region trips the overflow guard
     code, _, err = run_cli(

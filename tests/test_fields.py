@@ -153,6 +153,22 @@ def test_non_finite_length_rejected(length):
         magnetic_wall_field(0.0, 1.0, length)
 
 
+@pytest.mark.parametrize("angle", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_angle_rejected(angle):
+    for build in (
+        lambda: magnetic_wall_field(angle, 1.0, 2.0),
+        lambda: magnetic_wall_field(0.0, angle, 2.0),
+        lambda: uniform_field(angle, 1.0),
+    ):
+        with pytest.raises(ValueError, match="lead angle .* must be finite"):
+            build()
+    for column in range(3):
+        samples = [np.linspace(0.0, 2.0, 8), np.zeros(8), np.ones(8)]
+        samples[column][-1] = angle
+        with pytest.raises(ValueError, match="profile samples must be finite"):
+            TabulatedField(*samples)
+
+
 def test_wall_direction_undefined_inside():
     w = magnetic_wall_field(0.2, 1.3, 2.0)
     with pytest.raises(FieldDirectionError):

@@ -163,8 +163,21 @@ class TestGammaPiecewise:
         assert np.max(np.abs(tm.gamma_tilde)) < bound
 
 
+def propagator_entries_reference(q, length):
+    """The propagator pieces (c, s, -q s, growth) evaluated in complex128 throughout."""
+    q = np.asarray(q, dtype=complex)
+    z = np.sqrt(q)
+    zl = z * length
+    small = np.abs(zl) < 1e-4
+    zl2 = zl * zl
+    series = length * (1.0 - zl2 / 6.0 + zl2 * zl2 / 120.0)
+    s = np.where(small, series, np.sin(zl) / np.where(small, 1.0, z))
+    c = np.cos(zl)
+    return c, s, -q * s, np.abs(zl.imag)
+
+
 def ordered_product_reference(plan, energies):
-    """Per-segment loop that builds each factor and multiplies it on the left."""
+    """Complex128 per-segment loop that builds each factor and multiplies it on the left."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     n_e = energies.shape[0]
     gamma = np.zeros((n_e, 4, 4), dtype=complex)
@@ -175,7 +188,7 @@ def ordered_product_reference(plan, energies):
     for j in range(plan.n_segments):
         mag = plan.magnitudes[j]
         q = np.stack([energies + mag, energies - mag], axis=-1)
-        c, s, ms, kappa = _propagator_entries(q, plan.seg_length)
+        c, s, ms, kappa = propagator_entries_reference(q, plan.seg_length)
         growth += kappa.max(axis=-1)
         if growth.max() > GROWTH_GUARD:
             raise EvanescentOverflowError("evanescent growth")
@@ -204,26 +217,38 @@ PRODUCT_FIELDS = {
 
 
 class TestBlockedProduct:
-    """The blocked factor build reproduces the per-segment loop bit for bit."""
+    """The blocked real product reproduces the complex per-segment loop bit for bit."""
+
+    def test_entries_are_the_real_parts_of_the_complex_ones(self):
+        # both signs, the small-|z h| series branch and q = 0 itself
+        q = np.array([-50.0, -1.0, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 0.3, 50.0])
+        for length in (1e-3, 0.1, 2.0):
+            got = _propagator_entries(q, length)
+            want = propagator_entries_reference(q, length)
+            for g, w in zip(got, want):
+                assert g.dtype == np.float64
+                assert np.array_equal(g, w)
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
     @pytest.mark.parametrize("n_segments", [1, 7, 512])
     def test_bit_identical_to_per_segment_loop(self, name, n_segments):
         plan = segment_plan(PRODUCT_FIELDS[name](), n_segments)
-        # the real rotations give the same bits as complex ones would
+        # complex rotations give the complex loop the same bits as real ones
         complex_plan = dataclasses.replace(plan, jumps=plan.jumps.astype(complex))
         energies = np.array([-0.5, 0.3, 2.5])
         for batch in (energies, energies[:1], energies[1:2], energies[2:]):
-            want = ordered_product_reference(plan, batch)
-            assert np.array_equal(_ordered_product(plan, batch), want)
-            assert np.array_equal(_ordered_product(complex_plan, batch), want)
+            got = _ordered_product(plan, batch)
+            assert got.dtype == np.float64
+            # array_equal against a complex array also asserts a zero imaginary part
+            assert np.array_equal(got, ordered_product_reference(plan, batch))
+            assert np.array_equal(got, ordered_product_reference(complex_plan, batch))
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
     def test_sub_range_and_small_blocks(self, name, monkeypatch):
-        # blocks of 5 segments, so block boundaries fall inside the plan
+        # blocks of 5 segments of 16 float64 entries, so block boundaries fall inside the plan
         plan = segment_plan(PRODUCT_FIELDS[name](), 64)
         energies = np.array([-0.5, 0.3, 2.5])
-        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 16 * energies.size)
+        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
         want = ordered_product_reference(plan, energies)
         assert np.array_equal(_ordered_product(plan, energies), want)
 
@@ -247,7 +272,7 @@ class TestBlockedProduct:
         # (50/64) * sqrt(1.99) ~ 1.1 to the growth, which passes 60 in segment 55;
         # the first 48 segments (length 37.5) stay below it
         energies = np.array([-0.99])
-        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 8 * 16 * 16)
+        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 8 * 16 * 8)  # 8 segments per block
         head = segment_plan(uniform_field(0.0, 37.5), 48)
         assert np.isfinite(_ordered_product(head, energies)).all()
         plan = segment_plan(uniform_field(0.0, 50.0), 64)
