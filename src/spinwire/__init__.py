@@ -25,10 +25,9 @@ from .core import (
 from .fields import (
     MagneticWallField,
     PlanarField,
-    Scheme1Field,
-    Scheme2Field,
     TabulatedField,
     UniformField,
+    WindingField,
     load_profile,
     magnetic_wall_field,
     scheme1_field,

@@ -24,15 +24,16 @@ from .fields import PlanarField
 _ANTIPODAL_TOL = 1e-12
 
 
-def planar_rotation(delta_theta: float) -> np.ndarray:
+def planar_rotation(delta_theta) -> np.ndarray:
     """Eigenbasis transport for an in-plane direction change delta_theta.
 
     A real rotation by delta_theta / 2 acting on the (lower, upper) channel
     pair; windings beyond 2*pi flip the overall sign, as spinors require.
+    An array of angles gives a stack of rotations of shape (..., 2, 2).
     """
-    half = 0.5 * float(delta_theta)
+    half = 0.5 * np.asarray(delta_theta, dtype=float)
     c, s = np.cos(half), np.sin(half)
-    return np.array([[c, -s], [s, c]], dtype=complex)
+    return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
 def berry_connection_planar(field: PlanarField, y: float) -> np.ndarray:

@@ -22,6 +22,7 @@ import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields
+from itertools import repeat
 
 import numpy as np
 
@@ -231,11 +232,6 @@ def _sweep_rows(field, energies, segments):
     return rows
 
 
-def _sweep_chunk(payload):
-    field, energies, segments = payload
-    return _sweep_rows(field, energies, segments)
-
-
 def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
     field = build_field(cfg)
     grid = energy_grid(cfg, diag)
@@ -243,7 +239,7 @@ def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
         chunks = np.array_split(grid, min(workers * 4, grid.size))
         chunks = [c for c in chunks if c.size]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_chunk, [(field, c, cfg.segments) for c in chunks]))
+            parts = list(pool.map(_sweep_rows, repeat(field), chunks, repeat(cfg.segments)))
         rows = [row for part in parts for row in part]
     else:
         rows = _sweep_rows(field, grid, cfg.segments)
@@ -303,18 +299,14 @@ def _report(lines, verdict, out):
     print(f"verdict: {verdict}", file=out)
 
 
-def _two_channel_grid(cfg: SweepConfig, n: int, upper: float) -> np.ndarray:
-    return np.linspace(1.01, upper, n)
-
-
 def run_validate(cfg: SweepConfig, against: str, out, diag) -> int:
     field = build_field(cfg)
     lines = []
     if against == "oracle":
         spacing = field.length / 8192
         tol = 1e-4
-        for energy in (2.0, 5.0):
-            eng = solve_scattering_batch(field, [energy], cfg.segments)[0]
+        energies = (2.0, 5.0)
+        for energy, eng in zip(energies, solve_scattering_batch(field, energies, cfg.segments)):
             lat = fd_scattering(field, energy, spacing)
             rel = float(np.max(np.abs(lat.probabilities - eng.probabilities) / np.abs(eng.probabilities)))
             lines.append((f"probability rel. error (a=L/8192)", rel, tol, energy))
@@ -323,8 +315,8 @@ def run_validate(cfg: SweepConfig, against: str, out, diag) -> int:
             raise ConfigError("validate --against wall needs scheme = wall")
         tol = 1e-10
         worst, worst_e = 0.0, 0.0
-        for energy in _two_channel_grid(cfg, 50, 100.0):
-            eng = solve_scattering_batch(field, [energy], cfg.segments)[0]
+        energies = np.linspace(1.01, 100.0, 50)
+        for energy, eng in zip(energies, solve_scattering_batch(field, energies, cfg.segments)):
             ana = magnetic_wall_scattering(WallConfig(cfg.thetaL, cfg.thetaR, cfg.L, energy))
             dev = max(
                 float(np.max(np.abs(eng.t - ana.t))),

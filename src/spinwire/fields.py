@@ -6,8 +6,10 @@ in the plane spanned by two orthonormal axes n1 and n3, so it is fully
 described by the magnitude |B(y)| (in units of the lead magnitude B0) and one
 *unwrapped* polar angle theta(y) measured from n3.  Keeping theta continuous
 instead of tracking per-component sign functions is what makes the winding
-profiles well defined: the built-in profiles wind by (1 + 2*q2)*pi
-(antiparallel leads) or (1 + 4*q2)*pi/2 (orthogonal leads).
+profiles well defined.  The paper's two schemes are one class, WindingField:
+scheme s = 1 (antiparallel leads) winds by (1 + 2*q2)*pi and s = 2
+(orthogonal leads) by (1 + 4*q2)*pi/2, that is n sections of pi/s with
+n = 1 + 2*s*q2.
 
 Components:   b1 = |B| sin(theta),  b3 = |B| cos(theta).
 """
@@ -72,105 +74,69 @@ def _check_angle(name: str, theta: float) -> float:
 
 
 @dataclass(frozen=True)
-class Scheme1Field(PlanarField):
-    """Winding profile between antiparallel leads: B points along +n3 at the
-    left lead and along -n3 at the right lead.
+class WindingField(PlanarField):
+    """Winding profile of the paper's two schemes, selected by scheme s in {1, 2}.
 
-    q1 sharpens the components around the midpoint (the magnetic-wall limit as
-    q1 grows), q2 adds full extra windings.  The total winding of theta is
-    (1 + 2*q2)*pi and |B| never vanishes.
+    B points along +n3 at the left lead and along -n3 (s = 1, antiparallel
+    leads) or +n1 (s = 2, orthogonal leads) at the right lead.  theta winds
+    through n = 1 + 2*s*q2 sections of pi/s each, so q2 adds full extra
+    windings.  With the phase u = n*pi*y/(s*L) the components are
+    |b1| = |sin u|**a and |b3| = |cos u|**b, a = 2 + 2*q1 and b = s + 2*q1:
+    q1 sharpens them (the magnetic-wall limit as q1 grows) and |B| never
+    vanishes.
     """
 
     q1: int
     q2: int
     length: float
+    scheme: int
 
     def __post_init__(self):
+        if self.scheme not in (1, 2):
+            raise ValueError(f"scheme must be 1 or 2, got {self.scheme!r}")
         if self.q1 < 0 or self.q2 < 0:
             raise ValueError("q1 and q2 must be non-negative integers")
         object.__setattr__(self, "length", _check_length(self.length))
         object.__setattr__(self, "theta_left", 0.0)
-        object.__setattr__(self, "theta_right", (1 + 2 * self.q2) * np.pi)
+        object.__setattr__(self, "theta_right", self._sections * np.pi / self.scheme)
+
+    @property
+    def _sections(self) -> int:
+        return 1 + 2 * self.scheme * self.q2
+
+    @property
+    def _exponents(self) -> tuple[int, int]:
+        return 2 + 2 * self.q1, self.scheme + 2 * self.q1
 
     def _phase(self, y):
-        return (1 + 2 * self.q2) * np.pi * self._clamp(y) / self.length
+        return self._sections * np.pi * self._clamp(y) / (self.scheme * self.length)
+
+    def _section(self, u):
+        """Start angle of u's section and u's angle within it."""
+        width = np.pi / self.scheme
+        sec = np.minimum(np.floor(u / width), self._sections)
+        return sec * width, u - sec * width
 
     def magnitude(self, y):
         u = self._phase(y)
-        a = 2 + 2 * self.q1
-        b = 1 + 2 * self.q1
+        a, b = self._exponents
         return np.hypot(np.abs(np.sin(u)) ** a, np.abs(np.cos(u)) ** b)
 
     def theta(self, y):
-        u = self._phase(y)
-        sec = np.minimum(np.floor(u / np.pi), 1 + 2 * self.q2)
-        v = u - sec * np.pi
-        a = 2 + 2 * self.q1
-        b = 1 + 2 * self.q1
-        # within a half-turn section sin(v) >= 0 and cos(v)**b carries the sign,
-        # so atan2 lands in [0, pi] and the sections chain continuously
-        return sec * np.pi + np.arctan2(np.sin(v) ** a, np.cos(v) ** b)
+        start, v = self._section(self._phase(y))
+        a, b = self._exponents
+        # within a section sin(v) >= 0 and cos(v)**b carries the sign, so
+        # atan2 lands in [0, pi] and the sections chain continuously
+        return start + np.arctan2(np.sin(v) ** a, np.cos(v) ** b)
 
     def theta_deriv(self, y):
-        u = self._phase(y)
-        sec = np.minimum(np.floor(u / np.pi), 1 + 2 * self.q2)
-        v = u - sec * np.pi
-        a = 2 + 2 * self.q1
-        b = 1 + 2 * self.q1
+        _, v = self._section(self._phase(y))
+        a, b = self._exponents
         s, c = np.sin(v), np.cos(v)
         num = a * s ** (a - 1) * c ** (b + 1) + b * s ** (a + 1) * c ** (b - 1)
         den = s ** (2 * a) + c ** (2 * b)
         inside = (np.asarray(y, dtype=float) > 0.0) & (np.asarray(y, dtype=float) < self.length)
-        return np.where(inside, num / den, 0.0) * ((1 + 2 * self.q2) * np.pi / self.length)
-
-
-@dataclass(frozen=True)
-class Scheme2Field(PlanarField):
-    """Winding profile between orthogonal leads: B points along n3 at the left
-    lead and along n1 at the right lead.
-
-    Both components carry the same even exponent 2 + 2*q1; q2 adds full extra
-    windings.  The total winding of theta is (1 + 4*q2)*pi/2.
-    """
-
-    q1: int
-    q2: int
-    length: float
-
-    def __post_init__(self):
-        if self.q1 < 0 or self.q2 < 0:
-            raise ValueError("q1 and q2 must be non-negative integers")
-        object.__setattr__(self, "length", _check_length(self.length))
-        object.__setattr__(self, "theta_left", 0.0)
-        object.__setattr__(self, "theta_right", (1 + 4 * self.q2) * np.pi / 2.0)
-
-    def _phase(self, y):
-        return (1 + 4 * self.q2) * np.pi * self._clamp(y) / (2.0 * self.length)
-
-    def magnitude(self, y):
-        u = self._phase(y)
-        a = 2 + 2 * self.q1
-        return np.hypot(np.abs(np.sin(u)) ** a, np.abs(np.cos(u)) ** a)
-
-    def theta(self, y):
-        u = self._phase(y)
-        half = np.pi / 2.0
-        sec = np.minimum(np.floor(u / half), 1 + 4 * self.q2)
-        v = u - sec * half
-        a = 2 + 2 * self.q1
-        return sec * half + np.arctan2(np.sin(v) ** a, np.cos(v) ** a)
-
-    def theta_deriv(self, y):
-        u = self._phase(y)
-        half = np.pi / 2.0
-        sec = np.minimum(np.floor(u / half), 1 + 4 * self.q2)
-        v = u - sec * half
-        a = 2 + 2 * self.q1
-        s, c = np.sin(v), np.cos(v)
-        num = a * (s * c) ** (a - 1)
-        den = s ** (2 * a) + c ** (2 * a)
-        inside = (np.asarray(y, dtype=float) > 0.0) & (np.asarray(y, dtype=float) < self.length)
-        return np.where(inside, num / den, 0.0) * ((1 + 4 * self.q2) * np.pi / (2.0 * self.length))
+        return np.where(inside, num / den, 0.0) * (self._sections * np.pi / (self.scheme * self.length))
 
 
 @dataclass(frozen=True)
@@ -311,14 +277,14 @@ class TabulatedField(PlanarField):
         return self._spl1(y), self._spl3(y)
 
 
-def scheme1_field(q1: int, q2: int, length: float) -> Scheme1Field:
+def scheme1_field(q1: int, q2: int, length: float) -> WindingField:
     """Profile connecting a +n3 left lead to a -n3 right lead."""
-    return Scheme1Field(q1=int(q1), q2=int(q2), length=length)
+    return WindingField(q1=int(q1), q2=int(q2), length=length, scheme=1)
 
 
-def scheme2_field(q1: int, q2: int, length: float) -> Scheme2Field:
+def scheme2_field(q1: int, q2: int, length: float) -> WindingField:
     """Profile connecting a +n3 left lead to a +n1 right lead."""
-    return Scheme2Field(q1=int(q1), q2=int(q2), length=length)
+    return WindingField(q1=int(q1), q2=int(q2), length=length, scheme=2)
 
 
 def uniform_field(theta: float, length: float) -> UniformField:

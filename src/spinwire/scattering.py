@@ -27,8 +27,6 @@ from .core import (
 from .fields import PlanarField
 from .transfer import SegmentPlan, flow_defect, gamma_piecewise_batch
 
-_THRESHOLD_K = 1e-9  # |k| below this counts as sitting on a band edge
-
 DEFAULT_SEGMENTS = 4096
 
 
@@ -88,7 +86,8 @@ def build_result(
 def _check_solvable(channel: ChannelData) -> None:
     if channel.regime is Regime.CLOSED:
         raise RegimeError(f"E={channel.energy} is below both bands; nothing scatters")
-    if abs(channel.k0) < _THRESHOLD_K or abs(channel.k1) < _THRESHOLD_K:
+    # exact: next to a band edge a float64 energy still has |k| >= 1.05e-8
+    if channel.k0 == 0 or channel.k1 == 0:
         raise ThresholdError(
             f"E={channel.energy} sits on a band edge; nudge the energy off the threshold"
         )

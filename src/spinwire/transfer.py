@@ -104,17 +104,12 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
         angles[0] = th[0] - field.theta_left
         angles[1:-1] = np.diff(th)
         angles[-1] = field.theta_right - th[-1]
-    half = 0.5 * angles
-    jumps = np.zeros((n_segments + 1, 2, 2))
-    jumps[:, 0, 0] = jumps[:, 1, 1] = np.cos(half)
-    jumps[:, 1, 0] = np.sin(half)
-    jumps[:, 0, 1] = -np.sin(half)
     return SegmentPlan(
         n_segments=n_segments,
         seg_length=h,
         magnitudes=mags,
         jump_angles=angles,
-        jumps=jumps,
+        jumps=planar_rotation(angles).real,
         theta_total=float(field.theta_right - field.theta_left),
     )
 

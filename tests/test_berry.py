@@ -38,9 +38,20 @@ class TestConnection:
         assert hs_norm(berry_connection_planar(f, 0.0)) == 0.0
         assert hs_norm(berry_connection_planar(f, 3.0)) == 0.0
 
-    @pytest.mark.parametrize("y", [0.4, 1.1, 1.5, 2.3])
-    def test_matches_eigenvector_finite_differences(self, y):
-        f = scheme1_field(0, 0, 3.0)
+    @pytest.mark.parametrize(
+        "f, y",
+        [
+            # the scheme1 (0, 0, 3) cases keep their bare-position ids
+            pytest.param(f, y, id=f"{name}{y}")
+            for name, f in (
+                ("", scheme1_field(0, 0, 3.0)),
+                ("scheme2_1_1_6-", scheme2_field(1, 1, 6.0)),
+                ("scheme1_10_0_3-", scheme1_field(10, 0, 3.0)),
+            )
+            for y in (0.4, 1.1, 1.5, 2.3)
+        ],
+    )
+    def test_matches_eigenvector_finite_differences(self, f, y):
         k = berry_connection_planar(f, y)
         assert np.allclose(k, connection_by_finite_differences(f, y), atol=1e-8)
 
@@ -71,6 +82,13 @@ class TestPlanarOperator:
             u = planar_rotation(delta)
             assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-15)
             assert np.linalg.det(u) == pytest.approx(1.0)
+
+    def test_array_of_angles_stacks_the_scalar_rotations(self):
+        deltas = np.array([0.0, 0.3, -2.0, 7.5, 3.0 * np.pi])
+        stack = planar_rotation(deltas)
+        assert stack.shape == (5, 2, 2)
+        for delta, u in zip(deltas, stack):
+            assert np.array_equal(u, planar_rotation(float(delta)))
 
     def test_composition(self):
         f = scheme1_field(0, 1, 3.0)

@@ -199,15 +199,23 @@ def test_nan_defect_is_flagged(monkeypatch, capsys):
     assert flags == ["1"] + ["0"] * (len(flags) - 1)
 
 
-def test_numeric_failure_exit_code(capsys):
-    # evanescent growth across a 60-unit region trips the overflow guard
-    code, _, err = run_cli(
-        ["sweep", "--scheme", "scheme2", "--L", "60", "--E-min", "-0.99",
-         "--E-max", "-0.98", "--points", "2", "--segments", "64"],
-        capsys,
-    )
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        # evanescent growth across a 60-unit region trips the overflow guard
+        (["sweep", "--scheme", "scheme2", "--L", "60", "--E-min", "-0.99",
+          "--E-max", "-0.98", "--points", "2", "--segments", "64"], "evanescent growth"),
+        # a = L/8192 is too coarse for the lattice oracle's band to hold E = 2
+        (["validate", "--scheme", "scheme1", "--L", "20000", "--against", "oracle"],
+         "lattice band too narrow"),
+    ],
+    ids=["growth_guard", "lattice_band"],
+)
+def test_numeric_failure_exit_code(args, reason, capsys):
+    code, _, err = run_cli(args, capsys)
     assert code == 3
     assert "numeric failure" in err
+    assert reason in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import pytest
 from spinwire.core import FieldDirectionError
 from spinwire.fields import (
     TabulatedField,
+    WindingField,
     load_profile,
     magnetic_wall_field,
     scheme1_field,
@@ -23,6 +24,17 @@ def winding_by_integration(field, n=200_001):
     d3 = np.gradient(b3, ys)
     dtheta = (b3 * d1 - b1 * d3) / (b1**2 + b3**2)
     return np.trapezoid(dtheta, ys)
+
+
+@pytest.mark.parametrize("scheme", [0, 3, -1, 1.5])
+def test_winding_scheme_must_be_1_or_2(scheme):
+    with pytest.raises(ValueError, match="scheme must be 1 or 2"):
+        WindingField(q1=0, q2=0, length=3.0, scheme=scheme)
+
+
+def test_factories_select_the_scheme():
+    assert scheme1_field(1, 2, 3.0) == WindingField(q1=1, q2=2, length=3.0, scheme=1)
+    assert scheme2_field(1, 2, 3.0) == WindingField(q1=1, q2=2, length=3.0, scheme=2)
 
 
 class TestScheme1:

@@ -85,6 +85,21 @@ class TestSolve:
         with pytest.raises(ValueError, match="non-empty 1-D"):
             landauer_current(f, 0.6, 0.4, 0.0, energies, 64)
 
+    @pytest.mark.parametrize(
+        "field",
+        [scheme1_field(1, 1, 3.0), scheme2_field(1, 1, 3.0), magnetic_wall_field(0.0, 2.0, 2.0)],
+        ids=["scheme1", "scheme2", "wall"],
+    )
+    def test_next_float_off_a_band_edge_solves(self, field):
+        # the threshold test is exact: one ulp off an edge is a regular energy
+        near = [np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0)]
+        for res in solve_scattering_batch(field, near):
+            assert res.unitarity_defect <= 1e-8
+        with pytest.raises(ThresholdError):
+            solve_scattering(field, 1.0)
+        with pytest.raises(RegimeError):
+            solve_scattering(field, -1.0)
+
     @pytest.mark.parametrize("energy", [-0.7, 0.1, 0.9])
     def test_single_channel_flux_identity(self, energy):
         for f in (scheme1_field(0, 0, 3.0), scheme2_field(0, 0, 6.0)):
