@@ -22,7 +22,7 @@ from .core import (
 )
 from .berry import berry_operator_overlap, berry_operator_planar, planar_rotation
 from .fields import PlanarField
-from .scattering import ScatterResult, _check_solvable, build_result
+from .scattering import DEFAULT_SEGMENTS, ScatterResult, _check_solvable, build_result
 
 _SIGMA_Z_CHANNEL = np.diag([1.0, -1.0]).astype(complex)
 
@@ -48,7 +48,9 @@ def _rotated_sigma_z(delta_theta):
     return out
 
 
-def first_order_reflection(field: PlanarField, energy: float, n_segments: int = 4096) -> np.ndarray:
+def first_order_reflection(
+    field: PlanarField, energy: float, n_segments: int = DEFAULT_SEGMENTS
+) -> np.ndarray:
     """Leading high-energy estimate of the reflection matrix.
 
     Valid well above the gap (documented window E >= 4); the channel-averaged

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields
 from itertools import repeat
 
@@ -51,6 +52,7 @@ from .fields import (
     uniform_field,
 )
 from .scattering import (
+    DEFAULT_SEGMENTS,
     landauer_current,
     solve_scattering_batch,
     transmission_probabilities,
@@ -68,13 +70,16 @@ NUMERIC_ERRORS = (
     np.linalg.LinAlgError,
 )
 
-OUTPUT_GROUPS = ("probabilities", "distances", "conductance")
-
-CSV_GROUP_COLUMNS = {
-    "probabilities": ("P00", "P01", "P10", "P11", "R00sq"),
-    "distances": ("hs_t_minus_U", "hs_r"),
-    "conductance": ("conductance",),
-}
+# CSV columns in order, by the output group that enables them; None is always on
+CSV_LAYOUT = (
+    (None, ("E",)),
+    ("probabilities", ("P00", "P01", "P10", "P11", "R00sq")),
+    ("distances", ("hs_t_minus_U", "hs_r")),
+    (None, ("unitarity_defect",)),
+    ("conductance", ("conductance",)),
+    (None, ("regime", "defect_flag")),
+)
+OUTPUT_GROUPS = tuple(group for group, _ in CSV_LAYOUT if group)
 
 
 class ConfigError(ValueError):
@@ -83,7 +88,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class SweepConfig:
-    """All knobs of a run; mirrors the flat config-file keys."""
+    """All knobs of a run: its fields are the config-file keys and, spelled with -, the flags."""
 
     scheme: str = "scheme1"
     q1: int = 0
@@ -94,7 +99,7 @@ class SweepConfig:
     E_min: float = -1.0
     E_max: float = 5.0
     points: int = 200
-    segments: int = 4096
+    segments: int = DEFAULT_SEGMENTS
     outputs: str = "probabilities,distances,conductance"
     defect_tol: float = 1e-8
 
@@ -107,28 +112,25 @@ class SweepConfig:
 
     def csv_columns(self) -> tuple[str, ...]:
         groups = self.output_groups()
-        cols: list[str] = ["E"]
-        for group in ("probabilities", "distances"):
-            if group in groups:
-                cols.extend(CSV_GROUP_COLUMNS[group])
-        cols.append("unitarity_defect")
-        if "conductance" in groups:
-            cols.extend(CSV_GROUP_COLUMNS["conductance"])
-        cols.extend(("regime", "defect_flag"))
-        return tuple(cols)
+        return tuple(
+            col for group, cols in CSV_LAYOUT if group is None or group in groups for col in cols
+        )
 
 
-_CONFIG_TYPES = {f.name: f.type for f in dataclass_fields(SweepConfig)}
+_CONFIG_TYPES = {f.name: type(f.default) for f in dataclass_fields(SweepConfig)}
+
+_CONFIG_HELP = {
+    "scheme": "scheme1 | scheme2 | wall | uniform | tabulated:PATH",
+    "L": "region length in magnetic-length units",
+    "thetaL": "left lead angle (wall/uniform)",
+    "thetaR": "right lead angle (wall)",
+    "outputs": "comma list of column groups: " + ",".join(OUTPUT_GROUPS),
+}
 
 
 def _coerce(key: str, raw: str):
-    kind = _CONFIG_TYPES[key]
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        return raw
+        return _CONFIG_TYPES[key](raw)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 
@@ -211,25 +213,18 @@ def _fmt(x: float) -> str:
 def _sweep_rows(field, energies, segments):
     results = solve_scattering_batch(field, np.asarray(energies), segments)
     berry = berry_operator_planar(field, 0.0, field.length)
-    rows = []
-    for res in results:
-        table = transmission_probabilities(res)
-        rows.append(
-            {
-                "E": res.channel.energy,
-                "P00": table["P00"],
-                "P01": table["P01"],
-                "P10": table["P10"],
-                "P11": table["P11"],
-                "R00sq": table["R00sq"],
-                "hs_t_minus_U": hs_distance(res.t, berry),
-                "hs_r": hs_norm(res.r),
-                "unitarity_defect": res.unitarity_defect,
-                "conductance": res.conductance,
-                "regime": res.channel.regime.value,
-            }
-        )
-    return rows
+    return [
+        {
+            "E": res.channel.energy,
+            **transmission_probabilities(res),
+            "hs_t_minus_U": hs_distance(res.t, berry),
+            "hs_r": hs_norm(res.r),
+            "unitarity_defect": res.unitarity_defect,
+            "conductance": res.conductance,
+            "regime": res.channel.regime.value,
+        }
+        for res in results
+    ]
 
 
 def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
@@ -237,7 +232,6 @@ def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
     grid = energy_grid(cfg, diag)
     if workers > 1:
         chunks = np.array_split(grid, min(workers * 4, grid.size))
-        chunks = [c for c in chunks if c.size]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_rows, repeat(field), chunks, repeat(cfg.segments)))
         rows = [row for part in parts for row in part]
@@ -247,17 +241,9 @@ def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
     print(",".join(columns), file=out)
     for row in rows:
         # a NaN defect is flagged too
-        row["defect_flag"] = int(not row["unitarity_defect"] <= cfg.defect_tol)
-        cells = []
-        for col in columns:
-            value = row[col]
-            if col == "regime":
-                cells.append(value)
-            elif col == "defect_flag":
-                cells.append(str(value))
-            else:
-                cells.append(_fmt(value))
-        print(",".join(cells), file=out)
+        row["defect_flag"] = "0" if row["unitarity_defect"] <= cfg.defect_tol else "1"
+        cells = (row[col] for col in columns)
+        print(",".join(c if isinstance(c, str) else _fmt(c) for c in cells), file=out)
     return 0
 
 
@@ -299,6 +285,11 @@ def _report(lines, verdict, out):
     print(f"verdict: {verdict}", file=out)
 
 
+def _deviation(a, b) -> float:
+    """Largest entrywise |delta t| or |delta r| between two scattering results."""
+    return max(float(np.max(np.abs(a.t - b.t))), float(np.max(np.abs(a.r - b.r))))
+
+
 def run_validate(cfg: SweepConfig, against: str, out, diag) -> int:
     field = build_field(cfg)
     lines = []
@@ -307,41 +298,36 @@ def run_validate(cfg: SweepConfig, against: str, out, diag) -> int:
         tol = 1e-4
         energies = (2.0, 5.0)
         for energy, eng in zip(energies, solve_scattering_batch(field, energies, cfg.segments)):
-            lat = fd_scattering(field, energy, spacing)
-            rel = float(np.max(np.abs(lat.probabilities - eng.probabilities) / np.abs(eng.probabilities)))
-            lines.append((f"probability rel. error (a=L/8192)", rel, tol, energy))
+            gap = np.abs(fd_scattering(field, energy, spacing).probabilities - eng.probabilities)
+            # relative where the engine's probability is nonzero, absolute where it is 0
+            rel = np.divide(gap, eng.probabilities, out=gap.copy(), where=eng.probabilities > 0)
+            lines.append(("probability rel. error (a=L/8192)", float(np.max(rel)), tol, energy))
     elif against == "wall":
         if not field.zero_field_interior:
             raise ConfigError("validate --against wall needs scheme = wall")
         tol = 1e-10
-        worst, worst_e = 0.0, 0.0
         energies = np.linspace(1.01, 100.0, 50)
-        for energy, eng in zip(energies, solve_scattering_batch(field, energies, cfg.segments)):
-            ana = magnetic_wall_scattering(WallConfig(cfg.thetaL, cfg.thetaR, cfg.L, energy))
-            dev = max(
-                float(np.max(np.abs(eng.t - ana.t))),
-                float(np.max(np.abs(eng.r - ana.r))),
-            )
-            if dev > worst:
-                worst, worst_e = dev, energy
-        lines.append(("entrywise engine vs wall matching", worst, tol, worst_e))
+        engine = solve_scattering_batch(field, energies, cfg.segments)
+        devs = [
+            _deviation(eng, magnetic_wall_scattering(WallConfig(cfg.thetaL, cfg.thetaR, cfg.L, e)))
+            for e, eng in zip(energies, engine)
+        ]
+        worst = int(np.argmax(devs))
+        lines.append(("entrywise engine vs wall matching", devs[worst], tol, energies[worst]))
     elif against == "delta":
         tol = 1e-4
         n_l = planar_direction(field.theta_left)
         n_r = planar_direction(field.theta_right)
-        worst, worst_e = 0.0, 0.0
-        for energy in (1.5, 2.0, 5.0, 20.0):
-            delta = delta_wall_scattering(n_l, n_r, energy)
-            wall = magnetic_wall_scattering(
-                WallConfig(field.theta_left, field.theta_right, 1e-6, energy)
+        energies = (1.5, 2.0, 5.0, 20.0)
+        devs = [
+            _deviation(
+                delta_wall_scattering(n_l, n_r, e),
+                magnetic_wall_scattering(WallConfig(field.theta_left, field.theta_right, 1e-6, e)),
             )
-            dev = max(
-                float(np.max(np.abs(delta.t - wall.t))),
-                float(np.max(np.abs(delta.r - wall.r))),
-            )
-            if dev > worst:
-                worst, worst_e = dev, energy
-        lines.append(("delta closed form vs wall at L=1e-6", worst, tol, worst_e))
+            for e in energies
+        ]
+        worst = int(np.argmax(devs))
+        lines.append(("delta closed form vs wall at L=1e-6", devs[worst], tol, energies[worst]))
     elif against == "berry":
         if field.zero_field_interior:
             raise ConfigError("validate --against berry needs a continuous profile")
@@ -379,18 +365,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--scheme", help="scheme1 | scheme2 | wall | uniform | tabulated:PATH")
-    parser.add_argument("--q1", type=int)
-    parser.add_argument("--q2", type=int)
-    parser.add_argument("--L", type=float, help="region length in magnetic-length units")
-    parser.add_argument("--thetaL", type=float, help="left lead angle (wall/uniform)")
-    parser.add_argument("--thetaR", type=float, help="right lead angle (wall)")
-    parser.add_argument("--E-min", dest="E_min", type=float)
-    parser.add_argument("--E-max", dest="E_max", type=float)
-    parser.add_argument("--points", type=int)
-    parser.add_argument("--segments", type=int)
-    parser.add_argument("--outputs", help="comma list of column groups: probabilities,distances,conductance")
-    parser.add_argument("--defect-tol", dest="defect_tol", type=float)
+    for key, kind in _CONFIG_TYPES.items():
+        flag = "--" + key.replace("_", "-")
+        parser.add_argument(flag, dest=key, type=kind, help=_CONFIG_HELP.get(key))
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -443,18 +420,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
-        if args.command == "sweep":
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    return run_sweep(cfg, fh, sys.stderr, workers=args.workers)
-            return run_sweep(cfg, sys.stdout, sys.stderr, workers=args.workers)
+        if args.command in ("sweep", "dump-profile"):
+            with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
+                if args.command == "sweep":
+                    return run_sweep(cfg, out, sys.stderr, workers=args.workers)
+                return run_dump_profile(cfg, out)
         if args.command == "validate":
             return run_validate(cfg, args.against, sys.stdout, sys.stderr)
-        if args.command == "dump-profile":
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    return run_dump_profile(cfg, fh)
-            return run_dump_profile(cfg, sys.stdout)
         if args.command == "current":
             return run_current(cfg, args.mu_left, args.mu_right, args.temp, sys.stdout, sys.stderr)
         raise ConfigError(f"unknown command {args.command!r}")

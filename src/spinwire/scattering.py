@@ -25,7 +25,7 @@ from .core import (
     wave_vectors,
 )
 from .fields import PlanarField
-from .transfer import SegmentPlan, flow_defect, gamma_piecewise_batch
+from .transfer import SegmentPlan, flow_defect, gamma_piecewise_batch, segment_plan
 
 DEFAULT_SEGMENTS = 4096
 
@@ -93,16 +93,6 @@ def _check_solvable(channel: ChannelData) -> None:
         )
 
 
-def _ldiag(d, m):
-    # diag(d) @ m for batched 2x2
-    return d[:, :, None] * m
-
-
-def _rdiag(m, d):
-    # m @ diag(d)
-    return m * d[:, None, :]
-
-
 def _inv2(m):
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     bad = np.abs(det) < 1e-300
@@ -135,7 +125,9 @@ def solve_scattering_batch(
     for ch in channels:
         _check_solvable(ch)
 
-    gamma, gamma_tilde, berry = gamma_piecewise_batch(field, energies, n_segments, plan=plan)
+    if plan is None:
+        plan = segment_plan(field, n_segments)
+    gamma, gamma_tilde, berry = gamma_piecewise_batch(field, energies, plan.n_segments, plan=plan)
     x00 = gamma_tilde[:, :2, :2]
     x01 = gamma_tilde[:, :2, 2:]
     x10 = gamma_tilde[:, 2:, :2]
@@ -143,17 +135,19 @@ def solve_scattering_batch(
 
     k = np.array([[ch.k0, ch.k1] for ch in channels], dtype=complex)
     w = np.stack([np.ones_like(k[:, 0]), np.sqrt(k[:, 1] / k[:, 0])], axis=-1)
-    winv = 1.0 / w
+    winv = 1.0 / w[:, None, :]
     fr_dag = np.exp(-1j * k * field.length)
 
+    # batched diagonals: diag(d) @ m is d[:, :, None] * m, m @ diag(d) is m * d[:, None, :]
+    kc, kr = k[:, :, None], k[:, None, :]
     u = berry[None, :, :]
-    plus = x00 + 1j * _rdiag(x01, k)  # X00 + i X01 V
-    minus = x00 - 1j * _rdiag(x01, k)  # X00 - i X01 V
-    a_mat = u @ (_rdiag(x11, k) + 1j * x10) + _ldiag(k, u @ minus)
-    b_mat = u @ (_rdiag(x11, k) - 1j * x10) - _ldiag(k, u @ plus)
+    plus = x00 + 1j * (x01 * kr)  # X00 + i X01 V
+    minus = x00 - 1j * (x01 * kr)  # X00 - i X01 V
+    a_mat = u @ (x11 * kr + 1j * x10) + kc * (u @ minus)
+    b_mat = u @ (x11 * kr - 1j * x10) - kc * (u @ plus)
     r_w = _inv2(a_mat) @ b_mat
-    r = _ldiag(w, _rdiag(r_w, winv))
-    t = _ldiag(w * fr_dag, _rdiag(u @ (plus + minus @ r_w), winv))
+    r = w[:, :, None] * (r_w * winv)
+    t = (w * fr_dag)[:, :, None] * ((u @ (plus + minus @ r_w)) * winv)
 
     results = []
     for i, ch in enumerate(channels):
@@ -162,7 +156,7 @@ def solve_scattering_batch(
                 t[i],
                 r[i],
                 ch,
-                n_segments=n_segments,
+                n_segments=plan.n_segments,
                 flow=flow_defect(gamma_tilde[i]),
             )
         )

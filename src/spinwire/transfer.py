@@ -71,13 +71,7 @@ class SegmentPlan:
     n_segments: int
     seg_length: float
     magnitudes: np.ndarray  # (N,) field magnitude at segment midpoints
-    jump_angles: np.ndarray  # (N+1,) in-plane angle step at each crossing
     jumps: np.ndarray  # (N+1, 2, 2) real eigenbasis rotations at the crossings
-    theta_total: float  # total winding, equals sum of the jump angles
-
-    @property
-    def total_rotation(self) -> np.ndarray:
-        return planar_rotation(self.theta_total)
 
 
 def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
@@ -108,9 +102,7 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
         n_segments=n_segments,
         seg_length=h,
         magnitudes=mags,
-        jump_angles=angles,
         jumps=planar_rotation(angles).real,
-        theta_total=float(field.theta_right - field.theta_left),
     )
 
 
@@ -185,7 +177,7 @@ def gamma_piecewise_batch(
     if plan is None:
         plan = segment_plan(field, n_segments)
     gamma = _ordered_product(plan, energies)
-    berry = plan.total_rotation
+    berry = planar_rotation(field.theta_right - field.theta_left)
     gamma_tilde = np.einsum("ij,ejk->eik", _diag4(berry.conj().T), gamma)
     return gamma, gamma_tilde, berry
 

@@ -126,6 +126,47 @@ def test_config_file_roundtrip_and_override(tmp_path, capsys):
     assert len(out.strip().splitlines()) == 3
 
 
+# key -> (flag, a valid value other than the default)
+CONFIG_KEYS = {
+    "scheme": ("--scheme", "wall"),
+    "q1": ("--q1", "3"),
+    "q2": ("--q2", "2"),
+    "L": ("--L", "4.5"),
+    "thetaL": ("--thetaL", "0.25"),
+    "thetaR": ("--thetaR", "1.5"),
+    "E_min": ("--E-min", "-0.5"),
+    "E_max": ("--E-max", "7"),
+    "points": ("--points", "33"),
+    "segments": ("--segments", "128"),
+    "outputs": ("--outputs", "conductance"),
+    "defect_tol": ("--defect-tol", "1e-6"),
+}
+
+
+def test_config_keys_cover_the_sweep_config():
+    assert set(CONFIG_KEYS) == set(vars(cli.SweepConfig()))
+
+
+@pytest.mark.parametrize("key", list(CONFIG_KEYS))
+def test_config_key_and_flag_agree(key, tmp_path, capsys):
+    flag, raw = CONFIG_KEYS[key]
+    path = tmp_path / "one.cfg"
+    path.write_text(f"{key} = {raw}\n")
+    parser = cli.make_parser()
+    from_file = cli.build_config(parser.parse_args(["sweep", "--config", str(path)]))
+    from_flag = cli.build_config(parser.parse_args(["sweep", flag, raw]))
+    assert from_file == from_flag != cli.SweepConfig()
+    kind = type(getattr(cli.SweepConfig(), key))
+    if kind is str:
+        return
+    bad = "1.5" if kind is int else "x"
+    path.write_text(f"{key} = {bad}\n")
+    for argv in (["sweep", "--config", str(path)], ["sweep", flag, bad]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert repr(bad) in err
+
+
 def test_unknown_config_key_is_an_error_with_line_number(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("scheme = scheme1\ntypo_key = 1\n")
@@ -229,8 +270,11 @@ def test_numeric_failure_exit_code(args, reason, capsys):
          "--against", "delta"],
         ["validate", "--scheme", "scheme1", "--L", "3", "--segments", "512",
          "--against", "convergence"],
+        # P01 and P10 of a uniform field are exactly 0: checked absolutely
+        ["validate", "--scheme", "uniform", "--thetaL", "0.7", "--L", "3",
+         "--against", "oracle"],
     ],
-    ids=["wall", "berry", "delta", "convergence"],
+    ids=["wall", "berry", "delta", "convergence", "oracle_uniform"],
 )
 def test_validate_modes_pass(args, capsys):
     code, out, _ = run_cli(args, capsys)

@@ -258,3 +258,10 @@ def test_entry_points_used_by_the_benchmark():
         "magnetic_wall_scattering", "EvanescentOverflowError",
     ):
         assert hasattr(spinwire, name), name
+
+
+def test_results_report_the_segment_count_of_the_plan():
+    # the plan, not the n_segments argument it overrides, sets the count
+    field = scheme1_field(1, 1, 3.0)
+    planned = solve_scattering_batch(field, [0.5, 2.0], plan=segment_plan(field, 64))
+    assert [res.n_segments for res in planned] == [64, 64]

@@ -85,7 +85,8 @@ class TestSegmentPlan:
 
     def test_scheme1_jump_angles_telescope(self):
         plan = segment_plan(scheme1_field(0, 0, 3.0), 4096)
-        assert np.sum(plan.jump_angles) == pytest.approx(np.pi, abs=1e-10)
+        half_angles = np.arctan2(plan.jumps[:, 1, 0], plan.jumps[:, 0, 0])
+        assert np.sum(half_angles) == pytest.approx(np.pi / 2, abs=1e-10)
 
     def test_wall_plan_concentrates_rotation(self):
         w = magnetic_wall_field(0.3, 2.1, 2.0)
