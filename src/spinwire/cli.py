@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields
@@ -268,7 +269,11 @@ def run_dump_profile(cfg: SweepConfig, out) -> int:
 def run_current(cfg: SweepConfig, mu_left: float, mu_right: float, temperature: float, out, diag) -> int:
     field = build_field(cfg)
     grid = energy_grid(cfg, diag)
-    current = landauer_current(field, mu_left, mu_right, temperature, grid, cfg.segments)
+    # each warning becomes one plain line, like the band-edge notes
+    with warnings.catch_warnings(record=True) as caught:
+        current = landauer_current(field, mu_left, mu_right, temperature, grid, cfg.segments)
+    for warning in caught:
+        print(f"warning: {warning.message}", file=diag)
     print(
         f"current = {_fmt(current)}  (grid: {grid.size} points in "
         f"[{_fmt(grid[0])}, {_fmt(grid[-1])}], mu_left={_fmt(mu_left)}, "

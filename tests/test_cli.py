@@ -77,12 +77,17 @@ def test_sweep_respects_output_groups(capsys):
 
 
 def test_sweep_workers_do_not_change_bytes(tmp_path, capsys):
-    out1 = tmp_path / "serial.csv"
-    out2 = tmp_path / "parallel.csv"
-    code1, _, _ = run_cli(SWEEP_ARGS + ["--out", str(out1)], capsys)
-    code2, _, _ = run_cli(SWEEP_ARGS + ["--workers", "2", "--out", str(out2)], capsys)
-    assert code1 == code2 == 0
-    assert out1.read_bytes() == out2.read_bytes()
+    # with two or more CPUs, 600 points split into two product threads at
+    # --workers 1; at --workers 2 each of the 8 process chunks of 2048 points
+    # (256 energies) splits too
+    for points in ("12", "600", "2048"):
+        args = SWEEP_ARGS + ["--points", points]
+        out1 = tmp_path / f"serial{points}.csv"
+        out2 = tmp_path / f"parallel{points}.csv"
+        code1, _, _ = run_cli(args + ["--out", str(out1)], capsys)
+        code2, _, _ = run_cli(args + ["--workers", "2", "--out", str(out2)], capsys)
+        assert code1 == code2 == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 def test_uniform_sweep_is_transparent(capsys):
@@ -402,3 +407,18 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_current_prints_grid_warning_as_plain_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinwire.cli", "current", "--scheme", "scheme1",
+         "--L", "3", "--E-min", "-0.9", "--E-max", "3", "--points", "9",
+         "--mu-left", "2.5", "--mu-right", "2"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=package_env(),
+    )
+    assert proc.returncode == 0
+    assert "warning: conductance varies" in proc.stderr
+    assert "cli.py" not in proc.stderr

@@ -1,4 +1,6 @@
+import concurrent.futures
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -281,3 +283,49 @@ class TestBlockedProduct:
             ordered_product_reference(plan, energies)
         with pytest.raises(EvanescentOverflowError):
             _ordered_product(plan, energies)
+
+    def test_threaded_batch_equals_serial_batch(self, monkeypatch):
+        plan = segment_plan(scheme2_field(1, 0, 5.0), 512)
+        energies = np.linspace(-0.99, 10.0, 600)
+        pools = []
+
+        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        products = {}
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+            products[cpus] = _ordered_product(plan, energies)
+        assert pools == [2, 3]  # one CPU runs serially, more split the batch
+        assert np.array_equal(products[1], products[2])
+        assert np.array_equal(products[1], products[3])
+        rows = [0, 199, 200, 401, 599]  # both sides of each chunk boundary
+        assert np.array_equal(products[3][rows], ordered_product_reference(plan, energies[rows]))
+
+    def test_growth_guard_trips_in_the_last_chunk_only(self, monkeypatch):
+        # uniform field, L = 50: growth 50 * sqrt(1 - E) passes 60 below E = -0.44,
+        # which only the last of three chunks of this descending grid reaches
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 3)
+        plan = segment_plan(uniform_field(0.0, 50.0), 64)
+        energies = np.linspace(5.0, -0.99, 600)
+        threads = threading.active_count()
+        assert np.isfinite(_ordered_product(plan, energies[:400])).all()
+        with pytest.raises(EvanescentOverflowError):
+            _ordered_product(plan, energies)
+        assert threading.active_count() == threads
+
+    def test_small_batches_start_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
+        plan = segment_plan(scheme1_field(1, 0, 3.0), 64)
+        small = np.linspace(-0.9, 4.0, 2 * transfer._MIN_CHUNK_ENERGIES - 1)
+        assert np.array_equal(_ordered_product(plan, small), ordered_product_reference(plan, small))
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
+        large = np.linspace(-0.9, 4.0, 600)
+        assert np.array_equal(_ordered_product(plan, large), ordered_product_reference(plan, large))
