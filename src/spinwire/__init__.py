@@ -20,6 +20,7 @@ from .core import (
     hs_distance,
     hs_norm,
     momentum_transfer,
+    scattering_channel,
     wave_vectors,
 )
 from .fields import (

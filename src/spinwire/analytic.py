@@ -17,12 +17,13 @@ from .core import (
     RegimeError,
     SingularSystemError,
     planar_spinors,
+    scattering_channel,
     wave_vectors,
     wavenumber,
 )
-from .berry import berry_operator_overlap, berry_operator_planar, planar_rotation
+from .berry import berry_operator_overlap, berry_operator_planar, is_antipodal, planar_rotation
 from .fields import PlanarField
-from .scattering import DEFAULT_SEGMENTS, ScatterResult, _check_solvable, build_result
+from .scattering import DEFAULT_SEGMENTS, ScatterResult, build_result
 
 _SIGMA_Z_CHANNEL = np.diag([1.0, -1.0]).astype(complex)
 
@@ -34,18 +35,6 @@ def high_energy_t(field: PlanarField) -> np.ndarray:
     same limit.  Useful once E is large compared to the maximal local gap.
     """
     return berry_operator_planar(field, 0.0, field.length)
-
-
-def _rotated_sigma_z(delta_theta):
-    """sigma_z conjugated by the planar transport over an angle delta_theta."""
-    delta_theta = np.asarray(delta_theta, dtype=float)
-    c, s = np.cos(delta_theta), np.sin(delta_theta)
-    out = np.empty(delta_theta.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c
-    out[..., 0, 1] = -s
-    out[..., 1, 0] = -s
-    out[..., 1, 1] = -c
-    return out
 
 
 def first_order_reflection(
@@ -70,9 +59,10 @@ def first_order_reflection(
     h = length / n_segments
     mids = (np.arange(n_segments) + 0.5) * h
     delta_mid = np.asarray(field.theta(mids), dtype=float) - field.theta_left
-    integral = _rotated_sigma_z(delta_mid).sum(axis=0) * h
-    delta_r = field.theta_right - field.theta_left
-    bracket = (_rotated_sigma_z(delta_r) + _SIGMA_Z_CHANNEL) - k * integral
+    # sigma_z conjugated by the transport over an angle d: U(d)^T sigma_z U(d) = U(-2d) sigma_z
+    integral = (planar_rotation(-2.0 * delta_mid) @ _SIGMA_Z_CHANNEL).sum(axis=0) * h
+    rotated_r = planar_rotation(-2.0 * (field.theta_right - field.theta_left)) @ _SIGMA_Z_CHANNEL
+    bracket = (rotated_r + _SIGMA_Z_CHANNEL) - k * integral
     prefactor = 0.5 * np.exp(2j * k * length) * (1.0 - (k1 / k) ** 2)
     return prefactor * bracket
 
@@ -85,11 +75,8 @@ def delta_wall_scattering(n_left, n_right, energy: float) -> ScatterResult:
     reflection matrix.  Antipodal lead pairs fall back to the planar transport
     with a half-turn winding, where the boundary-overlap gauge is undefined.
     """
-    n_left = np.asarray(n_left, dtype=float)
-    n_right = np.asarray(n_right, dtype=float)
-    ch = wave_vectors(energy)
-    _check_solvable(ch)
-    if float(np.dot(n_left, n_right)) < -1.0 + 1e-12:
+    ch = scattering_channel(energy)
+    if is_antipodal(n_left, n_right):
         u = planar_rotation(np.pi)
     else:
         u = berry_operator_overlap(n_left, n_right)
@@ -121,8 +108,7 @@ def magnetic_wall_scattering(cfg: WallConfig) -> ScatterResult:
     by its boundary value and slope, which keeps the 8x8 system regular even
     for L = 0 and at the interior band bottom.
     """
-    ch = wave_vectors(cfg.energy)
-    _check_solvable(ch)
+    ch = scattering_channel(cfg.energy)
     if cfg.length < 0.0:
         raise ValueError("wall length must be non-negative")
     k = np.array([ch.k0, ch.k1], dtype=complex)

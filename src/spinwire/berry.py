@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import FieldDirectionError
 from .fields import PlanarField
 
 _ANTIPODAL_TOL = 1e-12
@@ -38,23 +37,21 @@ def planar_rotation(delta_theta) -> np.ndarray:
 
 def berry_connection_planar(field: PlanarField, y: float) -> np.ndarray:
     """Skew connection K(y) between the local eigenstates, K = theta'/2 * [[0,1],[-1,0]]."""
-    if field.zero_field_interior and 0.0 < float(y) < field.length:
-        raise FieldDirectionError("connection undefined in a zero-field region")
     dth = float(field.theta_deriv(y))
     return np.array([[0.0, 0.5 * dth], [-0.5 * dth, 0.0]], dtype=complex)
 
 
 def berry_operator_planar(field: PlanarField, y1: float, y2: float) -> np.ndarray:
-    """Transport operator from y1 to y2 for a planar field (closed form)."""
+    """Transport operator from y1 to y2 for a planar field (closed form).
+
+    It rotates between the eigenbases `PlanarField.basis_theta` carries at the
+    two ends.  y1 = 0 is the left interface and starts from the left lead's
+    angle, as the engine's plan does, so a zero-length wall keeps its jump.
+    """
     if not (0.0 <= y1 <= y2 <= field.length):
         raise ValueError("need 0 <= y1 <= y2 <= length")
-    if field.zero_field_interior:
-        # the zero-field interior carries no geometry; the full rotation lives
-        # on the interval only when it spans both interfaces
-        th1 = field.theta_left if y1 < field.length else field.theta_right
-        th2 = field.theta_left if y2 <= 0.0 else field.theta_right
-        return planar_rotation(th2 - th1)
-    return planar_rotation(float(field.theta(y2)) - float(field.theta(y1)))
+    th1 = float(field.basis_theta(y1)) if y1 > 0.0 else field.theta_left
+    return planar_rotation(float(field.basis_theta(y2)) - th1)
 
 
 def spin_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
@@ -76,6 +73,11 @@ def spin_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
     return lower, upper
 
 
+def is_antipodal(n_a, n_b) -> bool:
+    """Whether two unit directions are opposite, where the overlap gauge is undefined."""
+    return float(np.dot(n_a, n_b)) < -1.0 + _ANTIPODAL_TOL
+
+
 def _overlap(n_from, n_to) -> np.ndarray:
     lo_f, up_f = spin_eigenvectors(n_from)
     lo_t, up_t = spin_eigenvectors(n_to)
@@ -93,9 +95,7 @@ def berry_operator_overlap(n_left, n_right) -> np.ndarray:
     Exact for quenches between non-antipodal directions; equals the planar
     closed form up to the double-cover sign.
     """
-    n_left = np.asarray(n_left, dtype=float)
-    n_right = np.asarray(n_right, dtype=float)
-    if float(np.dot(n_left, n_right)) < -1.0 + _ANTIPODAL_TOL:
+    if is_antipodal(n_left, n_right):
         raise ValueError(
             "antipodal boundary directions leave the overlap gauge undefined; "
             "use the planar closed form with an explicit winding"
@@ -114,22 +114,24 @@ def berry_operator_segmented(directions) -> np.ndarray:
         raise ValueError("need at least two directions")
     u = np.eye(2, dtype=complex)
     for n_from, n_to in zip(dirs[:-1], dirs[1:]):
-        if float(np.dot(n_from, n_to)) < -1.0 + _ANTIPODAL_TOL:
+        if is_antipodal(n_from, n_to):
             raise ValueError("consecutive antipodal directions in segmented path")
         u = _overlap(n_from, n_to) @ u
     return u
 
 
-def planar_direction(theta: float) -> np.ndarray:
-    """Unit 3-vector (n1, n2, n3 components) at in-plane angle theta."""
-    return np.array([np.sin(theta), 0.0, np.cos(theta)], dtype=float)
+def planar_direction(theta) -> np.ndarray:
+    """Unit 3-vector (n1, n2, n3 components) at in-plane angle theta.
+
+    An array of angles gives a stack of directions of shape (..., 3).
+    """
+    theta = np.asarray(theta, dtype=float)
+    return np.stack([np.sin(theta), np.zeros_like(theta), np.cos(theta)], axis=-1)
 
 
 def field_directions(field: PlanarField, n_points: int) -> np.ndarray:
     """Direction samples at n_points + 1 equally spaced stations on [0, L]."""
-    ys = np.linspace(0.0, field.length, n_points + 1)
-    thetas = np.asarray(field.theta(ys), dtype=float)
-    return np.stack([np.sin(thetas), np.zeros_like(thetas), np.cos(thetas)], axis=1)
+    return planar_direction(field.theta(np.linspace(0.0, field.length, n_points + 1)))
 
 
 def align_sign(u: np.ndarray, reference: np.ndarray) -> np.ndarray:

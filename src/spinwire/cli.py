@@ -67,7 +67,6 @@ NUMERIC_ERRORS = (
     EvanescentOverflowError,
     ChannelMismatchError,
     FieldDirectionError,
-    FloatingPointError,
     np.linalg.LinAlgError,
 )
 
@@ -432,9 +431,7 @@ def main(argv=None) -> int:
                 return run_dump_profile(cfg, out)
         if args.command == "validate":
             return run_validate(cfg, args.against, sys.stdout, sys.stderr)
-        if args.command == "current":
-            return run_current(cfg, args.mu_left, args.mu_right, args.temp, sys.stdout, sys.stderr)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return run_current(cfg, args.mu_left, args.mu_right, args.temp, sys.stdout, sys.stderr)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

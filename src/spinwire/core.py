@@ -96,6 +96,22 @@ def wave_vectors(energy: float) -> ChannelData:
     return ChannelData(energy=energy, k0=k0, k1=k1, regime=regime)
 
 
+def scattering_channel(energy: float) -> ChannelData:
+    """Lead wave vectors of an energy that scatters: above E = -1 and on neither band edge.
+
+    The band-edge test is exact: next to an edge a float64 energy still has
+    |k| >= 1.05e-8, so only k == 0 itself is refused.
+    """
+    channel = wave_vectors(energy)
+    if channel.regime is Regime.CLOSED:
+        raise RegimeError(f"E={channel.energy} is below both bands; nothing scatters")
+    if channel.k0 == 0 or channel.k1 == 0:
+        raise ThresholdError(
+            f"E={channel.energy} sits on a band edge; nudge the energy off the threshold"
+        )
+    return channel
+
+
 def momentum_transfer(energy: float) -> float:
     """Momentum change k1 - k0 of a channel-converting transmission (negative).
 
@@ -132,6 +148,10 @@ def planar_spinors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return phi0, phi1
 
 
-def zeeman_matrix(b1: float, b3: float) -> np.ndarray:
-    """Zeeman term b1*sigma_x + b3*sigma_z in the fixed (up, down) basis."""
-    return np.array([[b3, b1], [b1, -b3]], dtype=complex)
+def zeeman_matrix(b1, b3) -> np.ndarray:
+    """Zeeman term b1*sigma_x + b3*sigma_z in the fixed (up, down) basis.
+
+    Arrays of components give a stack of matrices of shape (..., 2, 2).
+    """
+    b1, b3 = np.broadcast_arrays(b1, b3)
+    return np.moveaxis(np.array([[b3, b1], [b1, -b3]], dtype=complex), (0, 1), (-2, -1))

@@ -44,6 +44,10 @@ class PlanarField:
     def theta_deriv(self, y):
         raise NotImplementedError
 
+    def basis_theta(self, y):
+        """Angle of the eigenbasis the transfer engine carries at y; theta(y) unless overridden."""
+        return self.theta(y)
+
     def components(self, y):
         """Field components (b1, b3) in B0 units."""
         mag = self.magnitude(y)
@@ -52,8 +56,7 @@ class PlanarField:
 
     def zeeman_term(self, y: float) -> np.ndarray:
         """On-site Zeeman 2x2 matrix in the fixed (up, down) basis."""
-        b1, b3 = self.components(float(y))
-        return zeeman_matrix(float(b1), float(b3))
+        return zeeman_matrix(*self.components(float(y)))
 
     def _clamp(self, y):
         return np.clip(np.asarray(y, dtype=float), 0.0, self.length)
@@ -165,8 +168,9 @@ class UniformField(PlanarField):
 class MagneticWallField(PlanarField):
     """Zero-field region of length L between misaligned uniform leads.
 
-    The direction is undefined inside the wall; the angle discontinuity at the
-    interfaces is handled by the transfer engine through boundary rotations.
+    The direction is undefined inside the wall, so theta and theta_deriv raise
+    there.  The transfer engine carries the left lead's eigenbasis through the
+    wall and rotates it to the right lead's at y = L (`basis_theta`).
     """
 
     theta_l: float
@@ -193,7 +197,10 @@ class MagneticWallField(PlanarField):
         return np.where(y <= 0.0, self.theta_left, self.theta_right)
 
     def theta_deriv(self, y):
-        return np.zeros_like(np.asarray(y, dtype=float))
+        return np.zeros_like(self.theta(y))
+
+    def basis_theta(self, y):
+        return np.where(np.asarray(y, dtype=float) < self.length, self.theta_left, self.theta_right)
 
     def components(self, y):
         y = np.asarray(y, dtype=float)
@@ -209,8 +216,7 @@ class MagneticWallField(PlanarField):
             return 0.5 * zeeman_matrix(np.sin(self.theta_left), np.cos(self.theta_left))
         if y == self.length:
             return 0.5 * zeeman_matrix(np.sin(self.theta_right), np.cos(self.theta_right))
-        b1, b3 = self.components(y)
-        return zeeman_matrix(float(b1), float(b3))
+        return super().zeeman_term(y)
 
 
 class TabulatedField(PlanarField):

@@ -21,10 +21,11 @@ from .core import (
     ChannelMismatchError,
     ThresholdError,
     planar_spinors,
-    wave_vectors,
+    scattering_channel,
+    zeeman_matrix,
 )
 from .fields import PlanarField
-from .scattering import ScatterResult, _check_solvable, build_result
+from .scattering import ScatterResult, build_result
 
 
 _MAX_OPEN_KA = 0.5  # accuracy guard for open channels
@@ -45,14 +46,7 @@ def build_lattice(field: PlanarField, spacing: float) -> Lattice:
         raise ValueError("spacing too coarse: fewer than 8 cells across the region")
     a = field.length / n_cells
     ys = np.arange(n_cells + 1) * a
-    onsite = np.empty((n_cells + 1, 2, 2), dtype=complex)
-    b1, b3 = field.components(ys)
-    b1 = np.broadcast_to(np.asarray(b1, dtype=float), ys.shape)
-    b3 = np.broadcast_to(np.asarray(b3, dtype=float), ys.shape)
-    onsite[:, 0, 0] = b3
-    onsite[:, 1, 1] = -b3
-    onsite[:, 0, 1] = b1
-    onsite[:, 1, 0] = b1
+    onsite = zeeman_matrix(*field.components(ys))
     # interface sites may sit on a field discontinuity; use the one-sided mean
     onsite[0] = field.zeeman_term(0.0)
     onsite[-1] = field.zeeman_term(field.length)
@@ -62,13 +56,14 @@ def build_lattice(field: PlanarField, spacing: float) -> Lattice:
 def lattice_wavenumbers(energy: float, spacing: float) -> tuple[complex, complex]:
     """Per-channel lead momenta from the lattice dispersion 2(1-cos ka)/a^2.
 
-    Raises when the lattice and continuum disagree about which channels are
-    open, or when an open channel is too poorly resolved (ka >= 0.5).
+    Raises exactly on a band edge, when the lattice and continuum disagree
+    about which channels are open, or when an open channel is too poorly
+    resolved (ka >= 0.5).
     """
     ks = []
     for band in (E_LOWER, E_UPPER):
         x = energy - band
-        if abs(x) < 1e-12:
+        if x == 0.0:
             raise ThresholdError(f"E={energy} sits on the band edge at {band}")
         if x > 0.0:
             # continuum channel is open; the lattice band must reach it
@@ -104,8 +99,7 @@ def fd_scattering(field: PlanarField, energy: float, spacing: float) -> ScatterR
     lattice group velocities 2 sin(ka)/a so flux unitarity is exact on the
     lattice.
     """
-    ch = wave_vectors(energy)
-    _check_solvable(ch)
+    ch = scattering_channel(energy)
     lat = build_lattice(field, spacing)
     a = lat.spacing
     k_lat = lattice_wavenumbers(energy, a)

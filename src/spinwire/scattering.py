@@ -20,9 +20,8 @@ from .core import (
     Regime,
     RegimeError,
     SingularSystemError,
-    ThresholdError,
     hs_norm,
-    wave_vectors,
+    scattering_channel,
 )
 from .fields import PlanarField
 from .transfer import SegmentPlan, flow_defect, gamma_piecewise_batch, segment_plan
@@ -83,16 +82,6 @@ def build_result(
     )
 
 
-def _check_solvable(channel: ChannelData) -> None:
-    if channel.regime is Regime.CLOSED:
-        raise RegimeError(f"E={channel.energy} is below both bands; nothing scatters")
-    # exact: next to a band edge a float64 energy still has |k| >= 1.05e-8
-    if channel.k0 == 0 or channel.k1 == 0:
-        raise ThresholdError(
-            f"E={channel.energy} sits on a band edge; nudge the energy off the threshold"
-        )
-
-
 def _inv2(m):
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
     bad = np.abs(det) < 1e-300
@@ -121,9 +110,7 @@ def solve_scattering_batch(
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     if energies.ndim != 1 or energies.size == 0:
         raise ValueError(f"energies must be a non-empty 1-D batch, got shape {energies.shape}")
-    channels = [wave_vectors(e) for e in energies]
-    for ch in channels:
-        _check_solvable(ch)
+    channels = [scattering_channel(e) for e in energies]
 
     if plan is None:
         plan = segment_plan(field, n_segments)

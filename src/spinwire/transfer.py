@@ -87,31 +87,21 @@ class SegmentPlan:
 def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     """Split the region into equal segments with midpoint-sampled field data.
 
-    The eigenbasis rotation between consecutive midpoint directions sits at
-    the shared segment boundary; the first and last crossings connect to the
-    lead directions.  A zero-field interior has no eigenbasis of its own: it
-    inherits the left-lead basis and the full lead-to-lead rotation sits on
-    the right interface.
+    The eigenbasis rotation between consecutive midpoint bases
+    (`PlanarField.basis_theta`) sits at the shared segment boundary; the first
+    and last crossings connect to the lead directions.
     """
     n_segments = int(n_segments)
     if n_segments < 1:
         raise ValueError("need at least one segment")
     h = field.length / n_segments
-    angles = np.zeros(n_segments + 1)
-    if field.zero_field_interior:
-        mags = np.zeros(n_segments)
-        angles[-1] = field.theta_right - field.theta_left
-    else:
-        mids = (np.arange(n_segments) + 0.5) * h
-        th = np.asarray(field.theta(mids), dtype=float)
-        mags = np.asarray(field.magnitude(mids), dtype=float)
-        angles[0] = th[0] - field.theta_left
-        angles[1:-1] = np.diff(th)
-        angles[-1] = field.theta_right - th[-1]
+    mids = (np.arange(n_segments) + 0.5) * h
+    th = np.asarray(field.basis_theta(mids), dtype=float)
+    angles = np.diff(th, prepend=field.theta_left, append=field.theta_right)
     return SegmentPlan(
         n_segments=n_segments,
         seg_length=h,
-        magnitudes=mags,
+        magnitudes=np.asarray(field.magnitude(mids), dtype=float),
         jumps=planar_rotation(angles).real,
     )
 

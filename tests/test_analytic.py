@@ -28,6 +28,15 @@ class TestHighEnergyTransmission:
         u = high_energy_t(scheme2_field(0, 0, 6.0))
         assert np.allclose(u, np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0), atol=1e-15)
 
+    def test_zero_length_wall_is_the_lead_to_lead_rotation(self):
+        # t of the abrupt interface tends to the transport at high energy
+        f = magnetic_wall_field(0.3, 2.1, 0.0)
+        u = high_energy_t(f)
+        assert np.array_equal(u, planar_rotation(2.1 - 0.3))
+        assert np.max(np.abs(solve_scattering(f, 1e4, 16).t - u)) < 1e-4
+        ref = delta_wall_scattering(planar_direction(0.3), planar_direction(2.1), 1e4)
+        assert np.max(np.abs(ref.t - u)) < 1e-4
+
     def test_uniform(self):
         assert np.allclose(high_energy_t(uniform_field(0.5, 2.0)), np.eye(2))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinwire.core import hs_norm, planar_spinors
+from spinwire.core import FieldDirectionError, hs_norm, planar_spinors
 from spinwire.berry import (
     align_sign,
     berry_connection_planar,
@@ -13,7 +13,7 @@ from spinwire.berry import (
     planar_rotation,
     spin_eigenvectors,
 )
-from spinwire.fields import scheme1_field, scheme2_field, uniform_field
+from spinwire.fields import magnetic_wall_field, scheme1_field, scheme2_field, uniform_field
 
 
 def connection_by_finite_differences(field, y, h=1e-6):
@@ -96,6 +96,27 @@ class TestPlanarOperator:
         u_23 = berry_operator_planar(f, 2.0, 3.0)
         u_03 = berry_operator_planar(f, 0.0, 3.0)
         assert hs_norm(u_23 @ u_02 - u_03) < 1e-10
+
+
+class TestWallTransport:
+    """The wall carries the left lead's basis and rotates it at y = L."""
+
+    wall = magnetic_wall_field(0.3, 2.1, 2.0)
+
+    def test_identity_inside_the_wall(self):
+        assert np.array_equal(berry_operator_planar(self.wall, 0.5, 0.7), np.eye(2))
+
+    @pytest.mark.parametrize("y", [0.5, 1.0, 1.5])
+    def test_composition_across_the_jump(self, y):
+        u_0y = berry_operator_planar(self.wall, 0.0, y)
+        u_yl = berry_operator_planar(self.wall, y, 2.0)
+        assert np.array_equal(u_yl @ u_0y, berry_operator_planar(self.wall, 0.0, 2.0))
+
+    def test_connection_undefined_inside(self):
+        with pytest.raises(FieldDirectionError):
+            berry_connection_planar(self.wall, 1.0)
+        for y in (0.0, 2.0):
+            assert np.array_equal(berry_connection_planar(self.wall, y), np.zeros((2, 2)))
 
 
 class TestOverlapRoute:

@@ -343,6 +343,22 @@ def test_dump_profile_roundtrips_through_loader(tmp_path, capsys):
     assert field.theta_right == pytest.approx(np.pi / 2, abs=1e-9)
 
 
+def test_tabulated_profile_runs_every_engine_command(tmp_path, capsys):
+    # a dumped profile fed back through --scheme tabulated:PATH
+    path = tmp_path / "scheme2.txt"
+    dump = ["dump-profile", "--scheme", "scheme2", "--q1", "1", "--L", "4", "--out", str(path)]
+    assert run_cli(dump, capsys)[0] == 0
+    scheme = ["--scheme", f"tabulated:{path}"]
+    code, out, _ = run_cli(["sweep", *scheme, "--E-min", "0.5", "--E-max", "4", "--points", "6",
+                            "--segments", "256"], capsys)
+    assert code == 0
+    rows = out.strip().splitlines()[1:]
+    assert len(rows) == 6 and all(row.endswith(",0") for row in rows)
+    for mode in ("oracle", "berry", "convergence"):
+        code, out, _ = run_cli(["validate", *scheme, "--against", mode], capsys)
+        assert (code, out.splitlines()[-1]) == (0, "verdict: PASS"), out
+
+
 def test_current_zero_bias(capsys):
     code, out, _ = run_cli(
         ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2",

@@ -183,8 +183,9 @@ def test_non_finite_angle_rejected(angle):
 
 def test_wall_direction_undefined_inside():
     w = magnetic_wall_field(0.2, 1.3, 2.0)
-    with pytest.raises(FieldDirectionError):
-        w.theta(1.0)
+    for undefined in (w.theta, w.theta_deriv):
+        with pytest.raises(FieldDirectionError):
+            undefined(1.0)
     assert float(w.theta(0.0)) == pytest.approx(0.2)
     assert float(w.theta(2.0)) == pytest.approx(1.3)
 

@@ -95,6 +95,24 @@ def test_band_top_mismatch_rejected():
 def test_threshold_rejected():
     with pytest.raises(ThresholdError):
         fd_scattering(scheme1_field(0, 0, 3.0), 1.0, 3.0 / 1024)
+    for edge in (-1.0, 1.0):
+        with pytest.raises(ThresholdError):
+            lattice_wavenumbers(edge, 3.0 / 8192)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [scheme1_field(1, 1, 3.0), scheme2_field(1, 1, 3.0), magnetic_wall_field(0.0, 2.0, 2.0)],
+    ids=["scheme1", "scheme2", "wall"],
+)
+def test_energies_next_to_a_band_edge_solve(field):
+    # only an energy exactly on an edge is refused, as in the engine
+    for energy in (1.0 + 1e-13, 1.0 - 1e-13, -1.0 + 1e-13):
+        res = fd_scattering(field, energy, field.length / 8192)
+        assert np.all(np.isfinite(res.t)) and np.all(np.isfinite(res.r))
+        assert res.unitarity_defect <= 1e-10
+        engine = solve_scattering(field, energy).probabilities[0, 0]
+        assert abs(res.probabilities[0, 0] - engine) <= 1e-4 * engine
 
 
 def test_lattice_sites_span_region():

@@ -250,6 +250,9 @@ def test_entry_points_used_by_the_benchmark():
     gamma_piecewise_batch(field, energies, 1, plan=one)
     assert [res.n_segments for res in solve_scattering_batch(field, energies, 1, plan=one)] == [1, 1]
     assert scattering.DEFAULT_SEGMENTS == DEFAULT_SEGMENTS >= 1
+    # perfbench/run.py samples theta only where the field has a direction
+    assert field.zero_field_interior is False
+    assert magnetic_wall_field(0.0, 2.0, 2.0).zero_field_interior is True
     assert cli.SweepConfig().segments >= 1
     for name in (
         "scheme1_field", "scheme2_field", "magnetic_wall_field", "load_profile",
