@@ -341,6 +341,9 @@ def run_validate(cfg: SweepConfig, against: str, out, diag) -> int:
         dev = float(np.max(np.abs(align_sign(segmented, planar) - planar)))
         lines.append(("segmented vs planar transport (sign-aligned)", dev, tol, float("nan")))
     elif against == "convergence":
+        if field.constant_interior:
+            # the plan is exact, so the errors it would divide are rounding
+            raise ConfigError("validate --against convergence needs a non-constant profile")
         if cfg.segments < 4:
             raise ConfigError("validate --against convergence needs segments >= 4")
         tol = 0.5  # error ratio bound: each halving of the step must gain >= 2x

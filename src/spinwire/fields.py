@@ -34,6 +34,8 @@ class PlanarField:
     theta_left: float
     theta_right: float
     zero_field_interior = False
+    # field constant on (0, L), so a piecewise-constant plan is exact at any segment count
+    constant_interior = False
 
     def magnitude(self, y):
         raise NotImplementedError
@@ -148,6 +150,7 @@ class UniformField(PlanarField):
 
     theta0: float
     length: float
+    constant_interior = True
 
     def __post_init__(self):
         object.__setattr__(self, "length", _check_length(self.length))
@@ -177,6 +180,7 @@ class MagneticWallField(PlanarField):
     theta_r: float
     length: float
     zero_field_interior = True
+    constant_interior = True
 
     def __post_init__(self):
         object.__setattr__(self, "length", float(self.length))

@@ -36,7 +36,15 @@ from .berry import planar_rotation
 from .fields import PlanarField
 
 GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
-_BLOCK_BYTES = 1 << 20  # one block of factors, small enough to stay in L2 cache
+# A block of factors holds at most _BLOCK_BYTES (so it stays in L2 cache) and at
+# most _BLOCK_ROWS segments.  The row cap binds below 33 energies: a one-energy
+# block's temporaries then stay in cache and under glibc's mmap and trim
+# thresholds, so the heap top is not handed back and re-faulted on every call,
+# and the gather-multiply that builds a block costs about 2.5x less per row
+# than in one 4096-row block.  Larger batches keep the byte budget (27 rows at
+# 300 energies).
+_BLOCK_BYTES = 1 << 20
+_BLOCK_ROWS = 256
 # Fewest energies a thread's chunk of a batch may hold (see _ordered_product).
 # Two threads against one on an otherwise idle 2-vCPU machine, 4096-segment
 # scheme1 plan:
@@ -45,6 +53,13 @@ _BLOCK_BYTES = 1 << 20  # one block of factors, small enough to stay in L2 cache
 # The split breaks even near 48 energies per chunk; 128 keeps a margin for
 # machines with more cores, whose threads share the GIL in every segment step.
 _MIN_CHUNK_ENERGIES = 128
+# Fewest segments a plan must have for a batch to be split at all: a thin
+# plan gives each thread too little work for the pool to pay for itself.
+# Two threads against one on a 2-vCPU machine, 600 energies, scheme1 plan:
+#   segments   1     16    32    64    96    128       256       512
+#   speed-up   0.3x  0.8x  0.9x  1.0x  1.1x  1.1-1.2x  1.3-1.4x  1.3-1.4x
+# The split breaks even near 64 segments; 128 keeps a margin.
+_MIN_SPLIT_SEGMENTS = 128
 
 # A factor's entry [2a + i, 2b + j] is u[i, j] * P[a][b][j], with u the
 # eigenbasis rotation, P = [[c, s], [ms, c]] the propagator pieces and j the
@@ -121,13 +136,15 @@ def _ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     chunks run in threads (numpy's ufuncs and the stacked matmul release the
     GIL) and are joined in order.  Every energy keeps its association, so the
     result is bit for bit that of one serial pass.  A batch is split only when
-    every chunk gets at least _MIN_CHUNK_ENERGIES energies: on small chunks the
-    threads' per-segment Python dispatch contends for the GIL and the split
-    loses to the serial loop.
+    every chunk gets at least _MIN_CHUNK_ENERGIES energies and the plan has at
+    least _MIN_SPLIT_SEGMENTS segments: on small chunks the threads'
+    per-segment Python dispatch contends for the GIL, and on thin plans
+    starting the pool costs more than the product, so the split loses to the
+    serial loop.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     n_chunks = min(_usable_cpus(), energies.shape[0] // _MIN_CHUNK_ENERGIES)
-    if n_chunks < 2:
+    if n_chunks < 2 or plan.n_segments < _MIN_SPLIT_SEGMENTS:
         return _serial_product(plan, energies)
     from concurrent.futures import ThreadPoolExecutor  # here, so `import spinwire` skips it
 
@@ -144,18 +161,26 @@ def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     The product is real for real energies.  Its entries come from complex
     evaluation (see the module docstring), so it equals the complex128
     product of the same factors bit for bit.  The factors of each block of
-    segments are built in one vectorised pass into a buffer reused across
-    blocks; only the left multiplication runs per segment.  The association
-    is that of a plain per-segment loop, so the result does not depend on the
-    block size.
+    segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES) are built in
+    one vectorised pass into a buffer reused across blocks; only the left
+    multiplication runs per segment.  The association is that of a plain
+    per-segment loop, so the result does not depend on the block size.
+
+    A batch of one energy is carried as 2-D (4, 4) matrices and multiplied
+    with np.dot: the same dgemm call, and so the same bits, as `@` on
+    (1, 4, 4) stacks, without the stacked dispatch that otherwise costs
+    most of each segment's step.
     """
     n_e = energies.shape[0]
+    shape = (4, 4) if n_e == 1 else (n_e, 4, 4)
     gamma = np.zeros((n_e, 4, 4))
     gamma[:, :2, :2] = plan.jumps[0]
     gamma[:, 2:, 2:] = plan.jumps[0]
+    gamma = gamma.reshape(shape)
+    multiply = np.dot if gamma.ndim == 2 else np.matmul
     growth = np.zeros(n_e)
     # 16 float64 per factor; no more rows than the plan has segments
-    block = min(max(1, _BLOCK_BYTES // (max(n_e, 1) * 16 * 8)), plan.n_segments)
+    block = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (max(n_e, 1) * 16 * 8)), plan.n_segments)
     factors = np.empty((block, n_e, 16))
     for j0 in range(0, plan.n_segments, block):
         j1 = min(j0 + block, plan.n_segments)
@@ -178,9 +203,9 @@ def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
         np.multiply(
             pieces[_PIECE_INDEX].transpose(1, 2, 0), u[..., _ROTATION_INDEX], out=factors[:nb]
         )
-        for factor in factors[:nb].reshape(nb, n_e, 4, 4):
-            gamma = factor @ gamma
-    return gamma
+        for factor in factors[:nb].reshape(nb, *shape):
+            gamma = multiply(factor, gamma)
+    return gamma.reshape(n_e, 4, 4)
 
 
 @dataclass(frozen=True)

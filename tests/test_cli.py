@@ -330,6 +330,28 @@ def test_validate_wall_needs_wall_scheme(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "field_args",
+    [["--scheme", "wall", "--thetaR", "1.2", "--L", "2"],
+     ["--scheme", "uniform", "--thetaL", "0.7", "--L", "3"]],
+    ids=["wall", "uniform"],
+)
+def test_validate_convergence_refuses_exact_plans(field_args, capsys):
+    # a constant interior makes every plan exact: the error ratio would be rounding
+    code, out, err = run_cli(["validate", *field_args, "--against", "convergence"], capsys)
+    assert (code, out) == (1, "")
+    assert "needs a non-constant profile" in err
+
+
+def test_validate_convergence_passes_on_a_winding_profile(capsys):
+    code, out, _ = run_cli(
+        ["validate", "--scheme", "scheme1", "--q1", "1", "--L", "3", "--against", "convergence"],
+        capsys,
+    )
+    assert code == 0
+    assert "verdict: PASS" in out
+
+
 def test_dump_profile_roundtrips_through_loader(tmp_path, capsys):
     out_path = tmp_path / "profile.txt"
     code, _, _ = run_cli(

@@ -253,6 +253,10 @@ def test_entry_points_used_by_the_benchmark():
     # perfbench/run.py samples theta only where the field has a direction
     assert field.zero_field_interior is False
     assert magnetic_wall_field(0.0, 2.0, 2.0).zero_field_interior is True
+    # the CLI's convergence check refuses fields whose plan is exact
+    assert field.constant_interior is False
+    assert magnetic_wall_field(0.0, 2.0, 2.0).constant_interior is True
+    assert uniform_field(0.7, 3.0).constant_interior is True
     assert cli.SweepConfig().segments >= 1
     for name in (
         "scheme1_field", "scheme2_field", "magnetic_wall_field", "load_profile",

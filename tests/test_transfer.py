@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -248,12 +249,26 @@ class TestBlockedProduct:
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
     def test_sub_range_and_small_blocks(self, name, monkeypatch):
-        # blocks of 5 segments of 16 float64 entries, so block boundaries fall inside the plan
+        # blocks of 5 segments of 16 float64 entries, so block boundaries fall inside the plan;
+        # a batch of one crosses them on the 2-D (4, 4) loop
         plan = segment_plan(PRODUCT_FIELDS[name](), 64)
         energies = np.array([-0.5, 0.3, 2.5])
-        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
-        want = ordered_product_reference(plan, energies)
-        assert np.array_equal(_ordered_product(plan, energies), want)
+        for batch in (energies, energies[1:2]):
+            monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * batch.size)
+            want = ordered_product_reference(plan, batch)
+            assert np.array_equal(_ordered_product(plan, batch), want)
+
+    def test_one_energy_product_peak_allocation(self):
+        # row-capped blocks keep a one-energy call's temporaries small (2.3 MiB
+        # with one 4096-row block), so the heap top is not trimmed and re-faulted
+        plan = segment_plan(scheme1_field(1, 1, 6.0), 4096)
+        tracemalloc.start()
+        try:
+            _ordered_product(plan, np.array([0.7]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 512 * 1024
 
     def test_batch_equals_chunks_and_single_energies(self):
         f = scheme2_field(1, 0, 5.0)
@@ -309,7 +324,7 @@ class TestBlockedProduct:
         # uniform field, L = 50: growth 50 * sqrt(1 - E) passes 60 below E = -0.44,
         # which only the last of three chunks of this descending grid reaches
         monkeypatch.setattr(transfer, "_usable_cpus", lambda: 3)
-        plan = segment_plan(uniform_field(0.0, 50.0), 64)
+        plan = segment_plan(uniform_field(0.0, 50.0), transfer._MIN_SPLIT_SEGMENTS)
         energies = np.linspace(5.0, -0.99, 600)
         threads = threading.active_count()
         assert np.isfinite(_ordered_product(plan, energies[:400])).all()
@@ -329,3 +344,15 @@ class TestBlockedProduct:
         monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         large = np.linspace(-0.9, 4.0, 600)
         assert np.array_equal(_ordered_product(plan, large), ordered_product_reference(plan, large))
+
+    def test_thin_plans_start_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
+        energies = np.linspace(-0.9, 4.0, 600)
+        for n_segments in (1, transfer._MIN_SPLIT_SEGMENTS - 1):
+            plan = segment_plan(scheme1_field(1, 0, 3.0), n_segments)
+            want = ordered_product_reference(plan, energies)
+            assert np.array_equal(_ordered_product(plan, energies), want)
