@@ -21,6 +21,7 @@ from .core import (
     hs_norm,
     momentum_transfer,
     scattering_channel,
+    scattering_channels,
     wave_vectors,
 )
 from .fields import (

@@ -75,6 +75,38 @@ def wavenumber(x):
     return pos + neg
 
 
+# regime of an energy by its number of open channels
+_REGIMES = (Regime.CLOSED, Regime.SINGLE_CHANNEL, Regime.TWO_CHANNEL)
+
+
+def energy_batch(energies) -> np.ndarray:
+    """A batch of energies as a non-empty 1-D float64 array; one scalar is a batch of one."""
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    if energies.ndim != 1 or energies.size == 0:
+        raise ValueError(f"energies must be a non-empty 1-D batch, got shape {energies.shape}")
+    return energies
+
+
+def _lead_wave_vectors(energies: np.ndarray):
+    """k0, k1 and the number of open channels of each energy of a finite 1-D batch.
+
+    ``k_l = sqrt(E - E_l)`` with the decaying branch (Im k >= 0).  Band-edge
+    ties belong to the lower regime, so E = +1 has one open channel (k1 = 0)
+    and E = -1 none.
+    """
+    k0 = wavenumber(energies - E_LOWER)
+    k1 = wavenumber(energies - E_UPPER)
+    n_open = (energies > E_LOWER).astype(int) + (energies > E_UPPER)
+    return k0, k1, n_open
+
+
+def _channel_data(energies: np.ndarray, k0, k1, n_open) -> list[ChannelData]:
+    return [
+        ChannelData(energy=e, k0=a, k1=b, regime=_REGIMES[n])
+        for e, a, b, n in zip(energies.tolist(), k0.tolist(), k1.tolist(), n_open.tolist())
+    ]
+
+
 def wave_vectors(energy: float) -> ChannelData:
     """Classify the energy and return the lead wave vectors of both channels.
 
@@ -85,31 +117,36 @@ def wave_vectors(energy: float) -> ChannelData:
     energy = float(energy)
     if not np.isfinite(energy):
         raise ValueError("energy must be finite")
-    k0 = complex(wavenumber(energy - E_LOWER))
-    k1 = complex(wavenumber(energy - E_UPPER))
-    if energy > E_UPPER:
-        regime = Regime.TWO_CHANNEL
-    elif energy > E_LOWER:
-        regime = Regime.SINGLE_CHANNEL
-    else:
-        regime = Regime.CLOSED
-    return ChannelData(energy=energy, k0=k0, k1=k1, regime=regime)
+    energies = np.array([energy])
+    return _channel_data(energies, *_lead_wave_vectors(energies))[0]
+
+
+def scattering_channels(energies) -> list[ChannelData]:
+    """Lead wave vectors of a batch of energies that scatter: above E = -1 and on neither band edge.
+
+    The band-edge test is exact: next to an edge a float64 energy still has
+    |k| >= 1.05e-8, so only k == 0 itself is refused.  A batch with an energy
+    that does not scatter is refused with the error of its first such energy,
+    in batch order.
+    """
+    energies = energy_batch(energies)
+    finite = np.isfinite(energies)
+    k0, k1, n_open = _lead_wave_vectors(np.where(finite, energies, 0.0))
+    refused = ~finite | (n_open == 0) | (k0 == 0) | (k1 == 0)
+    if refused.any():
+        i = int(refused.argmax())
+        energy = float(energies[i])
+        if not finite[i]:
+            raise ValueError("energy must be finite")
+        if n_open[i] == 0:
+            raise RegimeError(f"E={energy} is below both bands; nothing scatters")
+        raise ThresholdError(f"E={energy} sits on a band edge; nudge the energy off the threshold")
+    return _channel_data(energies, k0, k1, n_open)
 
 
 def scattering_channel(energy: float) -> ChannelData:
-    """Lead wave vectors of an energy that scatters: above E = -1 and on neither band edge.
-
-    The band-edge test is exact: next to an edge a float64 energy still has
-    |k| >= 1.05e-8, so only k == 0 itself is refused.
-    """
-    channel = wave_vectors(energy)
-    if channel.regime is Regime.CLOSED:
-        raise RegimeError(f"E={channel.energy} is below both bands; nothing scatters")
-    if channel.k0 == 0 or channel.k1 == 0:
-        raise ThresholdError(
-            f"E={channel.energy} sits on a band edge; nudge the energy off the threshold"
-        )
-    return channel
+    """Lead wave vectors of one energy that scatters; see `scattering_channels`."""
+    return scattering_channels([float(energy)])[0]
 
 
 def momentum_transfer(energy: float) -> float:

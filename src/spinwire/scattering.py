@@ -20,8 +20,9 @@ from .core import (
     Regime,
     RegimeError,
     SingularSystemError,
+    energy_batch,
     hs_norm,
-    scattering_channel,
+    scattering_channels,
 )
 from .fields import PlanarField
 from .transfer import SegmentPlan, flow_defect, gamma_piecewise_batch, segment_plan
@@ -107,10 +108,8 @@ def solve_scattering_batch(
     be strictly above the lower band edge and away from the exact thresholds;
     the sweep layer is responsible for nudging its grids.
     """
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    if energies.ndim != 1 or energies.size == 0:
-        raise ValueError(f"energies must be a non-empty 1-D batch, got shape {energies.shape}")
-    channels = [scattering_channel(e) for e in energies]
+    energies = energy_batch(energies)
+    channels = scattering_channels(energies)
 
     if plan is None:
         plan = segment_plan(field, n_segments)

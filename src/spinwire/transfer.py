@@ -15,12 +15,18 @@ matrices downstream flux-unitary.
 
 For real energies every factor is real (cos(sqrt(q) L) and
 sin(sqrt(q) L)/sqrt(q) are entire in q, and the rotations are real), so the
-product is accumulated in float64.  The propagator entries are still evaluated
-in complex arithmetic and their zero imaginary parts dropped.  That keeps every
-bit of the complex128 product it replaced.  Real cos/cosh, sin/sinh and
-division round differently, and on the unstabilised product that rounding
-matters: with them a scheme2 wire of length 20 at E = -0.35 (4096 segments)
-failed flux unitarity where the complex evaluation passes.
+product is accumulated in float64.  The propagator entries keep every bit of
+the complex128 evaluation (Im >= 0 branch of sqrt(q)) they replaced.  With
+y = sqrt(|q|) and x = y L, an open channel (q >= 0) is evaluated in real
+arithmetic: cos(x), and sin(x) multiplied by 1/y, since numpy's complex
+division by a number with a zero imaginary part multiplies by its reciprocal.
+A closed channel (q < 0) keeps the complex cos and sin of i x, evaluated on
+the closed entries only: numpy's real cosh and sinh each differ from them
+in the last bit on about a quarter of the closed entries of a sweep.  The
+naive real build (cos/cosh, sin/sinh and a true division) is not used.  Its
+bits differ, and on the unstabilised product that rounding matters: with it
+a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
+unitarity where the complex evaluation passes.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import J4, EvanescentOverflowError, hs_norm
+from .core import J4, EvanescentOverflowError, energy_batch, hs_norm
 from .berry import planar_rotation
 from .fields import PlanarField
 
@@ -72,21 +78,33 @@ _PIECE_INDEX = np.array([2 * ((0, 1), (2, 0))[a][b] + j for a, i, b, j in np.ndi
 def _propagator_entries(q, length: float):
     """Real scalar pieces (cos, sin/sqrt, -q*sin/sqrt) of D for real eigenvalue(s) q.
 
-    Uses the Im >= 0 square-root branch; since cos and sin(x)/x are even in
-    sqrt(q), negative eigenvalues turn into hyperbolic growth automatically.
-    Each piece is the real part of its complex evaluation (see the module
-    docstring); the small-|sqrt(q) L| series is evaluated only where it
-    applies.  The fourth piece is the evanescent growth |Im sqrt(q)| * length.
+    With y = sqrt(|q|) and x = y * length, open channels (q >= 0) take cos(x)
+    and sin(x) in real arithmetic, and closed channels (q < 0) take
+    cos(i x).real and sin(i x).imag from the complex functions, evaluated on
+    the closed entries only, so they grow hyperbolically.  Either sine is
+    divided by y as a multiplication by 1 / y.  Each piece equals, bit for
+    bit, the real part of the complex evaluation it replaced (see the module
+    docstring).  The small-x series, with x**2 taking the sign of q and the
+    same reciprocal multiplications, is evaluated only where it applies.  The
+    fourth piece is the evanescent growth: x on closed channels, 0 on open ones.
     """
     q = np.asarray(q, dtype=float)
-    z = np.sqrt(q.astype(complex))
-    zl = z * length
-    small = np.abs(zl) < 1e-4
-    s = (np.sin(zl) / np.where(small, 1.0, z)).real
+    closed = q < 0
+    y = np.sqrt(np.abs(q))
+    x = y * length
+    small = x < 1e-4
+    c = np.cos(x)
+    sn = np.sin(x)
+    if closed.any():
+        zl = 1j * x[closed]
+        c[closed] = np.cos(zl).real
+        sn[closed] = np.sin(zl).imag
+    s = sn * (1.0 / np.where(small, 1.0, y))
     if small.any():
-        zl2 = zl[small] * zl[small]
-        s[small] = (length * (1.0 - zl2 / 6.0 + zl2 * zl2 / 120.0)).real
-    return np.cos(zl).real, s, -q * s, np.abs(zl.imag)
+        xs = x[small]
+        x2 = np.where(closed[small], -(xs * xs), xs * xs)
+        s[small] = length * (1.0 - x2 * (1.0 / 6.0) + x2 * x2 * (1.0 / 120.0))
+    return c, s, -q * s, np.where(closed, x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -158,13 +176,13 @@ def _ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
 def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     """The ordered product of one batch of energies, in one thread.
 
-    The product is real for real energies.  Its entries come from complex
-    evaluation (see the module docstring), so it equals the complex128
-    product of the same factors bit for bit.  The factors of each block of
-    segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES) are built in
-    one vectorised pass into a buffer reused across blocks; only the left
-    multiplication runs per segment.  The association is that of a plain
-    per-segment loop, so the result does not depend on the block size.
+    The product is real for real energies.  Its entries keep the bits of
+    the complex evaluation (see the module docstring), so it equals the
+    complex128 product of the same factors bit for bit.  The factors of each
+    block of segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES) are
+    built in one vectorised pass into a buffer reused across blocks; only the
+    left multiplication runs per segment.  The association is that of a
+    plain per-segment loop, so the result does not depend on the block size.
 
     A batch of one energy is carried as 2-D (4, 4) matrices and multiplied
     with np.dot: the same dgemm call, and so the same bits, as `@` on
@@ -229,8 +247,9 @@ def gamma_piecewise_batch(
 
     Returns (gamma, gamma_tilde) with shape (n_energies, 4, 4), gamma real
     and gamma_tilde complex, plus the full-interval transport matrix shared by
-    all energies.
+    all energies.  The batch is a non-empty 1-D sequence (or one scalar).
     """
+    energies = energy_batch(energies)
     if plan is None:
         plan = segment_plan(field, n_segments)
     gamma = _ordered_product(plan, energies)

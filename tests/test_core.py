@@ -6,12 +6,17 @@ from hypothesis import strategies as st
 from spinwire.core import (
     E_LOWER,
     E_UPPER,
+    ChannelData,
     Regime,
     RegimeError,
+    ThresholdError,
     hs_distance,
     momentum_transfer,
     planar_spinors,
+    scattering_channel,
+    scattering_channels,
     wave_vectors,
+    wavenumber,
     zeeman_matrix,
 )
 
@@ -42,6 +47,65 @@ def test_wave_vectors_evanescent_branch():
 def test_wave_vectors_closed():
     assert wave_vectors(-1.0).regime is Regime.CLOSED
     assert wave_vectors(-4.0).regime is Regime.CLOSED
+
+
+def one_energy_channel(energy):
+    """Wave vectors and regime of one energy, each from a 0-d evaluation."""
+    k0 = complex(wavenumber(energy - E_LOWER))
+    k1 = complex(wavenumber(energy - E_UPPER))
+    if energy > E_UPPER:
+        regime = Regime.TWO_CHANNEL
+    elif energy > E_LOWER:
+        regime = Regime.SINGLE_CHANNEL
+    else:
+        regime = Regime.CLOSED
+    return ChannelData(energy=energy, k0=k0, k1=k1, regime=regime)
+
+
+def test_scattering_channels_equal_the_one_energy_gate():
+    grid = np.linspace(-1.0, 5.0, 601)
+    # the CLI nudges grid points on a band edge by 1e-9
+    grid[0], grid[200] = -1.0 + 1e-9, 1.0 + 1e-9
+    ulp_off = [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
+    grid = np.concatenate([grid, ulp_off, [1.0 - 1e-9, 1e300]])
+    batch = scattering_channels(grid)
+    assert len(batch) == grid.size
+    for got, e in zip(batch, grid):
+        for want in (scattering_channel(e), one_energy_channel(float(e))):
+            assert type(got.energy) is float and got.energy == want.energy
+            for name in ("k0", "k1"):
+                g, w = getattr(got, name), getattr(want, name)
+                assert type(g) is complex
+                assert np.array(g).tobytes() == np.array(w).tobytes()
+            assert got.regime is want.regime
+
+
+@pytest.mark.parametrize(
+    "energy, error, message",
+    [
+        (-1.0, RegimeError, "E=-1.0 is below both bands; nothing scatters"),
+        (-2.5, RegimeError, "E=-2.5 is below both bands; nothing scatters"),
+        (1.0, ThresholdError, "E=1.0 sits on a band edge; nudge the energy off the threshold"),
+        (float("nan"), ValueError, "energy must be finite"),
+        (float("-inf"), ValueError, "energy must be finite"),
+    ],
+)
+def test_scattering_channels_refuse_the_first_offender(energy, error, message):
+    for call in (lambda: scattering_channel(energy), lambda: scattering_channels([energy])):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+    # a later offender of another kind does not mask the first one
+    for later in (-3.0, 1.0, float("inf")):
+        with pytest.raises(error) as info:
+            scattering_channels([2.0, 0.5, energy, later])
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_scattering_channels_need_a_batch():
+    for energies in ([], [[2.0, 3.0]]):
+        with pytest.raises(ValueError, match="energies must be a non-empty 1-D batch"):
+            scattering_channels(energies)
 
 
 @given(st.floats(min_value=-5.0, max_value=50.0))

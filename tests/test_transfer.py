@@ -158,6 +158,11 @@ class TestGammaPiecewise:
         with pytest.raises(EvanescentOverflowError):
             gamma_piecewise(scheme2_field(0, 0, 60.0), -0.99, 64)
 
+    @pytest.mark.parametrize("energies", [[], [[0.5, 2.0]]])
+    def test_empty_or_nested_batch_refused_at_entry(self, energies):
+        with pytest.raises(ValueError, match="energies must be a non-empty 1-D batch"):
+            gamma_piecewise_batch(scheme1_field(1, 0, 3.0), energies, 64)
+
     def test_entries_bounded_by_evanescent_envelope(self):
         f = scheme1_field(0, 0, 3.0)
         energy = -0.5
@@ -232,6 +237,30 @@ class TestBlockedProduct:
             for g, w in zip(got, want):
                 assert g.dtype == np.float64
                 assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("length", [6 / 4096, 40 / 4096, 3 / 16384, 0.1, 2.0, 50.0])
+    def test_entries_pinned_bit_for_bit(self, length):
+        # 20k seeded eigenvalues per length (120k in all), both sides of the
+        # x = sqrt(|q|) * length < 1e-4 series cut for either sign, signed
+        # zeros, subnormals, and an all-open and an all-closed array
+        rng = np.random.default_rng(20261018)
+        x_cut = 1e-4 * (1.0 + 1e-15 * np.arange(-40, 41))
+        q_cut = (x_cut / length) ** 2
+        near_cut = np.concatenate([q_cut, -q_cut])
+        small = np.sqrt(np.abs(near_cut)) * length < 1e-4
+        for sign in (near_cut > 0, near_cut < 0):
+            assert small[sign].any() and not small[sign].all()
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
+        mixed = np.concatenate([rng.uniform(-3.0, 12.0, 19_000), near_cut, special])
+        for q in (mixed, rng.uniform(0.0, 12.0, 500), rng.uniform(-3.0, -1e-3, 500)):
+            got = _propagator_entries(q, length)
+            c, s, ms, kappa = propagator_entries_reference(q, length)
+            for g, w in zip(got, (c, s, ms, kappa)):
+                assert g.dtype == np.float64
+                assert np.array_equal(g, w)
+            # signed zeros too; -q * s is taken in real arithmetic on the real s
+            for g, w in zip(got, (c.real, s.real, -q * s.real, kappa)):
+                assert np.array_equal(np.signbit(g), np.signbit(w))
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
     @pytest.mark.parametrize("n_segments", [1, 7, 512])
