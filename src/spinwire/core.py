@@ -90,9 +90,8 @@ def energy_batch(energies) -> np.ndarray:
 def _lead_wave_vectors(energies: np.ndarray):
     """k0, k1 and the number of open channels of each energy of a finite 1-D batch.
 
-    ``k_l = sqrt(E - E_l)`` with the decaying branch (Im k >= 0).  Band-edge
-    ties belong to the lower regime, so E = +1 has one open channel (k1 = 0)
-    and E = -1 none.
+    The one statement of the rule `wave_vectors` documents: band-edge ties
+    belong to the lower regime, so E = +1 has one open channel and E = -1 none.
     """
     k0 = wavenumber(energies - E_LOWER)
     k1 = wavenumber(energies - E_UPPER)
