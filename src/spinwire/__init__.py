@@ -22,7 +22,6 @@ from .core import (
     momentum_transfer,
     scattering_channel,
     scattering_channels,
-    wave_vectors,
 )
 from .fields import (
     MagneticWallField,

@@ -18,12 +18,18 @@ from .core import (
     SingularSystemError,
     planar_spinors,
     scattering_channel,
-    wave_vectors,
     wavenumber,
 )
-from .berry import berry_operator_overlap, berry_operator_planar, is_antipodal, planar_rotation
-from .fields import PlanarField
+from .berry import (
+    berry_operator_overlap,
+    berry_operator_planar,
+    is_antipodal,
+    planar_rotation,
+    unit_direction,
+)
+from .fields import MagneticWallField, PlanarField
 from .scattering import DEFAULT_SEGMENTS, ScatterResult, build_result
+from .transfer import segment_midpoints
 
 _SIGMA_Z_CHANNEL = np.diag([1.0, -1.0]).astype(complex)
 
@@ -50,14 +56,13 @@ def first_order_reflection(
     and for a uniform field the exact reflection vanishes while the estimate
     stays of order k L / E.
     """
-    ch = wave_vectors(energy)
+    ch = scattering_channel(energy)
     if ch.regime is not Regime.TWO_CHANNEL or energy < 4.0:
         raise RegimeError("first-order reflection is only meaningful for E >= 4")
     k = float(np.sqrt(energy))
     k1 = ch.k1.real
     length = field.length
-    h = length / n_segments
-    mids = (np.arange(n_segments) + 0.5) * h
+    h, mids = segment_midpoints(length, n_segments)
     delta_mid = np.asarray(field.theta(mids), dtype=float) - field.theta_left
     # sigma_z conjugated by the transport over an angle d: U(d)^T sigma_z U(d) = U(-2d) sigma_z
     integral = (planar_rotation(-2.0 * delta_mid) @ _SIGMA_Z_CHANNEL).sum(axis=0) * h
@@ -76,6 +81,7 @@ def delta_wall_scattering(n_left, n_right, energy: float) -> ScatterResult:
     with a half-turn winding, where the boundary-overlap gauge is undefined.
     """
     ch = scattering_channel(energy)
+    n_left, n_right = unit_direction(n_left), unit_direction(n_right)
     if is_antipodal(n_left, n_right):
         u = planar_rotation(np.pi)
     else:
@@ -109,8 +115,8 @@ def magnetic_wall_scattering(cfg: WallConfig) -> ScatterResult:
     for L = 0 and at the interior band bottom.
     """
     ch = scattering_channel(cfg.energy)
-    if cfg.length < 0.0:
-        raise ValueError("wall length must be non-negative")
+    # refuses a negative or non-finite length and non-finite angles
+    MagneticWallField(cfg.theta_l, cfg.theta_r, cfg.length)
     k = np.array([ch.k0, ch.k1], dtype=complex)
     chi_l = planar_spinors(cfg.theta_l)
     chi_r = planar_spinors(cfg.theta_r)

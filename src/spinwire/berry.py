@@ -54,15 +54,22 @@ def berry_operator_planar(field: PlanarField, y1: float, y2: float) -> np.ndarra
     return planar_rotation(float(field.basis_theta(y2)) - th1)
 
 
+def unit_direction(direction) -> np.ndarray:
+    """The direction as a float 3-vector, refused unless its norm is 1 to within 1e-6."""
+    n = np.asarray(direction, dtype=float)
+    # written so that a NaN norm fails the test
+    if n.shape != (3,) or not abs(np.linalg.norm(n) - 1.0) <= 1e-6:
+        raise ValueError("direction must be a unit 3-vector")
+    return n
+
+
 def spin_eigenvectors(direction) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) Zeeman eigenspinors for a unit 3-vector (n1, n2, n3).
 
     Standard spin-coherent gauge: polar angle from n3, azimuth from n1 toward
     n2, phases fixed so the north-pole spinors are real non-negative.
     """
-    n = np.asarray(direction, dtype=float)
-    if n.shape != (3,) or abs(np.linalg.norm(n) - 1.0) > 1e-6:
-        raise ValueError("direction must be a unit 3-vector")
+    n = unit_direction(direction)
     n = n / np.linalg.norm(n)
     polar = np.arccos(np.clip(n[2], -1.0, 1.0))
     azimuth = np.arctan2(n[1], n[0]) if np.hypot(n[0], n[1]) > 1e-300 else 0.0
@@ -95,6 +102,7 @@ def berry_operator_overlap(n_left, n_right) -> np.ndarray:
     Exact for quenches between non-antipodal directions; equals the planar
     closed form up to the double-cover sign.
     """
+    n_left, n_right = unit_direction(n_left), unit_direction(n_right)
     if is_antipodal(n_left, n_right):
         raise ValueError(
             "antipodal boundary directions leave the overlap gauge undefined; "
@@ -109,7 +117,7 @@ def berry_operator_segmented(directions) -> np.ndarray:
     Later steps multiply on the left.  Consecutive antipodal samples are
     rejected; refine the path instead.
     """
-    dirs = [np.asarray(d, dtype=float) for d in directions]
+    dirs = [unit_direction(d) for d in directions]
     if len(dirs) < 2:
         raise ValueError("need at least two directions")
     u = np.eye(2, dtype=complex)

@@ -427,6 +427,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
+        if args.command == "sweep" and args.workers < 1:
+            raise ConfigError("workers must be >= 1")
         if args.command in ("sweep", "dump-profile"):
             with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
                 if args.command == "sweep":

@@ -90,8 +90,9 @@ def energy_batch(energies) -> np.ndarray:
 def _lead_wave_vectors(energies: np.ndarray):
     """k0, k1 and the number of open channels of each energy of a finite 1-D batch.
 
-    The one statement of the rule `wave_vectors` documents: band-edge ties
-    belong to the lower regime, so E = +1 has one open channel and E = -1 none.
+    ``k_l = sqrt(E - E_l)`` with the decaying branch (Im k >= 0).  Band-edge
+    ties belong to the lower regime, so E = +1 has one open channel and
+    E = -1 none.
     """
     k0 = wavenumber(energies - E_LOWER)
     k1 = wavenumber(energies - E_UPPER)
@@ -104,20 +105,6 @@ def _channel_data(energies: np.ndarray, k0, k1, n_open) -> list[ChannelData]:
         ChannelData(energy=e, k0=a, k1=b, regime=_REGIMES[n])
         for e, a, b, n in zip(energies.tolist(), k0.tolist(), k1.tolist(), n_open.tolist())
     ]
-
-
-def wave_vectors(energy: float) -> ChannelData:
-    """Classify the energy and return the lead wave vectors of both channels.
-
-    ``k_l = sqrt(E - E_l)`` with the decaying branch (Im k >= 0).  Band-edge
-    ties belong to the lower regime, so E = +1 is single-channel (k1 = 0) and
-    E = -1 is closed.
-    """
-    energy = float(energy)
-    if not np.isfinite(energy):
-        raise ValueError("energy must be finite")
-    energies = np.array([energy])
-    return _channel_data(energies, *_lead_wave_vectors(energies))[0]
 
 
 def scattering_channels(energies) -> list[ChannelData]:
@@ -151,18 +138,19 @@ def scattering_channel(energy: float) -> ChannelData:
 def momentum_transfer(energy: float) -> float:
     """Momentum change k1 - k0 of a channel-converting transmission (negative).
 
-    Only defined in the two-channel regime.  For large energies it approaches
-    -1/sqrt(E) in code units.
+    Only defined in the two-channel regime; `scattering_channel` refuses the
+    energies that do not scatter.  For large energies it approaches -1/sqrt(E)
+    in code units.
     """
-    ch = wave_vectors(energy)
+    ch = scattering_channel(energy)
     if ch.regime is not Regime.TWO_CHANNEL:
         raise RegimeError(f"momentum transfer needs two open channels, E={energy}")
     return float(ch.k1.real - ch.k0.real)
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[A A^dag])."""
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+def hs_norm(a: np.ndarray):
+    """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[A A^dag]); a stack (..., m, n) gives one per matrix."""
+    return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
 
 
 def hs_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -41,6 +41,8 @@ class Lattice:
 
 
 def build_lattice(field: PlanarField, spacing: float) -> Lattice:
+    if not (np.isfinite(spacing) and spacing > 0.0):
+        raise ValueError(f"lattice spacing must be positive and finite, got {spacing}")
     n_cells = int(round(field.length / spacing))
     if n_cells < 8:
         raise ValueError("spacing too coarse: fewer than 8 cells across the region")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field as dataclass_field
+from itertools import repeat
 
 import numpy as np
 
@@ -51,36 +52,44 @@ class ScatterResult:
     flow_defect: float = dataclass_field(default=float("nan"))
 
 
-def unitarity_defect(t: np.ndarray, r: np.ndarray, regime: Regime) -> float:
-    """Residual of the flux-conservation identity for the given regime."""
-    if regime is Regime.TWO_CHANNEL:
-        return hs_norm(r.conj().T @ r + t.conj().T @ t - np.eye(2))
-    return abs(abs(r[0, 0]) ** 2 + abs(t[0, 0]) ** 2 - 1.0)
+def _abs2(z: np.ndarray) -> np.ndarray:
+    # the bits of Python's abs(z) ** 2 on a complex128 scalar: hypot, then pow;
+    # numpy's array abs and ** 2 round differently on some values
+    return np.float_power(np.hypot(z.real, z.imag), 2)
+
+
+def unitarity_defect(t: np.ndarray, r: np.ndarray, two_channel: np.ndarray) -> np.ndarray:
+    """Residual of the flux-conservation identity of (n, 2, 2) stacks of t and r.
+
+    Where ``two_channel`` holds it is the norm of r^dag r + t^dag t - 1;
+    elsewhere only the (0, 0) entries carry current.
+    """
+    gram = np.conj(r).swapaxes(-1, -2) @ r + np.conj(t).swapaxes(-1, -2) @ t
+    lower = np.abs(_abs2(r[:, 0, 0]) + _abs2(t[:, 0, 0]) - 1.0)
+    return np.where(two_channel, hs_norm(gram - np.eye(2)), lower)
+
+
+def build_results(
+    t: np.ndarray, r: np.ndarray, channels: list[ChannelData], n_segments: int, flow
+) -> list[ScatterResult]:
+    """The ScatterResults of a batch, from (n, 2, 2) stacks of t and r and n flow defects."""
+    two_channel = np.array([ch.regime is Regime.TWO_CHANNEL for ch in channels])
+    probs = np.abs(t) ** 2
+    conductance = np.where(two_channel, probs.sum(axis=(-2, -1)), probs[:, 0, 0])
+    defects = unitarity_defect(t, r, two_channel)
+    # one column per ScatterResult field, in field order
+    columns = (
+        t, r, channels, probs, defects.tolist(), conductance.tolist(),
+        repeat(int(n_segments)), np.asarray(flow, dtype=float).tolist(),
+    )
+    return [ScatterResult(*row) for row in zip(*columns)]
 
 
 def build_result(
-    t: np.ndarray,
-    r: np.ndarray,
-    channel: ChannelData,
-    n_segments: int = 0,
-    flow: float = float("nan"),
+    t: np.ndarray, r: np.ndarray, channel: ChannelData, n_segments: int = 0
 ) -> ScatterResult:
-    """Assemble a ScatterResult from amplitude matrices."""
-    probs = np.abs(t) ** 2
-    if channel.regime is Regime.TWO_CHANNEL:
-        cond = float(np.sum(probs))
-    else:
-        cond = float(probs[0, 0])
-    return ScatterResult(
-        t=t,
-        r=r,
-        channel=channel,
-        probabilities=probs,
-        unitarity_defect=unitarity_defect(t, r, channel.regime),
-        conductance=cond,
-        n_segments=int(n_segments),
-        flow_defect=float(flow),
-    )
+    """The ScatterResult of one energy: `build_results` of a batch of one."""
+    return build_results(t[None], r[None], [channel], n_segments, [float("nan")])[0]
 
 
 def _inv2(m):
@@ -135,18 +144,7 @@ def solve_scattering_batch(
     r = w[:, :, None] * (r_w * winv)
     t = (w * fr_dag)[:, :, None] * ((u @ (plus + minus @ r_w)) * winv)
 
-    results = []
-    for i, ch in enumerate(channels):
-        results.append(
-            build_result(
-                t[i],
-                r[i],
-                ch,
-                n_segments=plan.n_segments,
-                flow=flow_defect(gamma_tilde[i]),
-            )
-        )
-    return results
+    return build_results(t, r, channels, plan.n_segments, flow_defect(gamma_tilde))
 
 
 def solve_scattering(

@@ -117,6 +117,18 @@ class SegmentPlan:
     jumps: np.ndarray  # (N+1, 2, 2) real eigenbasis rotations at the crossings
 
 
+def segment_midpoints(length: float, n_segments) -> tuple[float, np.ndarray]:
+    """Length h and midpoints of n_segments equal segments of [0, length].
+
+    The count must be a whole number of at least one (4096.0 counts as 4096).
+    """
+    if not (n_segments >= 1 and float(n_segments).is_integer()):
+        raise ValueError(f"need a whole number of segments >= 1, got {n_segments!r}")
+    n_segments = int(n_segments)
+    h = length / n_segments
+    return h, (np.arange(n_segments) + 0.5) * h
+
+
 def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     """Split the region into equal segments with midpoint-sampled field data.
 
@@ -124,15 +136,11 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     (`PlanarField.basis_theta`) sits at the shared segment boundary; the first
     and last crossings connect to the lead directions.
     """
-    n_segments = int(n_segments)
-    if n_segments < 1:
-        raise ValueError("need at least one segment")
-    h = field.length / n_segments
-    mids = (np.arange(n_segments) + 0.5) * h
+    h, mids = segment_midpoints(field.length, n_segments)
     th = np.asarray(field.basis_theta(mids), dtype=float)
     angles = np.diff(th, prepend=field.theta_left, append=field.theta_right)
     return SegmentPlan(
-        n_segments=n_segments,
+        n_segments=mids.size,
         seg_length=h,
         magnitudes=np.asarray(field.magnitude(mids), dtype=float),
         jumps=planar_rotation(angles).real,
@@ -277,14 +285,15 @@ def gamma_piecewise(field: PlanarField, energy: float, n_segments: int) -> Trans
     )
 
 
-def flow_defect(gamma_tilde: np.ndarray) -> float:
+def flow_defect(gamma_tilde: np.ndarray):
     """Deviation of gamma_tilde from preserving the symplectic form J.
 
-    It is the absolute Hilbert-Schmidt norm of gamma_tilde^dag J gamma_tilde - J.
+    It is the absolute Hilbert-Schmidt norm of gamma_tilde^dag J gamma_tilde - J,
+    one per matrix of a stack.
     Once a channel is evanescent the entries of gamma_tilde grow, and rounding
     alone makes this norm grow like eps * |gamma_tilde|^2.  It therefore bounds
     the rounding of the product only above the upper band (E > 1).  Below it a
     correct product can read large: scheme1 at L = 10, E = -0.95 reads 1.4e-4
     on a result within 7e-8 of the lattice oracle.
     """
-    return hs_norm(gamma_tilde.conj().T @ J4 @ gamma_tilde - J4)
+    return hs_norm(np.conj(gamma_tilde).swapaxes(-1, -2) @ J4 @ gamma_tilde - J4)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinwire.core import RegimeError, hs_distance, hs_norm
+from spinwire.core import RegimeError, ThresholdError, hs_distance, hs_norm
 from spinwire.berry import planar_direction, planar_rotation
 from spinwire.fields import (
     magnetic_wall_field,
@@ -85,6 +85,18 @@ class TestFirstOrderReflection:
     def test_regime_guard(self):
         with pytest.raises(RegimeError):
             first_order_reflection(scheme1_field(0, 0, 3.0), 2.0, 256)
+        # the band edge is refused by the one band-edge gate first
+        with pytest.raises(ThresholdError):
+            first_order_reflection(scheme1_field(0, 0, 3.0), 1.0, 256)
+
+    @pytest.mark.parametrize("n_segments", [0, -2, 2.5, float("nan"), float("inf")])
+    def test_segment_count_must_be_a_positive_whole_number(self, n_segments):
+        with pytest.raises(ValueError, match="need a whole number of segments >= 1"):
+            first_order_reflection(scheme1_field(1, 1, 3.0), 5.0, n_segments)
+
+    def test_integral_float_count_is_that_count(self):
+        f = scheme1_field(1, 1, 3.0)
+        assert np.array_equal(first_order_reflection(f, 5.0, 64.0), first_order_reflection(f, 5.0, 64))
 
     @pytest.mark.xfail(
         strict=True,
@@ -140,6 +152,20 @@ class TestDeltaWall:
         res = delta_wall_scattering(planar_direction(0.3), planar_direction(1.9), 4.0)
         assert res.unitarity_defect < 1e-12
 
+    @pytest.mark.parametrize(
+        "n_left, n_right",
+        [
+            ([0.0, 0.0, 1.0], [np.nan, 0.0, 0.0]),
+            ([np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]),
+            # antipodal, so the overlap route that checks directions is skipped
+            ([0.0, 0.0, 2.0], [0.0, 0.0, -2.0]),
+            ([0.0, 0.0, 1.0], [0.0, 0.0, -2.0]),
+        ],
+    )
+    def test_directions_must_be_unit_vectors(self, n_left, n_right):
+        with pytest.raises(ValueError, match="direction must be a unit 3-vector"):
+            delta_wall_scattering(n_left, n_right, 2.0)
+
 
 class TestMagneticWall:
     def test_aligned_leads_still_scatter(self):
@@ -160,6 +186,22 @@ class TestMagneticWall:
     def test_unitarity_two_channel(self, energy):
         res = magnetic_wall_scattering(WallConfig(0.0, np.pi, 3.0, energy))
         assert res.unitarity_defect < 1e-10
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            (WallConfig(float("nan"), 1.0, 2.0, 2.0), "lead angle theta_l must be finite, got nan"),
+            (WallConfig(0.0, float("inf"), 2.0, 2.0), "lead angle theta_r must be finite, got inf"),
+            (WallConfig(0.0, 1.0, float("nan"), 2.0), "wall length must be non-negative and finite, got nan"),
+            (WallConfig(0.0, 1.0, float("inf"), 2.0), "wall length must be non-negative and finite, got inf"),
+            (WallConfig(0.0, 1.0, -1.0, 2.0), "wall length must be non-negative and finite, got -1.0"),
+        ],
+    )
+    def test_non_finite_inputs_refused_as_the_wall_field_refuses_them(self, cfg, message, recwarn):
+        with pytest.raises(ValueError) as info:
+            magnetic_wall_scattering(cfg)
+        assert str(info.value) == message
+        assert len(recwarn) == 0
 
     def test_single_channel_matches_engine(self):
         cfg = WallConfig(0.0, np.pi / 2, 1.5, 0.5)

@@ -133,6 +133,15 @@ class TestOverlapRoute:
         with pytest.raises(ValueError):
             berry_operator_overlap(n, -n)
 
+    @pytest.mark.parametrize("n_right", [[0.0, 0.0, -2.0], [np.nan, 0.0, 0.0]])
+    def test_directions_checked_before_the_antipodal_test(self, n_right):
+        for call in (
+            lambda: berry_operator_overlap([0.0, 0.0, 1.0], n_right),
+            lambda: berry_operator_segmented([[0.0, 0.0, 1.0], n_right]),
+        ):
+            with pytest.raises(ValueError, match="direction must be a unit 3-vector"):
+                call()
+
     def test_random_pair_unitary_and_matches_geodesic_product(self, rng):
         for _ in range(10):
             v = rng.normal(size=3)
@@ -194,6 +203,14 @@ def test_all_routes_unitary(rng):
         berry_operator_segmented(field_directions(f, 128)),
     ):
         assert hs_norm(u.conj().T @ u - np.eye(2)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "direction", [[np.nan, 0.0, 0.0], [0.0, 0.0, 2.0], [0.0, np.inf, 0.0], [1.0, 0.0]]
+)
+def test_spin_eigenvectors_need_a_unit_vector(direction):
+    with pytest.raises(ValueError, match="direction must be a unit 3-vector"):
+        spin_eigenvectors(direction)
 
 
 def test_spin_eigenvectors_orthonormal(rng):

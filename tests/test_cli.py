@@ -222,6 +222,15 @@ def test_non_finite_angle_is_a_config_error(scheme_args, capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_workers_below_one_is_a_config_error(workers, tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(SWEEP_ARGS + ["--workers", workers, "--out", str(out_path)], capsys)
+    assert code == 1
+    assert err == "error: workers must be >= 1\n"
+    assert out == "" and not out_path.exists()
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
 def test_defect_tol_must_be_non_negative_and_finite(tol, capsys):
     code, out, err = run_cli(SWEEP_ARGS + [f"--defect-tol={tol}"], capsys)

@@ -15,7 +15,6 @@ from spinwire.core import (
     planar_spinors,
     scattering_channel,
     scattering_channels,
-    wave_vectors,
     wavenumber,
     zeeman_matrix,
 )
@@ -24,29 +23,34 @@ from conftest import random_cmat2
 
 
 def test_wave_vectors_two_channel():
-    ch = wave_vectors(5.0)
+    ch = scattering_channel(5.0)
     assert ch.regime is Regime.TWO_CHANNEL
     assert ch.k0 == pytest.approx(np.sqrt(6.0))
     assert ch.k1 == pytest.approx(2.0)
 
 
 def test_wave_vectors_band_edge_belongs_to_lower_regime():
-    ch = wave_vectors(1.0)
-    assert ch.regime is Regime.SINGLE_CHANNEL
-    assert ch.k0 == pytest.approx(np.sqrt(2.0))
-    assert ch.k1 == 0.0
+    # the edge itself is refused; the float64 energies on either side of it
+    # are classified as the open-channel count says
+    with pytest.raises(ThresholdError):
+        scattering_channel(1.0)
+    below, above = scattering_channel(np.nextafter(1.0, 0.0)), scattering_channel(np.nextafter(1.0, 2.0))
+    assert below.regime is Regime.SINGLE_CHANNEL and above.regime is Regime.TWO_CHANNEL
+    assert below.k0 == above.k0 == pytest.approx(np.sqrt(2.0))
+    assert below.k1.real == 0.0 and above.k1.imag == 0.0
 
 
 def test_wave_vectors_evanescent_branch():
-    ch = wave_vectors(0.0)
+    ch = scattering_channel(0.0)
     assert ch.regime is Regime.SINGLE_CHANNEL
     assert ch.k0 == pytest.approx(1.0)
     assert ch.k1 == pytest.approx(1j)
 
 
 def test_wave_vectors_closed():
-    assert wave_vectors(-1.0).regime is Regime.CLOSED
-    assert wave_vectors(-4.0).regime is Regime.CLOSED
+    for energy in (-1.0, -4.0):
+        with pytest.raises(RegimeError, match="below both bands"):
+            scattering_channel(energy)
 
 
 def one_energy_channel(energy):
@@ -111,14 +115,18 @@ def test_scattering_channels_need_a_batch():
 @given(st.floats(min_value=-5.0, max_value=50.0))
 @settings(max_examples=60, deadline=None)
 def test_dispersion_round_trip(energy):
-    ch = wave_vectors(energy)
+    if energy <= E_LOWER or energy == E_UPPER:
+        with pytest.raises(RegimeError):
+            scattering_channel(energy)
+        return
+    ch = scattering_channel(energy)
     assert ch.k0**2 + E_LOWER == pytest.approx(energy, abs=1e-12)
     assert ch.k1**2 + E_UPPER == pytest.approx(energy, abs=1e-12)
     assert ch.k0.imag >= 0.0 and ch.k1.imag >= 0.0
 
 
 def test_evanescent_wave_decays_rightward():
-    ch = wave_vectors(0.0)
+    ch = scattering_channel(0.0)
     amplitudes = np.abs(np.exp(1j * ch.k1 * np.array([1.0, 5.0, 20.0])))
     assert np.all(np.diff(amplitudes) < 0)
 
@@ -136,6 +144,9 @@ def test_momentum_transfer_asymptotic_form():
 def test_momentum_transfer_needs_two_channels():
     with pytest.raises(RegimeError):
         momentum_transfer(0.5)
+    # the band edge is refused by the one band-edge gate
+    with pytest.raises(ThresholdError):
+        momentum_transfer(1.0)
 
 
 def test_hs_distance_examples():

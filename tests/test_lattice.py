@@ -86,6 +86,16 @@ def test_coarse_spacing_rejected():
         fd_scattering(scheme1_field(0, 0, 3.0), 2.0, 0.3)
 
 
+@pytest.mark.parametrize("spacing", [0.0, -0.1, float("nan"), float("inf")])
+def test_spacing_must_be_positive_and_finite(spacing, recwarn):
+    field = scheme1_field(0, 0, 3.0)
+    for call in (lambda: build_lattice(field, spacing), lambda: fd_scattering(field, 2.0, spacing)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"lattice spacing must be positive and finite, got {spacing}"
+    assert len(recwarn) == 0
+
+
 def test_band_top_mismatch_rejected():
     # continuum says open, lattice band cannot reach this energy
     with pytest.raises(ChannelMismatchError):

@@ -1,14 +1,19 @@
+import dataclasses
+import io
+
 import numpy as np
 import pytest
 
 import spinwire
 from spinwire import cli, scattering
 from spinwire.core import (
+    J4,
+    ChannelData,
     GridCoarseWarning,
     Regime,
     RegimeError,
     ThresholdError,
-    wave_vectors,
+    scattering_channel,
 )
 from spinwire.berry import planar_rotation
 from spinwire.fields import (
@@ -20,14 +25,16 @@ from spinwire.fields import (
 )
 from spinwire.scattering import (
     DEFAULT_SEGMENTS,
+    ScatterResult,
     build_result,
+    build_results,
     landauer_current,
     reciprocity_check,
     solve_scattering,
     solve_scattering_batch,
     transmission_probabilities,
 )
-from spinwire.transfer import gamma_piecewise_batch, segment_plan
+from spinwire.transfer import flow_defect, gamma_piecewise_batch, segment_plan
 
 
 class TestSolve:
@@ -111,7 +118,7 @@ class TestProbabilityTable:
     def test_pure_rotation_pattern(self):
         # r = 0 and t a half-turn rotation: both channel-preserving entries
         # vanish, both channel-swapping ones are certain
-        ch = wave_vectors(5.0)
+        ch = scattering_channel(5.0)
         res = build_result(planar_rotation(np.pi), np.zeros((2, 2)), ch)
         table = transmission_probabilities(res)
         assert table["P00"] == pytest.approx(0.0)
@@ -258,6 +265,14 @@ def test_entry_points_used_by_the_benchmark():
     assert magnetic_wall_field(0.0, 2.0, 2.0).constant_interior is True
     assert uniform_field(0.7, 3.0).constant_interior is True
     assert cli.SweepConfig().segments >= 1
+    # perfbench/bench_checks.py corrupts engine results with dataclasses.replace
+    res = planned[1]
+    scaled_p = np.abs(1.01 * res.t) ** 2
+    corrupted = dataclasses.replace(
+        res, t=1.01 * res.t, probabilities=scaled_p, conductance=float(np.sum(scaled_p))
+    )
+    assert np.array_equal(corrupted.t, 1.01 * res.t) and corrupted.r is res.r
+    assert corrupted.conductance != res.conductance
     for name in (
         "scheme1_field", "scheme2_field", "magnetic_wall_field", "load_profile",
         "segment_plan", "gamma_piecewise_batch", "solve_scattering", "solve_scattering_batch",
@@ -272,3 +287,124 @@ def test_results_report_the_segment_count_of_the_plan():
     field = scheme1_field(1, 1, 3.0)
     planned = solve_scattering_batch(field, [0.5, 2.0], plan=segment_plan(field, 64))
     assert [res.n_segments for res in planned] == [64, 64]
+
+
+# The per-energy assembly that `build_results` replaced, kept as its
+# reference: each field of a batch result must equal this bit for bit.
+def hs_norm_reference(a):
+    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
+
+
+def unitarity_defect_reference(t, r, regime):
+    if regime is Regime.TWO_CHANNEL:
+        return hs_norm_reference(r.conj().T @ r + t.conj().T @ t - np.eye(2))
+    return abs(abs(r[0, 0]) ** 2 + abs(t[0, 0]) ** 2 - 1.0)
+
+
+def flow_defect_reference(gamma_tilde):
+    return hs_norm_reference(gamma_tilde.conj().T @ J4 @ gamma_tilde - J4)
+
+
+def build_result_reference(t, r, channel, n_segments=0, flow=float("nan")):
+    probs = np.abs(t) ** 2
+    if channel.regime is Regime.TWO_CHANNEL:
+        cond = float(np.sum(probs))
+    else:
+        cond = float(probs[0, 0])
+    return ScatterResult(
+        t=t,
+        r=r,
+        channel=channel,
+        probabilities=probs,
+        unitarity_defect=unitarity_defect_reference(t, r, channel.regime),
+        conductance=cond,
+        n_segments=int(n_segments),
+        flow_defect=float(flow),
+    )
+
+
+def assert_results_equal_reference(got, want):
+    """Every field equal bit for bit, and of the same type.
+
+    The one type that changed on purpose: a single-channel unitarity defect
+    was a numpy float64 (a float subclass of equal value) and is now a float.
+    """
+    assert len(got) == len(want)
+    for name in ("t", "r", "probabilities"):
+        a = np.stack([getattr(res, name) for res in got])
+        b = np.stack([getattr(res, name) for res in want])
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert {type(getattr(res, name)) for res in got} == {np.ndarray}
+    for name in ("unitarity_defect", "conductance", "flow_defect", "n_segments"):
+        a = np.array([getattr(res, name) for res in got])
+        b = np.array([getattr(res, name) for res in want])
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        kinds = {type(getattr(res, name)) for res in got}
+        assert kinds == ({int} if name == "n_segments" else {float}), name
+        if name != "unitarity_defect":
+            assert kinds == {type(getattr(res, name)) for res in want}, name
+    assert [res.channel for res in got] == [res.channel for res in want]
+
+
+def random_amplitudes(rng, n):
+    """Seeded t, r stacks: Gaussian entries over eight decades of scale, half of
+    them rescaled so that |r00|^2 + |t00|^2 = 1 up to rounding."""
+    t, r = (rng.normal(size=(2, n, 2, 2)) + 1j * rng.normal(size=(2, n, 2, 2))) * 10.0 ** rng.uniform(
+        -4.0, 4.0, size=(2, n, 1, 1)
+    )
+    flux = np.sqrt(np.abs(t[:, 0, 0]) ** 2 + np.abs(r[:, 0, 0]) ** 2)
+    half = rng.random(n) < 0.5
+    t[half, 0, 0] /= flux[half]
+    r[half, 0, 0] /= flux[half]
+    return t, r
+
+
+class TestBatchAssembly:
+    def test_build_results_equal_the_per_energy_reference(self):
+        rng = np.random.default_rng(12)
+        n = 100_000
+        t, r = random_amplitudes(rng, n)
+        # both regimes, shuffled
+        channels = spinwire.scattering_channels(rng.uniform(-0.999, 5.0, size=n))
+        assert {ch.regime for ch in channels} == {Regime.SINGLE_CHANNEL, Regime.TWO_CHANNEL}
+        flow = rng.random(n)
+        got = build_results(t, r, channels, 64, flow)
+        want = [
+            build_result_reference(t[i], r[i], ch, 64, flow[i]) for i, ch in enumerate(channels)
+        ]
+        assert_results_equal_reference(got, want)
+
+    def test_build_result_is_the_batch_of_one(self):
+        rng = np.random.default_rng(13)
+        t, r = random_amplitudes(rng, 200)
+        channels = spinwire.scattering_channels(np.linspace(-0.9, 3.0, 200))
+        got = [build_result(t[i], r[i], ch) for i, ch in enumerate(channels)]
+        want = [build_result_reference(t[i], r[i], ch) for i, ch in enumerate(channels)]
+        assert_results_equal_reference(got, want)
+
+    @pytest.mark.parametrize(
+        "field",
+        [scheme1_field(1, 1, 3.0), scheme2_field(0, 1, 6.0), magnetic_wall_field(0.3, 2.0, 2.0)],
+        ids=["scheme1", "scheme2", "wall"],
+    )
+    def test_engine_results_equal_the_per_energy_reference(self, field):
+        # the CLI's grid with its nudged band edges, and energies next to the edges
+        config = cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601)
+        grid = cli.energy_grid(config, io.StringIO())
+        assert grid[0] == -1.0 + 1e-9 and grid[200] == 1.0 + 1e-9
+        grid = np.concatenate([grid, [1.0 - 1e-12, 1.0 + 1e-13, np.nextafter(1.0, 2.0)]])
+        results = solve_scattering_batch(field, grid, 256)
+        _, gamma_tilde, _ = gamma_piecewise_batch(field, grid, 256)
+        want = [
+            build_result_reference(res.t, res.r, res.channel, 256, flow_defect_reference(g))
+            for res, g in zip(results, gamma_tilde)
+        ]
+        assert_results_equal_reference(results, want)
+
+    def test_stacked_norms_equal_the_per_matrix_ones(self):
+        rng = np.random.default_rng(14)
+        gamma_tilde = rng.normal(size=(500, 4, 4)) * np.exp(1j * rng.normal(size=(500, 4, 4)))
+        stacked = flow_defect(gamma_tilde)
+        assert stacked.shape == (500,)
+        assert stacked.tobytes() == np.array([flow_defect_reference(g) for g in gamma_tilde]).tobytes()
+        assert spinwire.hs_norm(gamma_tilde[0]) == hs_norm_reference(gamma_tilde[0])

@@ -102,6 +102,17 @@ class TestSegmentPlan:
         with pytest.raises(ValueError):
             segment_plan(uniform_field(0.0, 1.0), 0)
 
+    @pytest.mark.parametrize("n_segments", [-2, 2.5, float("nan"), float("inf")])
+    def test_segment_count_must_be_a_positive_whole_number(self, n_segments):
+        with pytest.raises(ValueError, match="need a whole number of segments >= 1"):
+            segment_plan(uniform_field(0.0, 1.0), n_segments)
+
+    def test_integral_float_count_is_that_count(self):
+        f = scheme1_field(1, 1, 3.0)
+        a, b = segment_plan(f, 64.0), segment_plan(f, np.int64(64))
+        assert type(a.n_segments) is type(b.n_segments) is int and a.n_segments == 64
+        assert np.array_equal(a.jumps, b.jumps) and np.array_equal(a.magnitudes, b.magnitudes)
+
 
 class TestGammaPiecewise:
     def test_uniform_field_reduces_to_dblock(self):
