@@ -57,6 +57,7 @@ from .scattering import (
     reciprocity_check,
     solve_scattering,
     solve_scattering_batch,
+    transmission_columns,
     transmission_probabilities,
 )
 from .analytic import (

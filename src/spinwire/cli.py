@@ -56,10 +56,11 @@ from .scattering import (
     DEFAULT_SEGMENTS,
     landauer_current,
     solve_scattering_batch,
-    transmission_probabilities,
+    transmission_columns,
 )
 from .analytic import WallConfig, delta_wall_scattering, magnetic_wall_scattering
 from .lattice import fd_scattering
+from .transfer import usable_cpus
 
 NUMERIC_ERRORS = (
     RegimeError,
@@ -210,21 +211,17 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _sweep_rows(field, energies, segments):
-    results = solve_scattering_batch(field, np.asarray(energies), segments)
+def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
+    """Every numeric CSV column of a sweep, computed once over the batch."""
     berry = berry_operator_planar(field, 0.0, field.length)
-    return [
-        {
-            "E": res.channel.energy,
-            **transmission_probabilities(res),
-            "hs_t_minus_U": hs_distance(res.t, berry),
-            "hs_r": hs_norm(res.r),
-            "unitarity_defect": res.unitarity_defect,
-            "conductance": res.conductance,
-            "regime": res.channel.regime.value,
-        }
-        for res in results
-    ]
+    return {
+        "E": np.array([res.channel.energy for res in results]),
+        **transmission_columns(results),
+        "hs_t_minus_U": hs_distance(np.array([res.t for res in results]), berry),
+        "hs_r": hs_norm(np.array([res.r for res in results])),
+        "unitarity_defect": np.array([res.unitarity_defect for res in results]),
+        "conductance": np.array([res.conductance for res in results]),
+    }
 
 
 def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
@@ -232,18 +229,19 @@ def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
     grid = energy_grid(cfg, diag)
     if workers > 1:
         chunks = np.array_split(grid, min(workers * 4, grid.size))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_sweep_rows, repeat(field), chunks, repeat(cfg.segments)))
-        rows = [row for part in parts for row in part]
+        # a fork pool starts all its processes at once: no more than the chunks or CPUs
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks), usable_cpus())) as pool:
+            parts = pool.map(solve_scattering_batch, repeat(field), chunks, repeat(cfg.segments))
+            results = [res for part in parts for res in part]
     else:
-        rows = _sweep_rows(field, grid, cfg.segments)
+        results = solve_scattering_batch(field, grid, cfg.segments)
     columns = cfg.csv_columns()
-    print(",".join(columns), file=out)
-    for row in rows:
-        # a NaN defect is flagged too
-        row["defect_flag"] = "0" if row["unitarity_defect"] <= cfg.defect_tol else "1"
-        cells = (row[col] for col in columns)
-        print(",".join(c if isinstance(c, str) else _fmt(c) for c in cells), file=out)
+    numbers = _sweep_numbers(field, results)
+    cells = {name: list(map(_fmt, numbers[name].tolist())) for name in columns if name in numbers}
+    cells["regime"] = [res.channel.regime.value for res in results]
+    # a NaN defect is flagged too
+    cells["defect_flag"] = np.where(numbers["unitarity_defect"] <= cfg.defect_tol, "0", "1").tolist()
+    out.write("\n".join([",".join(columns), *map(",".join, zip(*(cells[c] for c in columns)))]) + "\n")
     return 0
 
 
@@ -389,10 +387,9 @@ def make_parser() -> argparse.ArgumentParser:
         "sweep",
         help="energy sweep to CSV",
         description=(
-            "CSV schema (in order): E; then per enabled output group: "
-            "probabilities -> P00,P01,P10,P11,R00sq; distances -> "
-            "hs_t_minus_U,hs_r; then always unitarity_defect; conductance -> "
-            "conductance; always: regime, defect_flag.  P{l}{l'} = |t[l,l']|^2; "
+            "CSV columns in order, a group's only when it is enabled: " + "; ".join(
+                (f"{group} -> " if group else "") + ",".join(cols) for group, cols in CSV_LAYOUT
+            ) + ".  P{l}{l'} = |t[l,l']|^2; "
             "hs_t_minus_U is the Hilbert-Schmidt distance between t and the "
             "full-interval eigenbasis transport; defect_flag is 1 when the "
             "flux identity misses the configured tolerance."

@@ -148,13 +148,13 @@ def momentum_transfer(energy: float) -> float:
     return float(ch.k1.real - ch.k0.real)
 
 
-def hs_norm(a: np.ndarray):
+def hs_norm(a: np.ndarray) -> np.floating | np.ndarray:
     """Hilbert-Schmidt (Frobenius) norm sqrt(Tr[A A^dag]); a stack (..., m, n) gives one per matrix."""
     return np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)))
 
 
-def hs_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Hilbert-Schmidt distance sqrt(Tr[(A-B)(A-B)^dag])."""
+def hs_distance(a: np.ndarray, b: np.ndarray) -> np.floating | np.ndarray:
+    """Hilbert-Schmidt distance sqrt(Tr[(A-B)(A-B)^dag]); stacks broadcast and give one per matrix."""
     return hs_norm(np.asarray(a) - np.asarray(b))
 
 

@@ -156,8 +156,8 @@ def solve_scattering(
     return solve_scattering_batch(field, [float(energy)], n_segments)[0]
 
 
-def transmission_probabilities(result: ScatterResult) -> dict[str, float]:
-    """Labeled probability table keyed by matrix indices.
+def transmission_columns(results: list[ScatterResult]) -> dict[str, np.ndarray]:
+    """Labeled probability columns of a batch, keyed by matrix indices.
 
     P{l}{l'} is the probability to go from incoming channel l' to outgoing
     channel l; R00sq is the lower-channel reflection probability.  For
@@ -165,16 +165,18 @@ def transmission_probabilities(result: ScatterResult) -> dict[str, float]:
     it feeds the balanced-mixing channel.  Single-channel energies mask every
     entry except the lower-to-lower ones, which carry all the current.
     """
-    p = result.probabilities
-    masked = result.channel.regime is not Regime.TWO_CHANNEL
-    table = {
-        "P00": float(p[0, 0]),
-        "P01": 0.0 if masked else float(p[0, 1]),
-        "P10": 0.0 if masked else float(p[1, 0]),
-        "P11": 0.0 if masked else float(p[1, 1]),
-        "R00sq": float(abs(result.r[0, 0]) ** 2),
+    p = np.array([res.probabilities for res in results])
+    two_channel = np.array([res.channel.regime is Regime.TWO_CHANNEL for res in results])
+    masked = np.where(two_channel[:, None, None], p, 0.0)
+    return {
+        "P00": p[:, 0, 0], "P01": masked[:, 0, 1], "P10": masked[:, 1, 0], "P11": masked[:, 1, 1],
+        "R00sq": _abs2(np.array([res.r[0, 0] for res in results])),
     }
-    return table
+
+
+def transmission_probabilities(result: ScatterResult) -> dict[str, float]:
+    """The probability table of one result: `transmission_columns` of a batch of one."""
+    return {key: float(column[0]) for key, column in transmission_columns([result]).items()}
 
 
 def fermi_occupation(energy, mu: float, temperature: float):

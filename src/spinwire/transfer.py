@@ -147,7 +147,7 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     )
 
 
-def _usable_cpus() -> int:
+def usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -169,7 +169,7 @@ def _ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     serial loop.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    n_chunks = min(_usable_cpus(), energies.shape[0] // _MIN_CHUNK_ENERGIES)
+    n_chunks = min(usable_cpus(), energies.shape[0] // _MIN_CHUNK_ENERGIES)
     if n_chunks < 2 or plan.n_segments < _MIN_SPLIT_SEGMENTS:
         return _serial_product(plan, energies)
     from concurrent.futures import ThreadPoolExecutor  # here, so `import spinwire` skips it

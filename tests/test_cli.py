@@ -1,3 +1,6 @@
+import dataclasses
+import io
+import itertools
 import os
 import subprocess
 import sys
@@ -8,6 +11,8 @@ import pytest
 import spinwire
 from spinwire import cli
 from spinwire.fields import load_profile
+
+from conftest import hs_norm_reference, probability_table_reference
 
 
 def run_cli(argv, capsys):
@@ -240,18 +245,116 @@ def test_defect_tol_must_be_non_negative_and_finite(tol, capsys):
 
 
 def test_nan_defect_is_flagged(monkeypatch, capsys):
-    sweep_rows = cli._sweep_rows
+    solve = cli.solve_scattering_batch
 
-    def first_row_nan(*args):
-        rows = sweep_rows(*args)
-        rows[0]["unitarity_defect"] = float("nan")
-        return rows
+    def first_defect_nan(*args):
+        results = solve(*args)
+        return [dataclasses.replace(results[0], unitarity_defect=float("nan")), *results[1:]]
 
-    monkeypatch.setattr(cli, "_sweep_rows", first_row_nan)
+    monkeypatch.setattr(cli, "solve_scattering_batch", first_defect_nan)
     code, out, _ = run_cli(SWEEP_ARGS, capsys)
     assert code == 0
     flags = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
     assert flags == ["1"] + ["0"] * (len(flags) - 1)
+
+
+@pytest.mark.parametrize(
+    "workers, points, cpus, size",
+    [(500, 1, 64, 1), (500, 40, 3, 3), (2, 40, 64, 2), (3, 2, 64, 2)],
+)
+def test_process_pool_is_bounded_by_chunks_and_cpus(workers, points, cpus, size, monkeypatch, capsys):
+    # a fork pool starts every process it may use at once; this one maps in-process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    args = SWEEP_ARGS + ["--points", str(points)]
+    serial = run_cli(args, capsys)
+    pooled = run_cli(args + ["--workers", str(workers)], capsys)
+    assert sizes == [size]
+    assert pooled == serial and serial[0] == 0
+
+
+# The per-energy rows and row loop that the batch tail of `run_sweep`
+# replaced, kept as its reference: the CSV must equal this byte for byte.
+def sweep_rows_reference(field, energies, segments):
+    results = spinwire.solve_scattering_batch(field, np.asarray(energies), segments)
+    berry = spinwire.berry_operator_planar(field, 0.0, field.length)
+    return [
+        {
+            "E": res.channel.energy,
+            **probability_table_reference(res),
+            "hs_t_minus_U": hs_norm_reference(res.t - berry),
+            "hs_r": hs_norm_reference(res.r),
+            "unitarity_defect": res.unitarity_defect,
+            "conductance": res.conductance,
+            "regime": res.channel.regime.value,
+        }
+        for res in results
+    ]
+
+
+def sweep_csv_reference(cfg):
+    grid = cli.energy_grid(cfg, io.StringIO())
+    out = io.StringIO()
+    columns = cfg.csv_columns()
+    print(",".join(columns), file=out)
+    for row in sweep_rows_reference(cli.build_field(cfg), grid, cfg.segments):
+        row["defect_flag"] = "0" if row["unitarity_defect"] <= cfg.defect_tol else "1"
+        cells = (row[col] for col in columns)
+        print(",".join(c if isinstance(c, str) else format(float(c), ".12g") for c in cells), file=out)
+    return out.getvalue()
+
+
+TAIL_FIELDS = {
+    "scheme1": ["--scheme", "scheme1", "--q1", "1", "--L", "3"],
+    "scheme2": ["--scheme", "scheme2", "--q2", "1", "--L", "6"],
+    "wall": ["--scheme", "wall", "--thetaL", "0.3", "--thetaR", "2.0", "--L", "2"],
+}
+# every subset of the output groups, the empty one included
+OUTPUT_SUBSETS = [
+    ",".join(groups)
+    for n in range(len(cli.OUTPUT_GROUPS) + 1)
+    for groups in itertools.combinations(cli.OUTPUT_GROUPS, n)
+]
+
+
+@pytest.mark.parametrize("field_args", TAIL_FIELDS.values(), ids=TAIL_FIELDS.keys())
+def test_sweep_csv_equals_the_per_energy_reference(field_args, capsys):
+    # 61 points on [-1, 5] nudge both band edges and cover both regimes
+    base = ["sweep", *field_args, "--E-min", "-1", "--E-max", "5", "--points", "61",
+            "--segments", "256"]
+    for outputs, workers in [(o, "1") for o in OUTPUT_SUBSETS] + [(cli.SweepConfig.outputs, "2")]:
+        argv = base + ["--outputs", outputs, "--workers", workers]
+        code, out, err = run_cli(argv, capsys)
+        cfg = cli.build_config(cli.make_parser().parse_args(argv))
+        assert (code, out) == (0, sweep_csv_reference(cfg)), argv
+        assert err.count("nudged") == 2
+
+
+@pytest.mark.parametrize("field_args", TAIL_FIELDS.values(), ids=TAIL_FIELDS.keys())
+def test_sweep_numbers_equal_the_per_energy_reference(field_args):
+    # bit for bit, below the 12 digits the CSV shows
+    cfg = cli.build_config(cli.make_parser().parse_args(["sweep", *field_args, "--points", "601"]))
+    field, grid = cli.build_field(cfg), cli.energy_grid(cfg, io.StringIO())
+    numbers = cli._sweep_numbers(field, spinwire.solve_scattering_batch(field, grid, 256))
+    rows = sweep_rows_reference(field, grid, 256)
+    assert {"regime"} == set(rows[0]) - set(numbers)
+    for name, column in numbers.items():
+        expected = np.array([row[name] for row in rows])
+        assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
 
 
 @pytest.mark.parametrize(

@@ -153,6 +153,11 @@ def test_hs_distance_examples():
     eye = np.eye(2)
     assert hs_distance(eye, eye) == 0.0
     assert hs_distance(eye, -eye) == pytest.approx(2.0 * np.sqrt(2.0))
+    # stacks give one distance per matrix, and a single matrix broadcasts against them
+    stack = np.stack([eye, -eye, 2.0 * eye])
+    assert hs_distance(stack, eye).shape == (3,)
+    assert hs_distance(stack, eye) == pytest.approx([0.0, 2.0 * np.sqrt(2.0), np.sqrt(2.0)])
+    assert hs_distance(stack, stack[::-1]) == pytest.approx([np.sqrt(2.0), 0.0, np.sqrt(2.0)])
 
 
 @given(st.integers(min_value=0, max_value=10_000))

@@ -32,9 +32,12 @@ from spinwire.scattering import (
     reciprocity_check,
     solve_scattering,
     solve_scattering_batch,
+    transmission_columns,
     transmission_probabilities,
 )
 from spinwire.transfer import flow_defect, gamma_piecewise_batch, segment_plan
+
+from conftest import hs_norm_reference, probability_table_reference
 
 
 class TestSolve:
@@ -291,10 +294,6 @@ def test_results_report_the_segment_count_of_the_plan():
 
 # The per-energy assembly that `build_results` replaced, kept as its
 # reference: each field of a batch result must equal this bit for bit.
-def hs_norm_reference(a):
-    return float(np.sqrt(np.sum(np.abs(a) ** 2)))
-
-
 def unitarity_defect_reference(t, r, regime):
     if regime is Regime.TWO_CHANNEL:
         return hs_norm_reference(r.conj().T @ r + t.conj().T @ t - np.eye(2))
@@ -408,3 +407,54 @@ class TestBatchAssembly:
         assert stacked.shape == (500,)
         assert stacked.tobytes() == np.array([flow_defect_reference(g) for g in gamma_tilde]).tobytes()
         assert spinwire.hs_norm(gamma_tilde[0]) == hs_norm_reference(gamma_tilde[0])
+
+
+def assert_columns_equal_reference(results, u):
+    """`transmission_columns` and the stacked distances equal the per-result code bit for bit."""
+    got = transmission_columns(results)
+    want = [probability_table_reference(res) for res in results]
+    assert list(got) == list(want[0])
+    for name, column in got.items():
+        expected = np.array([row[name] for row in want])
+        assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
+    t = np.array([res.t for res in results])
+    r = np.array([res.r for res in results])
+    distances = np.array([hs_norm_reference(res.t - u) for res in results])
+    norms = np.array([hs_norm_reference(res.r) for res in results])
+    assert spinwire.hs_distance(t, u).tobytes() == distances.tobytes()
+    assert spinwire.hs_norm(r).tobytes() == norms.tobytes()
+
+
+class TestProbabilityColumns:
+    def test_columns_equal_the_per_result_reference(self):
+        rng = np.random.default_rng(15)
+        n = 20_000
+        t, r = random_amplitudes(rng, n)
+        # both regimes, shuffled, with the CLI's two nudged band edges
+        energies = rng.uniform(-0.999, 5.0, size=n)
+        energies[:2] = (-1.0 + 1e-9, 1.0 + 1e-9)
+        channels = spinwire.scattering_channels(energies)
+        assert [ch.regime for ch in channels[:2]] == [Regime.SINGLE_CHANNEL, Regime.TWO_CHANNEL]
+        results = build_results(t, r, channels, 64, np.zeros(n))
+        assert_columns_equal_reference(results, planar_rotation(0.7))
+
+    @pytest.mark.parametrize(
+        "field",
+        [scheme1_field(1, 1, 3.0), scheme2_field(0, 1, 6.0), magnetic_wall_field(0.3, 2.0, 2.0)],
+        ids=["scheme1", "scheme2", "wall"],
+    )
+    def test_engine_columns_equal_the_per_result_reference(self, field):
+        grid = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601), io.StringIO())
+        assert grid[0] == -1.0 + 1e-9 and grid[200] == 1.0 + 1e-9
+        results = solve_scattering_batch(field, grid, 256)
+        u = spinwire.berry_operator_planar(field, 0.0, field.length)
+        assert_columns_equal_reference(results, u)
+
+    def test_probabilities_are_the_batch_of_one(self):
+        rng = np.random.default_rng(16)
+        t, r = random_amplitudes(rng, 200)
+        channels = spinwire.scattering_channels(np.linspace(-0.9, 3.0, 200))
+        for res in build_results(t, r, channels, 64, np.zeros(200)):
+            table = transmission_probabilities(res)
+            assert table == probability_table_reference(res)
+            assert {type(value) for value in table.values()} == {float}

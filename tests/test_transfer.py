@@ -352,7 +352,7 @@ class TestBlockedProduct:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         products = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(transfer, "usable_cpus", lambda: cpus)
             products[cpus] = _ordered_product(plan, energies)
         assert pools == [2, 3]  # one CPU runs serially, more split the batch
         assert np.array_equal(products[1], products[2])
@@ -363,7 +363,7 @@ class TestBlockedProduct:
     def test_growth_guard_trips_in_the_last_chunk_only(self, monkeypatch):
         # uniform field, L = 50: growth 50 * sqrt(1 - E) passes 60 below E = -0.44,
         # which only the last of three chunks of this descending grid reaches
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(transfer, "usable_cpus", lambda: 3)
         plan = segment_plan(uniform_field(0.0, 50.0), transfer._MIN_SPLIT_SEGMENTS)
         energies = np.linspace(5.0, -0.99, 600)
         threads = threading.active_count()
@@ -377,11 +377,11 @@ class TestBlockedProduct:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(transfer, "usable_cpus", lambda: 2)
         plan = segment_plan(scheme1_field(1, 0, 3.0), 64)
         small = np.linspace(-0.9, 4.0, 2 * transfer._MIN_CHUNK_ENERGIES - 1)
         assert np.array_equal(_ordered_product(plan, small), ordered_product_reference(plan, small))
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(transfer, "usable_cpus", lambda: 1)
         large = np.linspace(-0.9, 4.0, 600)
         assert np.array_equal(_ordered_product(plan, large), ordered_product_reference(plan, large))
 
@@ -390,7 +390,7 @@ class TestBlockedProduct:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(transfer, "usable_cpus", lambda: 2)
         energies = np.linspace(-0.9, 4.0, 600)
         for n_segments in (1, transfer._MIN_SPLIT_SEGMENTS - 1):
             plan = segment_plan(scheme1_field(1, 0, 3.0), n_segments)
