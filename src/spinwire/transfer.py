@@ -27,6 +27,18 @@ naive real build (cos/cosh, sin/sinh and a true division) is not used.  Its
 bits differ, and on the unstabilised product that rounding matters: with it
 a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
 unitarity where the complex evaluation passes.
+
+The association of the product follows two regimes.  An energy with a channel
+closed on some segment (E < max|B|) multiplies its factors one segment at a
+time, as a plain per-segment loop does.  Its product grows evanescently, and
+on the unstabilised product regrouping it moves which energies fail: a
+pairwise tree over every energy made scheme1 (0, 0), L = 40 raise
+SingularSystemError, and scheme2 (0, 0), L = 20 fail 8 of 20 energies
+instead of 7.  An open energy (E >= max|B|) has no evanescent growth at all.
+It reduces fixed granules of consecutive segments by a balanced pairwise tree
+and chains the granule products, which removes most of the per-segment
+multiplication calls.  Either association depends only on the plan and on
+the energy, never on the batch, the block size, the threads or the workers.
 """
 
 from __future__ import annotations
@@ -48,7 +60,8 @@ GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
 # thresholds, so the heap top is not handed back and re-faulted on every call,
 # and the gather-multiply that builds a block costs about 2.5x less per row
 # than in one 4096-row block.  Larger batches keep the byte budget (27 rows at
-# 300 energies).
+# 300 energies).  Open energies round a block down to whole granules, but
+# never below one (_GRANULE rows: 2.4 MB at 600 open energies).
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ROWS = 256
 # Fewest energies a thread's chunk of a batch may hold (see _ordered_product).
@@ -66,6 +79,17 @@ _MIN_CHUNK_ENERGIES = 128
 #   speed-up   0.3x  0.8x  0.9x  1.0x  1.1x  1.1-1.2x  1.3-1.4x  1.3-1.4x
 # The split breaks even near 64 segments; 128 keeps a margin.
 _MIN_SPLIT_SEGMENTS = 128
+# Consecutive segments an open energy reduces by a pairwise tree before the
+# granule product joins the chain (see _serial_product).  One thread, a
+# 4096-segment scheme2 (1, 0, L = 4) plan, open energies on [1, 5], medians of
+# five rounds (the per-segment chain: 3.06 ms, 11.2 ms and 143 ms):
+#   granule                       16        32        64
+#   solve_scattering, E = 2.5     1.40 ms   1.37 ms   1.36 ms
+#   product, 20 energies          7.89 ms   7.76 ms   7.71 ms
+#   product, 400 energies         148 ms    147 ms    156 ms
+# 64 rounds a large batch's block up past _BLOCK_BYTES; 32 keeps most of its
+# gain on small batches.
+_GRANULE = 32
 
 # A factor's entry [2a + i, 2b + j] is u[i, j] * P[a][b][j], with u the
 # eigenbasis rotation, P = [[c, s], [ms, c]] the propagator pieces and j the
@@ -160,8 +184,10 @@ def _ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     Each energy's product is independent of the others, so a large batch is
     split along the energy axis into one contiguous chunk per usable CPU, the
     chunks run in threads (numpy's ufuncs and the stacked matmul release the
-    GIL) and are joined in order.  Every energy keeps its association, so the
-    result is bit for bit that of one serial pass.  A batch is split only when
+    GIL) and are joined in order.  An energy's association depends only on the
+    plan and on that energy's own regime (see `_serial_product`), so the
+    result is bit for bit that of one serial pass, and of any other batch
+    holding the same energy.  A batch is split only when
     every chunk gets at least _MIN_CHUNK_ENERGIES energies and the plan has at
     least _MIN_SPLIT_SEGMENTS segments: on small chunks the threads'
     per-segment Python dispatch contends for the GIL, and on thin plans
@@ -186,16 +212,43 @@ def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
 
     The product is real for real energies.  Its entries keep the bits of
     the complex evaluation (see the module docstring), so it equals the
-    complex128 product of the same factors bit for bit.  The factors of each
-    block of segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES) are
-    built in one vectorised pass into a buffer reused across blocks; only the
-    left multiplication runs per segment.  The association is that of a
-    plain per-segment loop, so the result does not depend on the block size.
+    complex128 product of the same factors bit for bit.  The association
+    follows each energy's regime on this plan, never the batch:
+
+    * an energy with a channel closed on some segment (E < max|B|) chains its
+      factors one segment at a time, the association of a plain per-segment
+      loop.  Its product grows evanescently, and regrouping it moves which
+      energies fail flux unitarity (see the module docstring);
+    * an open energy (E >= max|B|) has no closed channel on any segment, so
+      its growth is exactly 0 and its factors are bounded and oscillatory.  It
+      reduces each granule of _GRANULE consecutive segments, counted from
+      segment 0, by a balanced pairwise tree, and chains the granule
+      products in segment order (see `_granule_products`).
+
+    A closed energy is thus one whose granule is a single segment.  The
+    closed rows run first, so an overflow raises before the open rows' work.
+    """
+    gamma = np.empty((energies.shape[0], 4, 4))
+    is_open = energies >= plan.magnitudes.max()
+    for rows, granule in ((~is_open, 1), (is_open, _GRANULE)):
+        if rows.any():
+            gamma[rows] = _granule_chain(plan, energies[rows], granule)
+    return gamma
+
+
+def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
+    """Chain the granule products of a batch of energies that share one granule.
+
+    The factors of each block of segments (at most _BLOCK_ROWS of them, within
+    _BLOCK_BYTES, but always whole granules) are built in one vectorised pass
+    into a buffer reused across blocks; only the left multiplication of each
+    granule product runs per step.  The association depends on the granule
+    alone, so the result does not depend on the block size.
 
     A batch of one energy is carried as 2-D (4, 4) matrices and multiplied
     with np.dot: the same dgemm call, and so the same bits, as `@` on
     (1, 4, 4) stacks, without the stacked dispatch that otherwise costs
-    most of each segment's step.
+    most of each step.
     """
     n_e = energies.shape[0]
     shape = (4, 4) if n_e == 1 else (n_e, 4, 4)
@@ -205,8 +258,9 @@ def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     gamma = gamma.reshape(shape)
     multiply = np.dot if gamma.ndim == 2 else np.matmul
     growth = np.zeros(n_e)
-    # 16 float64 per factor; no more rows than the plan has segments
-    block = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (max(n_e, 1) * 16 * 8)), plan.n_segments)
+    # 16 float64 per factor, in whole granules; no more rows than the plan has segments
+    rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (n_e * 16 * 8)))
+    block = min(max(granule, rows - rows % granule), plan.n_segments)
     factors = np.empty((block, n_e, 16))
     for j0 in range(0, plan.n_segments, block):
         j1 = min(j0 + block, plan.n_segments)
@@ -229,9 +283,34 @@ def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
         np.multiply(
             pieces[_PIECE_INDEX].transpose(1, 2, 0), u[..., _ROTATION_INDEX], out=factors[:nb]
         )
-        for factor in factors[:nb].reshape(nb, *shape):
-            gamma = multiply(factor, gamma)
+        for product in _granule_products(factors[:nb].reshape(nb, *shape), granule):
+            gamma = multiply(product, gamma)
     return gamma.reshape(n_e, 4, 4)
+
+
+def _granule_products(factors: np.ndarray, granule: int) -> np.ndarray:
+    """Products of each run of `granule` consecutive factors, in segment order.
+
+    Each run, counted from the first factor, is reduced by a balanced pairwise
+    tree: adjacent pairs multiply with the later factor on the left, and an
+    odd factor is carried up to the next level unchanged.  A short last run is
+    paired the same way.  A granule of 1 returns the factors themselves.
+    """
+    n = factors.shape[0]
+    full = n - n % granule
+    runs = []
+    if full:
+        runs.append(factors[:full].reshape(full // granule, granule, *factors.shape[1:]))
+    if full < n:
+        runs.append(factors[None, full:])
+    products = []
+    for level in runs:
+        while level.shape[1] > 1:
+            m = level.shape[1]
+            paired = np.matmul(level[:, 1::2], level[:, : m - 1 : 2])
+            level = np.concatenate([paired, level[:, m - 1 :]], axis=1) if m % 2 else paired
+        products.append(level[:, 0])
+    return products[0] if len(products) == 1 else np.concatenate(products)
 
 
 @dataclass(frozen=True)

@@ -196,15 +196,18 @@ def propagator_entries_reference(q, length):
     return c, s, -q * s, np.abs(zl.imag)
 
 
-def ordered_product_reference(plan, energies):
-    """Complex128 per-segment loop that builds each factor and multiplies it on the left."""
-    energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    n_e = energies.shape[0]
+def initial_reference(plan, n_e):
+    """The lead-side rotation every product starts from, as a complex stack."""
     gamma = np.zeros((n_e, 4, 4), dtype=complex)
     gamma[:, :2, :2] = plan.jumps[0]
     gamma[:, 2:, 2:] = plan.jumps[0]
+    return gamma
+
+
+def segment_factors_reference(plan, energies):
+    """Each segment's complex128 factor stack in segment order, under the growth guard."""
+    n_e = energies.shape[0]
     growth = np.zeros(n_e)
-    factor = np.empty((n_e, 4, 4), dtype=complex)
     for j in range(plan.n_segments):
         mag = plan.magnitudes[j]
         q = np.stack([energies + mag, energies - mag], axis=-1)
@@ -213,12 +216,51 @@ def ordered_product_reference(plan, energies):
         if growth.max() > GROWTH_GUARD:
             raise EvanescentOverflowError("evanescent growth")
         u = plan.jumps[j + 1]
+        factor = np.empty((n_e, 4, 4), dtype=complex)
         factor[:, :2, :2] = u * c[:, None, :]
         factor[:, :2, 2:] = u * s[:, None, :]
         factor[:, 2:, :2] = u * ms[:, None, :]
         factor[:, 2:, 2:] = u * c[:, None, :]
+        yield factor
+
+
+def ordered_product_reference(plan, energies):
+    """Complex128 per-segment loop that builds each factor and multiplies it on the left."""
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    gamma = initial_reference(plan, energies.shape[0])
+    for factor in segment_factors_reference(plan, energies):
         gamma = factor @ gamma
     return gamma
+
+
+def tree_product_reference(plan, energies, granule=transfer._GRANULE):
+    """Complex128 product over granules of `granule` segments counted from segment 0.
+
+    Each granule is reduced pair by pair, the later factor on the left and an
+    odd factor carried up unchanged; the granule products are then chained.
+    """
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    gamma = initial_reference(plan, energies.shape[0])
+    factors = segment_factors_reference(plan, energies)
+    for g0 in range(0, plan.n_segments, granule):
+        level = [next(factors) for _ in range(min(granule, plan.n_segments - g0))]
+        while len(level) > 1:
+            pairs = [later @ earlier for earlier, later in zip(level[::2], level[1::2])]
+            level = pairs + level[2 * len(pairs) :]
+        gamma = level[0] @ gamma
+    return gamma
+
+
+def product_reference(plan, energies):
+    """Row by row: the tree on open energies (E >= max|B|), the loop on the others."""
+    energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    is_open = energies >= plan.magnitudes.max()
+    want = np.empty((energies.shape[0], 4, 4), dtype=complex)
+    if not is_open.all():
+        want[~is_open] = ordered_product_reference(plan, energies[~is_open])
+    if is_open.any():
+        want[is_open] = tree_product_reference(plan, energies[is_open])
+    return want
 
 
 def tabulated_field():
@@ -237,7 +279,11 @@ PRODUCT_FIELDS = {
 
 
 class TestBlockedProduct:
-    """The blocked real product reproduces the complex per-segment loop bit for bit."""
+    """The blocked real product reproduces its complex reference bit for bit.
+
+    The reference is the per-segment loop for an energy with a closed channel
+    and the granule tree for an open one (`product_reference`).
+    """
 
     def test_entries_are_the_real_parts_of_the_complex_ones(self):
         # both signs, the small-|z h| series branch and q = 0 itself
@@ -277,38 +323,43 @@ class TestBlockedProduct:
     @pytest.mark.parametrize("n_segments", [1, 7, 512])
     def test_bit_identical_to_per_segment_loop(self, name, n_segments):
         plan = segment_plan(PRODUCT_FIELDS[name](), n_segments)
-        # complex rotations give the complex loop the same bits as real ones
+        # complex rotations give the complex references the same bits as real ones
         complex_plan = dataclasses.replace(plan, jumps=plan.jumps.astype(complex))
+        # -0.5 is closed on every field; 2.5 is open on every field, 0.3 on the wall only
         energies = np.array([-0.5, 0.3, 2.5])
         for batch in (energies, energies[:1], energies[1:2], energies[2:]):
             got = _ordered_product(plan, batch)
             assert got.dtype == np.float64
             # array_equal against a complex array also asserts a zero imaginary part
-            assert np.array_equal(got, ordered_product_reference(plan, batch))
-            assert np.array_equal(got, ordered_product_reference(complex_plan, batch))
+            assert np.array_equal(got, product_reference(plan, batch))
+            assert np.array_equal(got, product_reference(complex_plan, batch))
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
     def test_sub_range_and_small_blocks(self, name, monkeypatch):
-        # blocks of 5 segments of 16 float64 entries, so block boundaries fall inside the plan;
-        # a batch of one crosses them on the 2-D (4, 4) loop
+        # a budget of 5 segments of 16 float64 entries for the whole batch, so
+        # block boundaries fall inside the plan (each regime's rows get their
+        # share of it); a batch of one crosses them on the 2-D (4, 4) loop.
+        # Open rows round their blocks up to whole granules of 32 segments.
         plan = segment_plan(PRODUCT_FIELDS[name](), 64)
         energies = np.array([-0.5, 0.3, 2.5])
-        for batch in (energies, energies[1:2]):
+        for batch in (energies, energies[1:2], energies[2:]):
             monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * batch.size)
-            want = ordered_product_reference(plan, batch)
+            want = product_reference(plan, batch)
             assert np.array_equal(_ordered_product(plan, batch), want)
 
     def test_one_energy_product_peak_allocation(self):
         # row-capped blocks keep a one-energy call's temporaries small (2.3 MiB
-        # with one 4096-row block), so the heap top is not trimmed and re-faulted
+        # with one 4096-row block), so the heap top is not trimmed and re-faulted;
+        # the closed energy chains per segment, the open one runs the granule tree
         plan = segment_plan(scheme1_field(1, 1, 6.0), 4096)
-        tracemalloc.start()
-        try:
-            _ordered_product(plan, np.array([0.7]))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 512 * 1024
+        for energy in (0.7, 2.5):
+            tracemalloc.start()
+            try:
+                _ordered_product(plan, np.array([energy]))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 512 * 1024, energy
 
     def test_batch_equals_chunks_and_single_energies(self):
         f = scheme2_field(1, 0, 5.0)
@@ -358,7 +409,7 @@ class TestBlockedProduct:
         assert np.array_equal(products[1], products[2])
         assert np.array_equal(products[1], products[3])
         rows = [0, 199, 200, 401, 599]  # both sides of each chunk boundary
-        assert np.array_equal(products[3][rows], ordered_product_reference(plan, energies[rows]))
+        assert np.array_equal(products[3][rows], product_reference(plan, energies[rows]))
 
     def test_growth_guard_trips_in_the_last_chunk_only(self, monkeypatch):
         # uniform field, L = 50: growth 50 * sqrt(1 - E) passes 60 below E = -0.44,
@@ -380,10 +431,10 @@ class TestBlockedProduct:
         monkeypatch.setattr(transfer, "usable_cpus", lambda: 2)
         plan = segment_plan(scheme1_field(1, 0, 3.0), 64)
         small = np.linspace(-0.9, 4.0, 2 * transfer._MIN_CHUNK_ENERGIES - 1)
-        assert np.array_equal(_ordered_product(plan, small), ordered_product_reference(plan, small))
+        assert np.array_equal(_ordered_product(plan, small), product_reference(plan, small))
         monkeypatch.setattr(transfer, "usable_cpus", lambda: 1)
         large = np.linspace(-0.9, 4.0, 600)
-        assert np.array_equal(_ordered_product(plan, large), ordered_product_reference(plan, large))
+        assert np.array_equal(_ordered_product(plan, large), product_reference(plan, large))
 
     def test_thin_plans_start_no_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -394,5 +445,63 @@ class TestBlockedProduct:
         energies = np.linspace(-0.9, 4.0, 600)
         for n_segments in (1, transfer._MIN_SPLIT_SEGMENTS - 1):
             plan = segment_plan(scheme1_field(1, 0, 3.0), n_segments)
-            want = ordered_product_reference(plan, energies)
+            want = product_reference(plan, energies)
             assert np.array_equal(_ordered_product(plan, energies), want)
+
+
+EDGE_FIELDS = {
+    "scheme1": lambda: scheme1_field(1, 0, 3.0),
+    "uniform": lambda: uniform_field(0.8, 2.0),
+    "wall": lambda: magnetic_wall_field(0.3, 2.1, 2.0),  # max|B| = 0
+}
+
+
+class TestOpenTree:
+    """Open energies (E >= max|B|) run the granule tree; every other energy keeps the loop."""
+
+    @pytest.mark.parametrize("name", sorted(EDGE_FIELDS))
+    def test_regime_edge_and_determinism(self, name, monkeypatch):
+        # 150 segments: four whole granules and a short one of 22
+        plan = segment_plan(EDGE_FIELDS[name](), 150)
+        edge = plan.magnitudes.max()
+        below = np.nextafter(edge, -np.inf)
+        energies = np.concatenate([np.linspace(edge - 1.5, edge + 3.0, 598), [edge, below]])
+        monkeypatch.setattr(transfer, "usable_cpus", lambda: 1)
+        whole = _ordered_product(plan, energies)
+        # the edge itself is open, the float just below it is closed
+        assert np.array_equal(whole[-2], tree_product_reference(plan, [edge])[0])
+        assert np.array_equal(whole[-1], ordered_product_reference(plan, [below])[0])
+        assert not np.array_equal(whole[-2], ordered_product_reference(plan, [edge])[0])
+        singles = np.concatenate([_ordered_product(plan, [e]) for e in energies])
+        chunks = np.concatenate([_ordered_product(plan, p) for p in np.array_split(energies, 7)])
+        assert np.array_equal(singles, whole)
+        assert np.array_equal(chunks, whole)
+        for cpus in (2, 3):
+            monkeypatch.setattr(transfer, "usable_cpus", lambda: cpus)
+            assert np.array_equal(_ordered_product(plan, energies), whole)
+        # a budget of 5 segments for the whole batch cuts the closed rows'
+        # blocks inside the plan, and the open rows round theirs up to one
+        # granule; no row moves
+        monkeypatch.setattr(transfer, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
+        assert np.array_equal(_ordered_product(plan, energies), whole)
+
+    @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
+    def test_open_tree_within_roundoff_of_the_loop(self, name):
+        plan = segment_plan(PRODUCT_FIELDS[name](), 4096)
+        energies = plan.magnitudes.max() + np.linspace(0.0, 9.0, 600)
+        got = _ordered_product(plan, energies)
+        want = ordered_product_reference(plan, energies)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("scheme", [scheme1_field, scheme2_field])
+    @pytest.mark.parametrize("length", [10.0, 20.0, 40.0])
+    def test_evanescent_wires_keep_the_loop(self, scheme, length):
+        # every energy of these wires has a closed channel, so the set of
+        # energies whose unstabilised product fails flux unitarity cannot move
+        plan = segment_plan(scheme(0, 0, length), 4096)
+        energies = np.linspace(-0.95, 0.95, 20)
+        assert np.all(energies < plan.magnitudes.max())
+        got = _ordered_product(plan, energies)
+        assert np.array_equal(got, ordered_product_reference(plan, energies))
