@@ -505,3 +505,33 @@ class TestOpenTree:
         assert np.all(energies < plan.magnitudes.max())
         got = _ordered_product(plan, energies)
         assert np.array_equal(got, ordered_product_reference(plan, energies))
+        # one energy at a time runs the chain by substitution in BLAS
+        singles = np.concatenate([_ordered_product(plan, [e]) for e in energies])
+        assert np.array_equal(singles, got)
+        assert np.array_equal(np.signbit(singles), np.signbit(got))
+
+
+class TestClosedSubstitution:
+    """One closed energy runs its per-segment chain as a banded triangular solve."""
+
+    def test_one_closed_energy_runs_the_substitution(self, monkeypatch):
+        # the BLAS build this suite runs on reproduces np.dot, so the
+        # bit-identity tests above exercise the substitution
+        assert transfer._substitution_matches_dot()
+        calls = []
+        substitution = transfer._substitution_chain
+        monkeypatch.setattr(
+            transfer, "_substitution_chain", lambda *args: calls.append(1) or substitution(*args)
+        )
+        plan = segment_plan(scheme1_field(1, 0, 3.0), 600)  # blocks of 256, 256 and 88 rows
+        for batch, blocks in (([-0.5], 3), ([2.5], 0), ([-0.5, -0.4], 0)):
+            calls.clear()
+            batch = np.array(batch)
+            assert np.array_equal(_ordered_product(plan, batch), product_reference(plan, batch))
+            assert len(calls) == blocks
+        # a build whose substitution rounds otherwise keeps the np.dot loop
+        monkeypatch.setattr(transfer, "_substitution_matches_dot", lambda: False)
+        calls.clear()
+        closed = np.array([-0.5])
+        assert np.array_equal(_ordered_product(plan, closed), product_reference(plan, closed))
+        assert not calls
