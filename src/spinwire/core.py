@@ -52,6 +52,8 @@ class GridCoarseWarning(UserWarning):
 
 
 class Regime(enum.Enum):
+    """Channel regime of an energy: both lead channels open, the lower one only, or none."""
+
     TWO_CHANNEL = "two_channel"
     SINGLE_CHANNEL = "single_channel"
     CLOSED = "closed"

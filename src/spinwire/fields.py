@@ -71,6 +71,13 @@ def _check_length(length: float) -> float:
     return length
 
 
+def _check_count(name: str, value) -> int:
+    """A whole number >= 0 (1.0 and numpy integers count) as a plain int."""
+    if not (value >= 0 and float(value).is_integer()):
+        raise ValueError(f"{name} must be a whole number >= 0, got {value!r}")
+    return int(value)
+
+
 def _check_angle(name: str, theta: float) -> float:
     theta = float(theta)
     if not np.isfinite(theta):
@@ -99,8 +106,8 @@ class WindingField(PlanarField):
     def __post_init__(self):
         if self.scheme not in (1, 2):
             raise ValueError(f"scheme must be 1 or 2, got {self.scheme!r}")
-        if self.q1 < 0 or self.q2 < 0:
-            raise ValueError("q1 and q2 must be non-negative integers")
+        object.__setattr__(self, "q1", _check_count("q1", self.q1))
+        object.__setattr__(self, "q2", _check_count("q2", self.q2))
         object.__setattr__(self, "length", _check_length(self.length))
         object.__setattr__(self, "theta_left", 0.0)
         object.__setattr__(self, "theta_right", self._sections * np.pi / self.scheme)
@@ -289,19 +296,21 @@ class TabulatedField(PlanarField):
 
 def scheme1_field(q1: int, q2: int, length: float) -> WindingField:
     """Profile connecting a +n3 left lead to a -n3 right lead."""
-    return WindingField(q1=int(q1), q2=int(q2), length=length, scheme=1)
+    return WindingField(q1=q1, q2=q2, length=length, scheme=1)
 
 
 def scheme2_field(q1: int, q2: int, length: float) -> WindingField:
     """Profile connecting a +n3 left lead to a +n1 right lead."""
-    return WindingField(q1=int(q1), q2=int(q2), length=length, scheme=2)
+    return WindingField(q1=q1, q2=q2, length=length, scheme=2)
 
 
 def uniform_field(theta: float, length: float) -> UniformField:
+    """Field of the lead magnitude at the constant angle theta on [0, length]."""
     return UniformField(theta0=theta, length=length)
 
 
 def magnetic_wall_field(theta_l: float, theta_r: float, length: float) -> MagneticWallField:
+    """Zero-field interior of the given length between leads at angles theta_l and theta_r."""
     return MagneticWallField(theta_l=theta_l, theta_r=theta_r, length=length)
 
 

@@ -41,6 +41,7 @@ class Lattice:
 
 
 def build_lattice(field: PlanarField, spacing: float) -> Lattice:
+    """On-site Zeeman matrices of the field on round(L / spacing) >= 8 equal cells of [0, L]."""
     if not (np.isfinite(spacing) and spacing > 0.0):
         raise ValueError(f"lattice spacing must be positive and finite, got {spacing}")
     n_cells = int(round(field.length / spacing))

@@ -28,19 +28,26 @@ bits differ, and on the unstabilised product that rounding matters: with it
 a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
 unitarity where the complex evaluation passes.
 
-The association of the product follows two regimes.  An energy with a channel
-closed on some segment (E < max|B|) multiplies its factors one segment at a
-time, as a plain per-segment loop does; on its own it runs that loop inside
-BLAS, as forward substitution on a banded triangular system, with the same
-bits (see `_substitution_chain`).  Its product grows evanescently, and
-on the unstabilised product regrouping it moves which energies fail: a
-pairwise tree over every energy made scheme1 (0, 0), L = 40 raise
-SingularSystemError, and scheme2 (0, 0), L = 20 fail 8 of 20 energies
-instead of 7.  An open energy (E >= max|B|) has no evanescent growth at all.
-It reduces fixed granules of consecutive segments by a balanced pairwise tree
-and chains the granule products, which removes most of the per-segment
-multiplication calls.  Either association depends only on the plan and on
-the energy, never on the batch, the block size, the threads or the workers.
+The association of the product depends only on the plan and on the energy's
+regime, never on the batch, the block size, the threads or the workers.
+Every batch, a batch of one included, is an (n, 4, 4) stack chained with
+np.matmul, and a batch in which some energy's evanescent growth passes
+exp(GROWTH_GUARD) is refused before any factor is built (`_check_growth`).
+
+* An energy with a channel closed on some segment (E < max|B|) has a granule
+  of one segment: it multiplies its factors one at a time, as a plain
+  per-segment loop does; a lone such energy runs that chain inside BLAS, as
+  forward substitution on a banded triangular system, with the same bits
+  (`_substitution_chain`).  Its product grows evanescently, and on the
+  unstabilised product regrouping it moves which energies fail: a pairwise
+  tree over every energy made scheme1 (0, 0), L = 40 raise
+  SingularSystemError, and scheme2 (0, 0), L = 20 fail 8 of 20 energies
+  instead of 7.
+* An open energy (E >= max|B|) has no evanescent growth at all.  It reduces
+  each granule of _GRANULE consecutive segments, counted from segment 0, by
+  a balanced pairwise tree (`_granule_products`) and chains the granule
+  products in segment order, which removes most of the per-segment
+  multiplication calls.
 """
 
 from __future__ import annotations
@@ -111,8 +118,7 @@ def _propagator_entries(q, length: float):
     divided by y as a multiplication by 1 / y.  Each piece equals, bit for
     bit, the real part of the complex evaluation it replaced (see the module
     docstring).  The small-x series, with x**2 taking the sign of q and the
-    same reciprocal multiplications, is evaluated only where it applies.  The
-    fourth piece is the evanescent growth: x on closed channels, 0 on open ones.
+    same reciprocal multiplications, is evaluated only where it applies.
     """
     q = np.asarray(q, dtype=float)
     closed = q < 0
@@ -130,7 +136,7 @@ def _propagator_entries(q, length: float):
         xs = x[small]
         x2 = np.where(closed[small], -(xs * xs), xs * xs)
         s[small] = length * (1.0 - x2 * (1.0 / 6.0) + x2 * x2 * (1.0 / 120.0))
-    return c, s, -q * s, np.where(closed, x, 0.0)
+    return c, s, -q * s
 
 
 @dataclass(frozen=True)
@@ -183,53 +189,47 @@ def usable_cpus() -> int:
 def _ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     """Batched transfer product over all segments of the plan, in float64.
 
-    Each energy's product is independent of the others, so a large batch is
-    split along the energy axis into one contiguous chunk per usable CPU, the
-    chunks run in threads (numpy's ufuncs and the stacked matmul release the
-    GIL) and are joined in order.  An energy's association depends only on the
-    plan and on that energy's own regime (see `_serial_product`), so the
-    result is bit for bit that of one serial pass, and of any other batch
-    holding the same energy.  A batch is split only when
-    every chunk gets at least _MIN_CHUNK_ENERGIES energies and the plan has at
-    least _MIN_SPLIT_SEGMENTS segments: on small chunks the threads'
-    per-segment Python dispatch contends for the GIL, and on thin plans
-    starting the pool costs more than the product, so the split loses to the
-    serial loop.
+    The batch passes `_check_growth` first.  An energy's product depends only
+    on the plan and on that energy (see the module docstring), so a large
+    batch is split along the energy axis into one contiguous chunk per usable
+    CPU, run in threads (numpy's ufuncs and the stacked matmul release the
+    GIL) and joined in order, bit for bit as one serial pass.  It is split
+    only when every chunk gets at least _MIN_CHUNK_ENERGIES energies and the
+    plan has at least _MIN_SPLIT_SEGMENTS segments: on small chunks the
+    threads' per-segment Python dispatch contends for the GIL, and on thin
+    plans starting the pool costs more than the product.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
+    _check_growth(plan, energies)
     n_chunks = min(usable_cpus(), energies.shape[0] // _MIN_CHUNK_ENERGIES)
     if n_chunks < 2 or plan.n_segments < _MIN_SPLIT_SEGMENTS:
         return _serial_product(plan, energies)
     from concurrent.futures import ThreadPoolExecutor  # here, so `import spinwire` skips it
 
-    # a pool per call: no thread outlives it, and the with waits for every
-    # chunk before an EvanescentOverflowError from one of them propagates
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:
+    with ThreadPoolExecutor(max_workers=n_chunks) as pool:  # a pool per call: no thread outlives it
         parts = list(pool.map(partial(_serial_product, plan), np.array_split(energies, n_chunks)))
     return np.concatenate(parts)
 
 
-def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
-    """The ordered product of one batch of energies, in one thread.
+def _check_growth(plan: SegmentPlan, energies: np.ndarray) -> None:
+    """Refuse the batch if an energy's evanescent growth exceeds exp(GROWTH_GUARD).
 
-    The product is real for real energies.  Its entries keep the bits of
-    the complex evaluation (see the module docstring), so it equals the
-    complex128 product of the same factors bit for bit.  The association
-    follows each energy's regime on this plan, never the batch:
-
-    * an energy with a channel closed on some segment (E < max|B|) chains its
-      factors one segment at a time, the association of a plain per-segment
-      loop.  Its product grows evanescently, and regrouping it moves which
-      energies fail flux unitarity (see the module docstring);
-    * an open energy (E >= max|B|) has no closed channel on any segment, so
-      its growth is exactly 0 and its factors are bounded and oscillatory.  It
-      reduces each granule of _GRANULE consecutive segments, counted from
-      segment 0, by a balanced pairwise tree, and chains the granule
-      products in segment order (see `_granule_products`).
-
-    A closed energy is thus one whose granule is a single segment.  The
-    closed rows run first, so an overflow raises before the open rows' work.
+    The growth is the sum over segments of h * sqrt(|B| - E) where E < |B|:
+    the upper channel's decay exponent, which bounds the lower one's.  It is
+    summed in segment order, and an open energy (E >= max|B|) has none.
     """
+    closed = energies[energies < plan.magnitudes.max()]
+    growth = np.subtract(plan.magnitudes, closed[:, None])  # (energy, segment), in place below
+    np.sqrt(np.maximum(growth, 0.0, out=growth), out=growth)
+    growth *= plan.seg_length
+    if np.any(np.cumsum(growth, axis=1, out=growth)[:, -1] > GROWTH_GUARD):
+        raise EvanescentOverflowError(
+            f"evanescent growth exceeds exp({GROWTH_GUARD:g}); region too long for this energy"
+        )
+
+
+def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
+    """The ordered product of a batch in one thread, each regime's rows chained apart."""
     gamma = np.empty((energies.shape[0], 4, 4))
     is_open = energies >= plan.magnitudes.max()
     for rows, granule in ((~is_open, 1), (is_open, _GRANULE)):
@@ -245,22 +245,15 @@ def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.
     _BLOCK_BYTES, but always whole granules) are built in one vectorised pass
     into a buffer reused across blocks; only the left multiplication of each
     granule product runs per step.  The association depends on the granule
-    alone, so the result does not depend on the block size.
-
-    A batch of one energy is carried as 2-D (4, 4) matrices and multiplied
-    with np.dot: the same dgemm call, and so the same bits, as `@` on
-    (1, 4, 4) stacks, without the stacked dispatch that otherwise costs
-    most of each step.  A batch of one closed energy chains a block in four
-    dtbsv calls instead of one np.dot per segment (`_substitution_chain`).
+    alone, so the result does not depend on the block size.  A batch of one
+    closed energy chains a block in four dtbsv calls instead of one matmul
+    per segment (`_substitution_chain`).
     """
     n_e = energies.shape[0]
-    shape = (4, 4) if n_e == 1 else (n_e, 4, 4)
     gamma = np.zeros((n_e, 4, 4))
     gamma[:, :2, :2] = plan.jumps[0]
     gamma[:, 2:, 2:] = plan.jumps[0]
-    gamma = gamma.reshape(shape)
-    multiply = np.dot if gamma.ndim == 2 else np.matmul
-    growth = np.zeros(n_e)
+    substitute = n_e == 1 and granule == 1 and _substitution_matches_batch()
     # 16 float64 per factor, in whole granules; no more rows than the plan has segments
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (n_e * 16 * 8)))
     block = min(max(granule, rows - rows % granule), plan.n_segments)
@@ -270,28 +263,18 @@ def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.
         nb = j1 - j0
         mags = plan.magnitudes[j0:j1, None]
         q = np.stack([energies + mags, energies - mags])  # (channel, segment, energy)
-        c, s, ms, kappa = _propagator_entries(q, plan.seg_length)
-        # running growth summed in segment order; it never decreases, so
-        # testing the block's last row catches any crossing inside the block
-        steps = np.maximum(kappa[0], kappa[1])
-        steps[0] += growth
-        growth = np.cumsum(steps, axis=0)[-1]
-        if growth.max() > GROWTH_GUARD:
-            raise EvanescentOverflowError(
-                f"evanescent growth exceeds exp({GROWTH_GUARD:g}); "
-                "region too long for this energy"
-            )
-        pieces = np.stack([c, s, ms]).reshape(6, nb, n_e)
+        pieces = np.stack(_propagator_entries(q, plan.seg_length)).reshape(6, nb, n_e)
         u = plan.jumps[j0 + 1 : j1 + 1].reshape(nb, 1, 4)
         np.multiply(
             pieces[_PIECE_INDEX].transpose(1, 2, 0), u[..., _ROTATION_INDEX], out=factors[:nb]
         )
-        if n_e == 1 and granule == 1 and _substitution_matches_dot():
-            gamma = _substitution_chain(factors[:nb].reshape(nb, 4, 4), gamma)
+        block_factors = factors[:nb].reshape(nb, n_e, 4, 4)
+        if substitute:
+            gamma[0] = _substitution_chain(block_factors[:, 0], gamma[0])
         else:
-            for product in _granule_products(factors[:nb].reshape(nb, *shape), granule):
-                gamma = multiply(product, gamma)
-    return gamma.reshape(n_e, 4, 4)
+            for product in _granule_products(block_factors, granule):
+                gamma = np.matmul(product, gamma)
+    return gamma
 
 
 # Lower band storage (row d holds the entries d below the diagonal, each in its
@@ -307,11 +290,11 @@ def _substitution_chain(factors: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     Forward substitution on the system above, one dtbsv call per column of
     gamma, runs the per-segment chain in compiled code: x_{k+1}[r] gathers
     F_k[r, c] x_k[c] for c = 0..3 in turn, one multiply-add each, as the
-    4x4 dgemm of `np.dot` does.  It is used only where the two agree bit for
-    bit (see `_substitution_matches_dot`).  A one-energy product on a
-    4096-segment scheme2 (1, 0, L = 4) plan at E = 0.7, best of nine, on a
-    2-vCPU Xeon: 3.7 ms, against 5.5-6.9 ms with one np.dot per segment and
-    2.0 ms for the granule tree at the open E = 2.5.
+    4x4 dgemm of the stacked matmul does.  It is used only where the two
+    agree bit for bit (see `_substitution_matches_batch`).  A one-energy
+    product on a 4096-segment scheme2 (1, 0, L = 4) plan at E = 0.7, best of
+    nine, on a 2-vCPU Xeon: 3.7 ms, against 5.5-6.9 ms with one 4x4 product
+    per segment and 2.0 ms for the granule tree at the open E = 2.5.
     """
     from scipy.linalg.blas import dtbsv  # deferred: slow import, needed only here
 
@@ -328,19 +311,23 @@ def _substitution_chain(factors: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _substitution_matches_dot() -> bool:
-    """Whether `_substitution_chain` reproduces a chain of np.dot calls bit for bit.
+def _substitution_matches_batch() -> bool:
+    """Whether `_substitution_chain` reproduces a batch's stacked chain bit for bit.
 
-    Both round each entry as a chain of fused multiply-adds in the same order
-    on the BLAS builds this was measured on; a build that rounds otherwise
-    keeps the per-segment loop.  Checked once, on 64 seeded random factors.
+    A lone closed energy must keep the bits it has in any larger batch, which
+    byte-identical output across batch sizes and workers rests on.  Both
+    round each entry as a chain of fused multiply-adds in the same order on
+    the BLAS builds this was measured on; a build that rounds otherwise keeps
+    the stacked chain.  Checked once, on 64 seeded random factors of a batch
+    of two energies, each row against its own substitution.
     """
     rng = np.random.default_rng(0)
-    factors, gamma = rng.standard_normal((64, 4, 4)), rng.standard_normal((4, 4))
+    factors, gamma = rng.standard_normal((64, 2, 4, 4)), rng.standard_normal((2, 4, 4))
     want = gamma
     for factor in factors:
-        want = np.dot(factor, want)
-    return np.array_equal(_substitution_chain(factors, gamma), want)
+        want = np.matmul(factor, want)
+    got = [_substitution_chain(factors[:, e], gamma[e]) for e in range(2)]
+    return np.array_equal(got, want)
 
 
 def _granule_products(factors: np.ndarray, granule: int) -> np.ndarray:

@@ -32,6 +32,24 @@ def test_winding_scheme_must_be_1_or_2(scheme):
         WindingField(q1=0, q2=0, length=3.0, scheme=scheme)
 
 
+@pytest.mark.parametrize(
+    "q1,q2", [(0.5, 0), (0, 1.5), (-1, 0), (np.nan, 0), (0, np.inf), (0, -np.inf)]
+)
+def test_winding_counts_must_be_whole_numbers(q1, q2):
+    with pytest.raises(ValueError, match="must be a whole number >= 0"):
+        WindingField(q1=q1, q2=q2, length=3.0, scheme=1)
+    for factory in (scheme1_field, scheme2_field):
+        with pytest.raises(ValueError, match="must be a whole number >= 0"):
+            factory(q1, q2, 3.0)
+
+
+def test_whole_float_and_numpy_counts_are_stored_as_ints():
+    f = WindingField(q1=1.0, q2=np.int64(2), length=3.0, scheme=2)
+    assert (type(f.q1), type(f.q2)) == (int, int)
+    assert f == WindingField(q1=1, q2=2, length=3.0, scheme=2)
+    assert f == scheme2_field(np.uint8(1), 2.0, 3.0)
+
+
 def test_factories_select_the_scheme():
     assert scheme1_field(1, 2, 3.0) == WindingField(q1=1, q2=2, length=3.0, scheme=1)
     assert scheme2_field(1, 2, 3.0) == WindingField(q1=1, q2=2, length=3.0, scheme=2)

@@ -41,7 +41,7 @@ def dblock_oracle(q, length):
 
 def propagator(q_diag, length):
     """D_length(Q) for a diagonal Q, assembled from `_propagator_entries`."""
-    c, s, ms, _ = _propagator_entries(np.asarray(q_diag), length)
+    c, s, ms = _propagator_entries(np.asarray(q_diag), length)
     return np.block([[np.diag(c), np.diag(s)], [np.diag(ms), np.diag(c)]])
 
 
@@ -291,7 +291,8 @@ class TestBlockedProduct:
         for length in (1e-3, 0.1, 2.0):
             got = _propagator_entries(q, length)
             want = propagator_entries_reference(q, length)
-            for g, w in zip(got, want):
+            assert len(got) == 3
+            for g, w in zip(got, want[:3]):
                 assert g.dtype == np.float64
                 assert np.array_equal(g, w)
 
@@ -311,12 +312,13 @@ class TestBlockedProduct:
         mixed = np.concatenate([rng.uniform(-3.0, 12.0, 19_000), near_cut, special])
         for q in (mixed, rng.uniform(0.0, 12.0, 500), rng.uniform(-3.0, -1e-3, 500)):
             got = _propagator_entries(q, length)
-            c, s, ms, kappa = propagator_entries_reference(q, length)
-            for g, w in zip(got, (c, s, ms, kappa)):
+            c, s, ms, _ = propagator_entries_reference(q, length)
+            assert len(got) == 3
+            for g, w in zip(got, (c, s, ms)):
                 assert g.dtype == np.float64
                 assert np.array_equal(g, w)
             # signed zeros too; -q * s is taken in real arithmetic on the real s
-            for g, w in zip(got, (c.real, s.real, -q * s.real, kappa)):
+            for g, w in zip(got, (c.real, s.real, -q * s.real)):
                 assert np.array_equal(np.signbit(g), np.signbit(w))
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
@@ -338,7 +340,7 @@ class TestBlockedProduct:
     def test_sub_range_and_small_blocks(self, name, monkeypatch):
         # a budget of 5 segments of 16 float64 entries for the whole batch, so
         # block boundaries fall inside the plan (each regime's rows get their
-        # share of it); a batch of one crosses them on the 2-D (4, 4) loop.
+        # share of it); a batch of one crosses them as a stack of one.
         # Open rows round their blocks up to whole granules of 32 segments.
         plan = segment_plan(PRODUCT_FIELDS[name](), 64)
         energies = np.array([-0.5, 0.3, 2.5])
@@ -376,12 +378,11 @@ class TestBlockedProduct:
                 assert np.array_equal(a.t, b.t)
                 assert np.array_equal(a.r, b.r)
 
-    def test_growth_guard_trips_after_the_first_block(self, monkeypatch):
+    def test_growth_guard_trips_where_the_reference_sum_does(self):
         # uniform field at E = -0.99: each segment of length 50/64 adds
         # (50/64) * sqrt(1.99) ~ 1.1 to the growth, which passes 60 in segment 55;
         # the first 48 segments (length 37.5) stay below it
         energies = np.array([-0.99])
-        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 8 * 16 * 8)  # 8 segments per block
         head = segment_plan(uniform_field(0.0, 37.5), 48)
         assert np.isfinite(_ordered_product(head, energies)).all()
         plan = segment_plan(uniform_field(0.0, 50.0), 64)
@@ -389,6 +390,21 @@ class TestBlockedProduct:
             ordered_product_reference(plan, energies)
         with pytest.raises(EvanescentOverflowError):
             _ordered_product(plan, energies)
+
+    def test_overflowing_batch_builds_no_factor(self, monkeypatch):
+        # the guard is decided for the whole batch before the first block
+        calls = []
+        entries = transfer._propagator_entries
+        monkeypatch.setattr(
+            transfer, "_propagator_entries", lambda *args: calls.append(1) or entries(*args)
+        )
+        plan = segment_plan(uniform_field(0.0, 50.0), 64)
+        for batch in ([-0.99], [2.5, -0.99], [0.0, -0.99]):
+            with pytest.raises(EvanescentOverflowError, match=r"exceeds exp\(60\)"):
+                _ordered_product(plan, np.array(batch))
+        assert not calls
+        _ordered_product(plan, np.array([2.5, 0.0]))  # growth 50 at E = 0
+        assert calls
 
     def test_threaded_batch_equals_serial_batch(self, monkeypatch):
         plan = segment_plan(scheme2_field(1, 0, 5.0), 512)
@@ -413,7 +429,8 @@ class TestBlockedProduct:
 
     def test_growth_guard_trips_in_the_last_chunk_only(self, monkeypatch):
         # uniform field, L = 50: growth 50 * sqrt(1 - E) passes 60 below E = -0.44,
-        # which only the last of three chunks of this descending grid reaches
+        # which only the last of three chunks of this descending grid reaches;
+        # the whole batch is refused, and no thread outlives the call
         monkeypatch.setattr(transfer, "usable_cpus", lambda: 3)
         plan = segment_plan(uniform_field(0.0, 50.0), transfer._MIN_SPLIT_SEGMENTS)
         energies = np.linspace(5.0, -0.99, 600)
@@ -515,9 +532,9 @@ class TestClosedSubstitution:
     """One closed energy runs its per-segment chain as a banded triangular solve."""
 
     def test_one_closed_energy_runs_the_substitution(self, monkeypatch):
-        # the BLAS build this suite runs on reproduces np.dot, so the
-        # bit-identity tests above exercise the substitution
-        assert transfer._substitution_matches_dot()
+        # the BLAS build this suite runs on reproduces a batch's stacked
+        # chain, so the bit-identity tests above exercise the substitution
+        assert transfer._substitution_matches_batch()
         calls = []
         substitution = transfer._substitution_chain
         monkeypatch.setattr(
@@ -529,9 +546,21 @@ class TestClosedSubstitution:
             batch = np.array(batch)
             assert np.array_equal(_ordered_product(plan, batch), product_reference(plan, batch))
             assert len(calls) == blocks
-        # a build whose substitution rounds otherwise keeps the np.dot loop
-        monkeypatch.setattr(transfer, "_substitution_matches_dot", lambda: False)
-        calls.clear()
+
+    def test_probe_catches_a_one_ulp_difference(self, monkeypatch):
+        # a build whose substitution rounds one entry otherwise fails the
+        # probe, and its lone closed energy keeps the stacked chain
+        substitution = transfer._substitution_chain
+
+        def nudged(*args):
+            out = substitution(*args)
+            out[2, 1] = np.nextafter(out[2, 1], np.inf)
+            return out
+
+        monkeypatch.setattr(transfer, "_substitution_chain", nudged)
+        probe = transfer._substitution_matches_batch.__wrapped__  # uncached
+        assert not probe()
+        monkeypatch.setattr(transfer, "_substitution_matches_batch", probe)
+        plan = segment_plan(scheme1_field(1, 0, 3.0), 600)
         closed = np.array([-0.5])
         assert np.array_equal(_ordered_product(plan, closed), product_reference(plan, closed))
-        assert not calls
