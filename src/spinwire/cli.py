@@ -7,10 +7,13 @@ Commands:
   current       Landauer current for a bias window on the configured grid
 
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
-flags override file keys.  Unknown keys are hard errors.  Sweeps are
-deterministic: identical configuration yields byte-identical CSV, floats are
-rendered with at most 12 significant digits, and energy grids are nudged off
-the exact band edges by 1e-9 (with a note on stderr, never in the CSV).
+flags override file keys.  Unknown keys are hard errors.  A sweep solves its
+whole grid as one batch in this process; the transfer product alone spreads a
+large batch over the usable CPUs, in threads.  Sweeps are deterministic:
+identical configuration yields byte-identical CSV whatever the thread split,
+floats are rendered with at most 12 significant digits, and energy grids are
+nudged off the exact band edges by 1e-9 (with a note on stderr, never in the
+CSV).
 
 Exit codes: 0 success/PASS, 1 usage or config error, 2 validation FAIL,
 3 numeric failure.
@@ -21,10 +24,8 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields
-from itertools import repeat
 
 import numpy as np
 
@@ -60,7 +61,6 @@ from .scattering import (
 )
 from .analytic import WallConfig, delta_wall_scattering, magnetic_wall_scattering
 from .lattice import fd_scattering
-from .transfer import usable_cpus
 
 NUMERIC_ERRORS = (
     RegimeError,
@@ -224,17 +224,9 @@ def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
     }
 
 
-def run_sweep(cfg: SweepConfig, out, diag, workers: int = 1) -> int:
+def run_sweep(cfg: SweepConfig, out, diag) -> int:
     field = build_field(cfg)
-    grid = energy_grid(cfg, diag)
-    if workers > 1:
-        chunks = np.array_split(grid, min(workers * 4, grid.size))
-        # a fork pool starts all its processes at once: no more than the chunks or CPUs
-        with ProcessPoolExecutor(max_workers=min(workers, len(chunks), usable_cpus())) as pool:
-            parts = pool.map(solve_scattering_batch, repeat(field), chunks, repeat(cfg.segments))
-            results = [res for part in parts for res in part]
-    else:
-        results = solve_scattering_batch(field, grid, cfg.segments)
+    results = solve_scattering_batch(field, energy_grid(cfg, diag), cfg.segments)
     columns = cfg.csv_columns()
     numbers = _sweep_numbers(field, results)
     cells = {name: list(map(_fmt, numbers[name].tolist())) for name in columns if name in numbers}
@@ -397,7 +389,6 @@ def make_parser() -> argparse.ArgumentParser:
     )
     _add_config_flags(sweep)
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
-    sweep.add_argument("--workers", type=int, default=1, help="parallel workers (order-preserving)")
 
     validate = sub.add_parser("validate", help="cross-check the engine against a reference")
     _add_config_flags(validate)
@@ -424,12 +415,10 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
-        if args.command == "sweep" and args.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if args.command in ("sweep", "dump-profile"):
             with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
                 if args.command == "sweep":
-                    return run_sweep(cfg, out, sys.stderr, workers=args.workers)
+                    return run_sweep(cfg, out, sys.stderr)
                 return run_dump_profile(cfg, out)
         if args.command == "validate":
             return run_validate(cfg, args.against, sys.stdout, sys.stderr)

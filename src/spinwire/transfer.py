@@ -29,7 +29,7 @@ a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
 unitarity where the complex evaluation passes.
 
 The association of the product depends only on the plan and on the energy's
-regime, never on the batch, the block size, the threads or the workers.
+regime, never on the batch, the block size or the thread split.
 Every batch, a batch of one included, is an (n, 4, 4) stack chained with
 np.matmul, and a batch in which some energy's evanescent growth passes
 exp(GROWTH_GUARD) is refused before any factor is built (`_check_growth`).
@@ -179,7 +179,7 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     )
 
 
-def usable_cpus() -> int:
+def _usable_cpus() -> int:
     """CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -201,7 +201,7 @@ def _ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     _check_growth(plan, energies)
-    n_chunks = min(usable_cpus(), energies.shape[0] // _MIN_CHUNK_ENERGIES)
+    n_chunks = min(_usable_cpus(), energies.shape[0] // _MIN_CHUNK_ENERGIES)
     if n_chunks < 2 or plan.n_segments < _MIN_SPLIT_SEGMENTS:
         return _serial_product(plan, energies)
     from concurrent.futures import ThreadPoolExecutor  # here, so `import spinwire` skips it
@@ -315,7 +315,7 @@ def _substitution_matches_batch() -> bool:
     """Whether `_substitution_chain` reproduces a batch's stacked chain bit for bit.
 
     A lone closed energy must keep the bits it has in any larger batch, which
-    byte-identical output across batch sizes and workers rests on.  Both
+    byte-identical output across batch sizes and thread splits rests on.  Both
     round each entry as a chain of fused multiply-adds in the same order on
     the BLAS builds this was measured on; a build that rounds otherwise keeps
     the stacked chain.  Checked once, on 64 seeded random factors of a batch

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinwire
-from spinwire import cli
+from spinwire import cli, transfer
 from spinwire.fields import load_profile
 
 from conftest import hs_norm_reference, probability_table_reference
@@ -81,18 +81,27 @@ def test_sweep_respects_output_groups(capsys):
     ]
 
 
-def test_sweep_workers_do_not_change_bytes(tmp_path, capsys):
-    # with two or more CPUs, 600 points split into two product threads at
-    # --workers 1; at --workers 2 each of the 8 process chunks of 2048 points
-    # (256 energies) splits too
+def test_sweep_workers_do_not_change_bytes(tmp_path, monkeypatch, capsys):
+    # the product's threads are a sweep's only workers: 12 points run
+    # serially, and 600 and 2048 points split into one thread per patched CPU
     for points in ("12", "600", "2048"):
         args = SWEEP_ARGS + ["--points", points]
-        out1 = tmp_path / f"serial{points}.csv"
-        out2 = tmp_path / f"parallel{points}.csv"
-        code1, _, _ = run_cli(args + ["--out", str(out1)], capsys)
-        code2, _, _ = run_cli(args + ["--workers", "2", "--out", str(out2)], capsys)
-        assert code1 == code2 == 0
-        assert out1.read_bytes() == out2.read_bytes()
+        csvs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"sweep{points}_{cpus}.csv"
+            code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+            assert code == 0
+            csvs.append(out.read_bytes())
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0], points
+
+
+def test_workers_flag_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "out.csv"
+    code, out, err = run_cli(SWEEP_ARGS + ["--workers", "2", "--out", str(out_path)], capsys)
+    assert code == 1
+    assert "unrecognized arguments" in err and "--workers" in err
+    assert out == "" and not out_path.exists()
 
 
 def test_uniform_sweep_is_transparent(capsys):
@@ -227,15 +236,6 @@ def test_non_finite_angle_is_a_config_error(scheme_args, capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("workers", ["0", "-4"])
-def test_workers_below_one_is_a_config_error(workers, tmp_path, capsys):
-    out_path = tmp_path / "out.csv"
-    code, out, err = run_cli(SWEEP_ARGS + ["--workers", workers, "--out", str(out_path)], capsys)
-    assert code == 1
-    assert err == "error: workers must be >= 1\n"
-    assert out == "" and not out_path.exists()
-
-
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-8"])
 def test_defect_tol_must_be_non_negative_and_finite(tol, capsys):
     code, out, err = run_cli(SWEEP_ARGS + [f"--defect-tol={tol}"], capsys)
@@ -256,35 +256,6 @@ def test_nan_defect_is_flagged(monkeypatch, capsys):
     assert code == 0
     flags = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
     assert flags == ["1"] + ["0"] * (len(flags) - 1)
-
-
-@pytest.mark.parametrize(
-    "workers, points, cpus, size",
-    [(500, 1, 64, 1), (500, 40, 3, 3), (2, 40, 64, 2), (3, 2, 64, 2)],
-)
-def test_process_pool_is_bounded_by_chunks_and_cpus(workers, points, cpus, size, monkeypatch, capsys):
-    # a fork pool starts every process it may use at once; this one maps in-process
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
-    args = SWEEP_ARGS + ["--points", str(points)]
-    serial = run_cli(args, capsys)
-    pooled = run_cli(args + ["--workers", str(workers)], capsys)
-    assert sizes == [size]
-    assert pooled == serial and serial[0] == 0
 
 
 # The per-energy rows and row loop that the batch tail of `run_sweep`
@@ -336,8 +307,8 @@ def test_sweep_csv_equals_the_per_energy_reference(field_args, capsys):
     # 61 points on [-1, 5] nudge both band edges and cover both regimes
     base = ["sweep", *field_args, "--E-min", "-1", "--E-max", "5", "--points", "61",
             "--segments", "256"]
-    for outputs, workers in [(o, "1") for o in OUTPUT_SUBSETS] + [(cli.SweepConfig.outputs, "2")]:
-        argv = base + ["--outputs", outputs, "--workers", workers]
+    for outputs in OUTPUT_SUBSETS:
+        argv = base + ["--outputs", outputs]
         code, out, err = run_cli(argv, capsys)
         cfg = cli.build_config(cli.make_parser().parse_args(argv))
         assert (code, out) == (0, sweep_csv_reference(cfg)), argv
@@ -546,17 +517,19 @@ def test_console_entry_point_runs():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported only by TabulatedField and the lattice oracle
+    # scipy is imported only by TabulatedField and the lattice oracle, the
+    # thread pool only by a split product, and no process pool at all
+    heavy = ("scipy", "multiprocessing", "concurrent.futures")
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, spinwire, spinwire.cli; print('scipy' in sys.modules)"],
+         f"import sys, spinwire, spinwire.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         capture_output=True,
         text=True,
         timeout=120,
         env=package_env(),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_current_prints_grid_warning_as_plain_line():

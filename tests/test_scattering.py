@@ -154,6 +154,21 @@ class TestLandauer:
         grid = np.linspace(4.9, 5.1, 21)
         assert landauer_current(u, 5.0, 5.0, 0.0, grid, 64) == 0.0
 
+    @pytest.mark.parametrize(
+        "grid, error",
+        [([], ValueError), ([np.nan], ValueError), ([-2.0, 0.5], RegimeError),
+         ([1.0, 0.5], ThresholdError)],
+        ids=["empty", "nan", "below-both-bands", "band-edge"],
+    )
+    def test_zero_bias_refuses_the_grids_a_bias_refuses(self, grid, error):
+        f = scheme1_field(0, 0, 3.0)
+        refusals = []
+        for mu_right in (2.0, 2.5):  # a bias, then none
+            with pytest.raises(error) as refused:
+                landauer_current(f, 2.5, mu_right, 0.0, grid, 64)
+            refusals.append((type(refused.value), str(refused.value)))
+        assert refusals[0] == refusals[1] and refusals[0][0] is error
+
     def test_transparent_wire_small_bias(self):
         u = uniform_field(0.0, 2.0)
         grid = np.linspace(4.9, 5.1, 81)

@@ -419,7 +419,7 @@ class TestBlockedProduct:
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         products = {}
         for cpus in (1, 2, 3):
-            monkeypatch.setattr(transfer, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
             products[cpus] = _ordered_product(plan, energies)
         assert pools == [2, 3]  # one CPU runs serially, more split the batch
         assert np.array_equal(products[1], products[2])
@@ -431,7 +431,7 @@ class TestBlockedProduct:
         # uniform field, L = 50: growth 50 * sqrt(1 - E) passes 60 below E = -0.44,
         # which only the last of three chunks of this descending grid reaches;
         # the whole batch is refused, and no thread outlives the call
-        monkeypatch.setattr(transfer, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 3)
         plan = segment_plan(uniform_field(0.0, 50.0), transfer._MIN_SPLIT_SEGMENTS)
         energies = np.linspace(5.0, -0.99, 600)
         threads = threading.active_count()
@@ -445,11 +445,11 @@ class TestBlockedProduct:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(transfer, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
         plan = segment_plan(scheme1_field(1, 0, 3.0), 64)
         small = np.linspace(-0.9, 4.0, 2 * transfer._MIN_CHUNK_ENERGIES - 1)
         assert np.array_equal(_ordered_product(plan, small), product_reference(plan, small))
-        monkeypatch.setattr(transfer, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         large = np.linspace(-0.9, 4.0, 600)
         assert np.array_equal(_ordered_product(plan, large), product_reference(plan, large))
 
@@ -458,7 +458,7 @@ class TestBlockedProduct:
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(transfer, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
         energies = np.linspace(-0.9, 4.0, 600)
         for n_segments in (1, transfer._MIN_SPLIT_SEGMENTS - 1):
             plan = segment_plan(scheme1_field(1, 0, 3.0), n_segments)
@@ -483,7 +483,7 @@ class TestOpenTree:
         edge = plan.magnitudes.max()
         below = np.nextafter(edge, -np.inf)
         energies = np.concatenate([np.linspace(edge - 1.5, edge + 3.0, 598), [edge, below]])
-        monkeypatch.setattr(transfer, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         whole = _ordered_product(plan, energies)
         # the edge itself is open, the float just below it is closed
         assert np.array_equal(whole[-2], tree_product_reference(plan, [edge])[0])
@@ -494,12 +494,12 @@ class TestOpenTree:
         assert np.array_equal(singles, whole)
         assert np.array_equal(chunks, whole)
         for cpus in (2, 3):
-            monkeypatch.setattr(transfer, "usable_cpus", lambda: cpus)
+            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
             assert np.array_equal(_ordered_product(plan, energies), whole)
         # a budget of 5 segments for the whole batch cuts the closed rows'
         # blocks inside the plan, and the open rows round theirs up to one
         # granule; no row moves
-        monkeypatch.setattr(transfer, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
         assert np.array_equal(_ordered_product(plan, energies), whole)
 
