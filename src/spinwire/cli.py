@@ -284,7 +284,7 @@ def _deviation(a, b) -> float:
     return max(float(np.max(np.abs(a.t - b.t))), float(np.max(np.abs(a.r - b.r))))
 
 
-def run_validate(cfg: SweepConfig, against: str, out, diag) -> int:
+def run_validate(cfg: SweepConfig, against: str, out) -> int:
     field = build_field(cfg)
     lines = []
     if against == "oracle":
@@ -421,7 +421,7 @@ def main(argv=None) -> int:
                     return run_sweep(cfg, out, sys.stderr)
                 return run_dump_profile(cfg, out)
         if args.command == "validate":
-            return run_validate(cfg, args.against, sys.stdout, sys.stderr)
+            return run_validate(cfg, args.against, sys.stdout)
         return run_current(cfg, args.mu_left, args.mu_right, args.temp, sys.stdout, sys.stderr)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from .core import (
     scattering_channels,
 )
 from .fields import PlanarField
-from .transfer import SegmentPlan, flow_defect, gamma_piecewise_batch, segment_plan
+from .transfer import SegmentPlan, flow_defect, ordered_product, segment_plan
 
 DEFAULT_SEGMENTS = 4096
 
@@ -35,9 +35,10 @@ DEFAULT_SEGMENTS = 4096
 class ScatterResult:
     """Scattering matrices at one energy plus derived observables.
 
-    ``flow_defect`` is `transfer.flow_defect` of the energy's gamma_tilde, an
-    absolute norm that bounds the rounding of the product only above the
-    upper band; its docstring gives a large reading on a correct result.
+    ``flow_defect`` is `transfer.flow_defect` of the energy's real product
+    gamma, equal to gamma_tilde's up to rounding: the Berry strip
+    diag(U^dag, U^dag), U a real rotation, is orthogonal and commutes with J.
+    It bounds the product's rounding only above the upper band (see its docstring).
     """
 
     t: np.ndarray
@@ -113,18 +114,17 @@ def solve_scattering_batch(
 
     The batch is a non-empty 1-D sequence (or one scalar).  All energies must
     be strictly above the lower band edge and away from the exact thresholds;
-    the sweep layer is responsible for nudging its grids.
+    the sweep layer is responsible for nudging its grids.  It matches on the
+    real `ordered_product`: the Berry strip of gamma_tilde would cancel here.
     """
     energies = energy_batch(energies)
     channels = scattering_channels(energies)
 
     if plan is None:
         plan = segment_plan(field, n_segments)
-    gamma, gamma_tilde, berry = gamma_piecewise_batch(field, energies, plan.n_segments, plan=plan)
-    x00 = gamma_tilde[:, :2, :2]
-    x01 = gamma_tilde[:, :2, 2:]
-    x10 = gamma_tilde[:, 2:, :2]
-    x11 = gamma_tilde[:, 2:, 2:]
+    gamma = ordered_product(plan, energies)
+    g00, g01 = gamma[:, :2, :2], gamma[:, :2, 2:]
+    g10, g11 = gamma[:, 2:, :2], gamma[:, 2:, 2:]
 
     k = np.array([[ch.k0, ch.k1] for ch in channels], dtype=complex)
     w = np.stack([np.ones_like(k[:, 0]), np.sqrt(k[:, 1] / k[:, 0])], axis=-1)
@@ -133,16 +133,15 @@ def solve_scattering_batch(
 
     # batched diagonals: diag(d) @ m is d[:, :, None] * m, m @ diag(d) is m * d[:, None, :]
     kc, kr = k[:, :, None], k[:, None, :]
-    u = berry[None, :, :]
-    plus = x00 + 1j * (x01 * kr)  # X00 + i X01 V
-    minus = x00 - 1j * (x01 * kr)  # X00 - i X01 V
-    a_mat = u @ (x11 * kr + 1j * x10) + kc * (u @ minus)
-    b_mat = u @ (x11 * kr - 1j * x10) - kc * (u @ plus)
+    plus = g00 + 1j * (g01 * kr)  # G00 + i G01 K
+    minus = g00 - 1j * (g01 * kr)  # G00 - i G01 K
+    a_mat = g11 * kr + 1j * g10 + kc * minus
+    b_mat = g11 * kr - 1j * g10 - kc * plus
     r_w = _inv2(a_mat) @ b_mat
     r = w[:, :, None] * (r_w * winv)
-    t = (w * fr_dag)[:, :, None] * ((u @ (plus + minus @ r_w)) * winv)
+    t = (w * fr_dag)[:, :, None] * ((plus + minus @ r_w) * winv)
 
-    return build_results(t, r, channels, plan.n_segments, flow_defect(gamma_tilde))
+    return build_results(t, r, channels, plan.n_segments, flow_defect(gamma))
 
 
 def solve_scattering(

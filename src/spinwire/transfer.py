@@ -29,10 +29,11 @@ a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
 unitarity where the complex evaluation passes.
 
 The association of the product depends only on the plan and on the energy's
-regime, never on the batch, the block size or the thread split.
-Every batch, a batch of one included, is an (n, 4, 4) stack chained with
-np.matmul, and a batch in which some energy's evanescent growth passes
-exp(GROWTH_GUARD) is refused before any factor is built (`_check_growth`).
+regime, never on the batch, the block size or the thread split (a large
+batch runs in threads, see `ordered_product`).  Every batch, a batch of one
+included, is an (n, 4, 4) stack chained with np.matmul, and a batch in which
+some energy's evanescent growth passes exp(GROWTH_GUARD) is refused before
+any factor is built (`_check_growth`).
 
 * An energy with a channel closed on some segment (E < max|B|) has a granule
   of one segment: it multiplies its factors one at a time, as a plain
@@ -73,7 +74,7 @@ GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
 # never below one (_GRANULE rows: 2.4 MB at 600 open energies).
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ROWS = 256
-# Fewest energies a thread's chunk of a batch may hold (see _ordered_product).
+# Fewest energies a thread's chunk of a batch may hold (see ordered_product).
 # Two threads against one on an otherwise idle 2-vCPU machine, 4096-segment
 # scheme1 plan:
 #   energies   20     32     48     96         192        256        600
@@ -186,8 +187,8 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
-    """Batched transfer product over all segments of the plan, in float64.
+def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
+    """The real transfer product gamma of a batch, in float64: what the matching uses.
 
     The batch passes `_check_growth` first.  An energy's product depends only
     on the plan and on that energy (see the module docstring), so a large
@@ -372,16 +373,16 @@ def gamma_piecewise_batch(
     n_segments: int,
     plan: SegmentPlan | None = None,
 ):
-    """Transfer matrices for many energies at once.
+    """The paper's geometric x dynamical factorization; no solve path calls it.
 
-    Returns (gamma, gamma_tilde) with shape (n_energies, 4, 4), gamma real
-    and gamma_tilde complex, plus the full-interval transport matrix shared by
-    all energies.  The batch is a non-empty 1-D sequence (or one scalar).
+    Returns gamma = `ordered_product` and gamma_tilde = diag(U^dag, U^dag) gamma,
+    both (n_energies, 4, 4), and the full-interval transport U shared by all
+    energies.  The batch is a non-empty 1-D sequence (or one scalar).
     """
     energies = energy_batch(energies)
     if plan is None:
         plan = segment_plan(field, n_segments)
-    gamma = _ordered_product(plan, energies)
+    gamma = ordered_product(plan, energies)
     berry = planar_rotation(field.theta_right - field.theta_left)
     gamma_tilde = np.einsum("ij,ejk->eik", _diag4(berry.conj().T), gamma)
     return gamma, gamma_tilde, berry
@@ -406,15 +407,15 @@ def gamma_piecewise(field: PlanarField, energy: float, n_segments: int) -> Trans
     )
 
 
-def flow_defect(gamma_tilde: np.ndarray):
-    """Deviation of gamma_tilde from preserving the symplectic form J.
+def flow_defect(gamma: np.ndarray):
+    """Deviation of a transfer matrix gamma from preserving the symplectic form J.
 
-    It is the absolute Hilbert-Schmidt norm of gamma_tilde^dag J gamma_tilde - J,
-    one per matrix of a stack.
-    Once a channel is evanescent the entries of gamma_tilde grow, and rounding
-    alone makes this norm grow like eps * |gamma_tilde|^2.  It therefore bounds
+    It is the absolute Hilbert-Schmidt norm of gamma^dag J gamma - J, one per
+    matrix of a stack; gamma_tilde reads the same up to rounding.
+    Once a channel is evanescent the entries of gamma grow, and rounding
+    alone makes this norm grow like eps * |gamma|^2.  It therefore bounds
     the rounding of the product only above the upper band (E > 1).  Below it a
     correct product can read large: scheme1 at L = 10, E = -0.95 reads 1.4e-4
     on a result within 7e-8 of the lattice oracle.
     """
-    return hs_norm(np.conj(gamma_tilde).swapaxes(-1, -2) @ J4 @ gamma_tilde - J4)
+    return hs_norm(np.conj(gamma).swapaxes(-1, -2) @ J4 @ gamma - J4)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spinwire
-from spinwire import cli, scattering
+from spinwire import cli, scattering, transfer
 from spinwire.core import (
     J4,
     ChannelData,
@@ -373,6 +373,21 @@ def random_amplitudes(rng, n):
     return t, r
 
 
+# the fields of the engine-level assembly and matching references
+engine_fields = pytest.mark.parametrize(
+    "field",
+    [scheme1_field(1, 1, 3.0), scheme2_field(0, 1, 6.0), magnetic_wall_field(0.3, 2.0, 2.0)],
+    ids=["scheme1", "scheme2", "wall"],
+)
+
+
+def cli_grid_and_edges():
+    """The CLI's 601-point grid with its nudged band edges, and that grid with
+    the energies next to E = 1 appended."""
+    grid = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601), io.StringIO())
+    return grid, np.concatenate([grid, [1.0 - 1e-12, 1.0 + 1e-13, np.nextafter(1.0, 2.0)]])
+
+
 class TestBatchAssembly:
     def test_build_results_equal_the_per_energy_reference(self):
         rng = np.random.default_rng(12)
@@ -396,22 +411,15 @@ class TestBatchAssembly:
         want = [build_result_reference(t[i], r[i], ch) for i, ch in enumerate(channels)]
         assert_results_equal_reference(got, want)
 
-    @pytest.mark.parametrize(
-        "field",
-        [scheme1_field(1, 1, 3.0), scheme2_field(0, 1, 6.0), magnetic_wall_field(0.3, 2.0, 2.0)],
-        ids=["scheme1", "scheme2", "wall"],
-    )
+    @engine_fields
     def test_engine_results_equal_the_per_energy_reference(self, field):
-        # the CLI's grid with its nudged band edges, and energies next to the edges
-        config = cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601)
-        grid = cli.energy_grid(config, io.StringIO())
-        assert grid[0] == -1.0 + 1e-9 and grid[200] == 1.0 + 1e-9
-        grid = np.concatenate([grid, [1.0 - 1e-12, 1.0 + 1e-13, np.nextafter(1.0, 2.0)]])
+        cli_grid, grid = cli_grid_and_edges()
+        assert cli_grid[0] == -1.0 + 1e-9 and cli_grid[200] == 1.0 + 1e-9
         results = solve_scattering_batch(field, grid, 256)
-        _, gamma_tilde, _ = gamma_piecewise_batch(field, grid, 256)
+        gamma, _, _ = gamma_piecewise_batch(field, grid, 256)
         want = [
             build_result_reference(res.t, res.r, res.channel, 256, flow_defect_reference(g))
-            for res, g in zip(results, gamma_tilde)
+            for res, g in zip(results, gamma)
         ]
         assert_results_equal_reference(results, want)
 
@@ -422,6 +430,64 @@ class TestBatchAssembly:
         assert stacked.shape == (500,)
         assert stacked.tobytes() == np.array([flow_defect_reference(g) for g in gamma_tilde]).tobytes()
         assert spinwire.hs_norm(gamma_tilde[0]) == hs_norm_reference(gamma_tilde[0])
+
+
+def berry_matching_reference(field, energies, n_segments):
+    """t, r and the flow defect from the matching the engine used before it
+    took the real product: on gamma_tilde, with the Berry factor U multiplied
+    back, U (X11 K + i X10) + K U (X00 - i X01 K) and so on."""
+    channels = spinwire.scattering_channels(energies)
+    _, gamma_tilde, berry = gamma_piecewise_batch(field, energies, n_segments)
+    x00, x01 = gamma_tilde[:, :2, :2], gamma_tilde[:, :2, 2:]
+    x10, x11 = gamma_tilde[:, 2:, :2], gamma_tilde[:, 2:, 2:]
+    k = np.array([[ch.k0, ch.k1] for ch in channels], dtype=complex)
+    w = np.stack([np.ones_like(k[:, 0]), np.sqrt(k[:, 1] / k[:, 0])], axis=-1)
+    winv = 1.0 / w[:, None, :]
+    fr_dag = np.exp(-1j * k * field.length)
+    kc, kr = k[:, :, None], k[:, None, :]
+    u = berry[None, :, :]
+    plus = x00 + 1j * (x01 * kr)
+    minus = x00 - 1j * (x01 * kr)
+    a_mat = u @ (x11 * kr + 1j * x10) + kc * (u @ minus)
+    b_mat = u @ (x11 * kr - 1j * x10) - kc * (u @ plus)
+    r_w = scattering._inv2(a_mat) @ b_mat
+    r = w[:, :, None] * (r_w * winv)
+    t = (w * fr_dag)[:, :, None] * ((u @ (plus + minus @ r_w)) * winv)
+    return t, r, flow_defect(gamma_tilde)
+
+
+class TestRealProductMatching:
+    @engine_fields
+    def test_matching_on_gamma_agrees_with_the_berry_matching(self, field):
+        _, grid = cli_grid_and_edges()
+        results = solve_scattering_batch(field, grid, 256)
+        t_ref, r_ref, flow_ref = berry_matching_reference(field, grid, 256)
+        t = np.array([res.t for res in results])
+        r = np.array([res.r for res in results])
+        flow = np.array([res.flow_defect for res in results])
+        two = grid > 1.0
+        # Measured worst cases over the three fields, 10x below each bound:
+        # 3.8e-12 on the two-channel entries (scheme2 at E = nextafter(1, 2),
+        # where w1 = sqrt(k1/k0) is tiny), 2.8e-13 on single-channel t00 and
+        # r00 (scheme2, E = -0.31) and 3.8e-15 on the flow defect (scheme2).
+        assert np.max(np.abs(t - t_ref)[two]) < 4e-11
+        assert np.max(np.abs(r - r_ref)[two]) < 4e-11
+        assert np.max(np.abs(t - t_ref)[~two, 0, 0]) < 3e-12
+        assert np.max(np.abs(r - r_ref)[~two, 0, 0]) < 3e-12
+        assert np.max(np.abs(flow - flow_ref)[two]) < 4e-14
+
+    def test_solves_never_strip_the_berry_factor(self, monkeypatch, capsys):
+        def refuse(u):
+            raise AssertionError("a solve built the Berry strip")
+
+        monkeypatch.setattr(transfer, "_diag4", refuse)
+        with pytest.raises(AssertionError):
+            gamma_piecewise_batch(scheme1_field(1, 1, 3.0), [2.0], 64)
+        results = solve_scattering_batch(scheme1_field(1, 1, 3.0), [-0.5, 0.5, 2.0], 64)
+        assert all(np.isfinite(res.t).all() for res in results)
+        argv = ["sweep", "--scheme", "scheme2", "--L", "3", "--points", "12", "--segments", "64"]
+        assert cli.main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 13
 
 
 def assert_columns_equal_reference(results, u):

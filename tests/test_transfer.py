@@ -22,7 +22,7 @@ from spinwire.fields import (
 from spinwire.scattering import solve_scattering_batch
 from spinwire.transfer import (
     GROWTH_GUARD,
-    _ordered_product,
+    ordered_product,
     _propagator_entries,
     flow_defect,
     gamma_piecewise,
@@ -330,7 +330,7 @@ class TestBlockedProduct:
         # -0.5 is closed on every field; 2.5 is open on every field, 0.3 on the wall only
         energies = np.array([-0.5, 0.3, 2.5])
         for batch in (energies, energies[:1], energies[1:2], energies[2:]):
-            got = _ordered_product(plan, batch)
+            got = ordered_product(plan, batch)
             assert got.dtype == np.float64
             # array_equal against a complex array also asserts a zero imaginary part
             assert np.array_equal(got, product_reference(plan, batch))
@@ -347,7 +347,7 @@ class TestBlockedProduct:
         for batch in (energies, energies[1:2], energies[2:]):
             monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * batch.size)
             want = product_reference(plan, batch)
-            assert np.array_equal(_ordered_product(plan, batch), want)
+            assert np.array_equal(ordered_product(plan, batch), want)
 
     def test_one_energy_product_peak_allocation(self):
         # row-capped blocks keep a one-energy call's temporaries small (2.3 MiB
@@ -357,7 +357,7 @@ class TestBlockedProduct:
         for energy in (0.7, 2.5):
             tracemalloc.start()
             try:
-                _ordered_product(plan, np.array([energy]))
+                ordered_product(plan, np.array([energy]))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -384,12 +384,12 @@ class TestBlockedProduct:
         # the first 48 segments (length 37.5) stay below it
         energies = np.array([-0.99])
         head = segment_plan(uniform_field(0.0, 37.5), 48)
-        assert np.isfinite(_ordered_product(head, energies)).all()
+        assert np.isfinite(ordered_product(head, energies)).all()
         plan = segment_plan(uniform_field(0.0, 50.0), 64)
         with pytest.raises(EvanescentOverflowError):
             ordered_product_reference(plan, energies)
         with pytest.raises(EvanescentOverflowError):
-            _ordered_product(plan, energies)
+            ordered_product(plan, energies)
 
     def test_overflowing_batch_builds_no_factor(self, monkeypatch):
         # the guard is decided for the whole batch before the first block
@@ -401,9 +401,9 @@ class TestBlockedProduct:
         plan = segment_plan(uniform_field(0.0, 50.0), 64)
         for batch in ([-0.99], [2.5, -0.99], [0.0, -0.99]):
             with pytest.raises(EvanescentOverflowError, match=r"exceeds exp\(60\)"):
-                _ordered_product(plan, np.array(batch))
+                ordered_product(plan, np.array(batch))
         assert not calls
-        _ordered_product(plan, np.array([2.5, 0.0]))  # growth 50 at E = 0
+        ordered_product(plan, np.array([2.5, 0.0]))  # growth 50 at E = 0
         assert calls
 
     def test_threaded_batch_equals_serial_batch(self, monkeypatch):
@@ -420,7 +420,7 @@ class TestBlockedProduct:
         products = {}
         for cpus in (1, 2, 3):
             monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
-            products[cpus] = _ordered_product(plan, energies)
+            products[cpus] = ordered_product(plan, energies)
         assert pools == [2, 3]  # one CPU runs serially, more split the batch
         assert np.array_equal(products[1], products[2])
         assert np.array_equal(products[1], products[3])
@@ -435,9 +435,9 @@ class TestBlockedProduct:
         plan = segment_plan(uniform_field(0.0, 50.0), transfer._MIN_SPLIT_SEGMENTS)
         energies = np.linspace(5.0, -0.99, 600)
         threads = threading.active_count()
-        assert np.isfinite(_ordered_product(plan, energies[:400])).all()
+        assert np.isfinite(ordered_product(plan, energies[:400])).all()
         with pytest.raises(EvanescentOverflowError):
-            _ordered_product(plan, energies)
+            ordered_product(plan, energies)
         assert threading.active_count() == threads
 
     def test_small_batches_start_no_thread(self, monkeypatch):
@@ -448,10 +448,10 @@ class TestBlockedProduct:
         monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
         plan = segment_plan(scheme1_field(1, 0, 3.0), 64)
         small = np.linspace(-0.9, 4.0, 2 * transfer._MIN_CHUNK_ENERGIES - 1)
-        assert np.array_equal(_ordered_product(plan, small), product_reference(plan, small))
+        assert np.array_equal(ordered_product(plan, small), product_reference(plan, small))
         monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         large = np.linspace(-0.9, 4.0, 600)
-        assert np.array_equal(_ordered_product(plan, large), product_reference(plan, large))
+        assert np.array_equal(ordered_product(plan, large), product_reference(plan, large))
 
     def test_thin_plans_start_no_thread(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -463,7 +463,7 @@ class TestBlockedProduct:
         for n_segments in (1, transfer._MIN_SPLIT_SEGMENTS - 1):
             plan = segment_plan(scheme1_field(1, 0, 3.0), n_segments)
             want = product_reference(plan, energies)
-            assert np.array_equal(_ordered_product(plan, energies), want)
+            assert np.array_equal(ordered_product(plan, energies), want)
 
 
 EDGE_FIELDS = {
@@ -484,30 +484,30 @@ class TestOpenTree:
         below = np.nextafter(edge, -np.inf)
         energies = np.concatenate([np.linspace(edge - 1.5, edge + 3.0, 598), [edge, below]])
         monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
-        whole = _ordered_product(plan, energies)
+        whole = ordered_product(plan, energies)
         # the edge itself is open, the float just below it is closed
         assert np.array_equal(whole[-2], tree_product_reference(plan, [edge])[0])
         assert np.array_equal(whole[-1], ordered_product_reference(plan, [below])[0])
         assert not np.array_equal(whole[-2], ordered_product_reference(plan, [edge])[0])
-        singles = np.concatenate([_ordered_product(plan, [e]) for e in energies])
-        chunks = np.concatenate([_ordered_product(plan, p) for p in np.array_split(energies, 7)])
+        singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
+        chunks = np.concatenate([ordered_product(plan, p) for p in np.array_split(energies, 7)])
         assert np.array_equal(singles, whole)
         assert np.array_equal(chunks, whole)
         for cpus in (2, 3):
             monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
-            assert np.array_equal(_ordered_product(plan, energies), whole)
+            assert np.array_equal(ordered_product(plan, energies), whole)
         # a budget of 5 segments for the whole batch cuts the closed rows'
         # blocks inside the plan, and the open rows round theirs up to one
         # granule; no row moves
         monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
-        assert np.array_equal(_ordered_product(plan, energies), whole)
+        assert np.array_equal(ordered_product(plan, energies), whole)
 
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
     def test_open_tree_within_roundoff_of_the_loop(self, name):
         plan = segment_plan(PRODUCT_FIELDS[name](), 4096)
         energies = plan.magnitudes.max() + np.linspace(0.0, 9.0, 600)
-        got = _ordered_product(plan, energies)
+        got = ordered_product(plan, energies)
         want = ordered_product_reference(plan, energies)
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
@@ -520,10 +520,10 @@ class TestOpenTree:
         plan = segment_plan(scheme(0, 0, length), 4096)
         energies = np.linspace(-0.95, 0.95, 20)
         assert np.all(energies < plan.magnitudes.max())
-        got = _ordered_product(plan, energies)
+        got = ordered_product(plan, energies)
         assert np.array_equal(got, ordered_product_reference(plan, energies))
         # one energy at a time runs the chain by substitution in BLAS
-        singles = np.concatenate([_ordered_product(plan, [e]) for e in energies])
+        singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
         assert np.array_equal(singles, got)
         assert np.array_equal(np.signbit(singles), np.signbit(got))
 
@@ -544,7 +544,7 @@ class TestClosedSubstitution:
         for batch, blocks in (([-0.5], 3), ([2.5], 0), ([-0.5, -0.4], 0)):
             calls.clear()
             batch = np.array(batch)
-            assert np.array_equal(_ordered_product(plan, batch), product_reference(plan, batch))
+            assert np.array_equal(ordered_product(plan, batch), product_reference(plan, batch))
             assert len(calls) == blocks
 
     def test_probe_catches_a_one_ulp_difference(self, monkeypatch):
@@ -563,4 +563,4 @@ class TestClosedSubstitution:
         monkeypatch.setattr(transfer, "_substitution_matches_batch", probe)
         plan = segment_plan(scheme1_field(1, 0, 3.0), 600)
         closed = np.array([-0.5])
-        assert np.array_equal(_ordered_product(plan, closed), product_reference(plan, closed))
+        assert np.array_equal(ordered_product(plan, closed), product_reference(plan, closed))
