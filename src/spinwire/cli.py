@@ -33,9 +33,9 @@ from .core import (
     ChannelMismatchError,
     EvanescentOverflowError,
     FieldDirectionError,
+    Regime,
     RegimeError,
     SingularSystemError,
-    hs_distance,
     hs_norm,
 )
 from .berry import (
@@ -125,6 +125,7 @@ _CONFIG_HELP = {
     "L": "region length in magnetic-length units",
     "thetaL": "left lead angle (wall/uniform)",
     "thetaR": "right lead angle (wall)",
+    "segments": "segments of the midpoint plan; wall and uniform solve with one, which is exact",
     "outputs": "comma list of column groups: " + ",".join(OUTPUT_GROUPS),
 }
 
@@ -212,13 +213,20 @@ def _fmt(x: float) -> str:
 
 
 def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
-    """Every numeric CSV column of a sweep, computed once over the batch."""
+    """Every numeric CSV column of a sweep, computed once over the batch.
+
+    A single-channel row takes its distances from the (0, 0) entries alone,
+    the physical ones, as `transmission_columns` masks its P columns.
+    """
     berry = berry_operator_planar(field, 0.0, field.length)
+    two_channel = np.array([res.channel.regime is Regime.TWO_CHANNEL for res in results])
+    physical = np.where(two_channel[:, None, None], True, [[True, False], [False, False]])
+    t_minus_u = np.array([res.t for res in results]) - berry
     return {
         "E": np.array([res.channel.energy for res in results]),
         **transmission_columns(results),
-        "hs_t_minus_U": hs_distance(np.array([res.t for res in results]), berry),
-        "hs_r": hs_norm(np.array([res.r for res in results])),
+        "hs_t_minus_U": hs_norm(np.where(physical, t_minus_u, 0.0)),
+        "hs_r": hs_norm(np.where(physical, np.array([res.r for res in results]), 0.0)),
         "unitarity_defect": np.array([res.unitarity_defect for res in results]),
         "conductance": np.array([res.conductance for res in results]),
     }
@@ -383,7 +391,9 @@ def make_parser() -> argparse.ArgumentParser:
                 (f"{group} -> " if group else "") + ",".join(cols) for group, cols in CSV_LAYOUT
             ) + ".  P{l}{l'} = |t[l,l']|^2; "
             "hs_t_minus_U is the Hilbert-Schmidt distance between t and the "
-            "full-interval eigenbasis transport; defect_flag is 1 when the "
+            "full-interval eigenbasis transport U, and hs_r the Hilbert-Schmidt "
+            "norm of r; on single-channel rows both take the (0,0) entries "
+            "only: |t00 - U00| and |r00|.  defect_flag is 1 when the "
             "flux identity misses the configured tolerance."
         ),
     )

@@ -34,7 +34,9 @@ class PlanarField:
     theta_left: float
     theta_right: float
     zero_field_interior = False
-    # field constant on (0, L), so a piecewise-constant plan is exact at any segment count
+    # field constant on (0, L), so a piecewise-constant plan is exact at any segment
+    # count: `solve_scattering_batch` then builds one segment, and
+    # `validate --against convergence` refuses the field
     constant_interior = False
 
     def magnitude(self, y):

@@ -26,7 +26,7 @@ from .core import (
     scattering_channels,
 )
 from .fields import PlanarField
-from .transfer import SegmentPlan, flow_defect, ordered_product, segment_plan
+from .transfer import SegmentPlan, flow_defect, ordered_product, segment_count, segment_plan
 
 DEFAULT_SEGMENTS = 4096
 
@@ -47,7 +47,7 @@ class ScatterResult:
     probabilities: np.ndarray  # |t[l, l']|^2
     unitarity_defect: float
     conductance: float
-    n_segments: int
+    n_segments: int  # the segment count of the plan the solve used
     flow_defect: float = dataclass_field(default=float("nan"))
 
 
@@ -116,12 +116,19 @@ def solve_scattering_batch(
     be strictly above the lower band edge and away from the exact thresholds;
     the sweep layer is responsible for nudging its grids.  It matches on the
     real `ordered_product`: the Berry strip of gamma_tilde would cancel here.
+
+    Without ``plan`` the solve builds ``segment_plan(field, n_segments)``,
+    except for a field with a constant interior (the wall, the uniform field):
+    its one-segment plan is exact, so it takes that one whatever
+    ``n_segments`` says.  An explicit ``plan`` is used as given.  Each result's
+    ``n_segments`` is the count of the plan used.
     """
     energies = energy_batch(energies)
     channels = scattering_channels(energies)
 
     if plan is None:
-        plan = segment_plan(field, n_segments)
+        n_segments = segment_count(n_segments)  # checked even where the plan needs one segment
+        plan = segment_plan(field, 1 if field.constant_interior else n_segments)
     gamma = ordered_product(plan, energies)
     g00, g01 = gamma[:, :2, :2], gamma[:, :2, 2:]
     g10, g11 = gamma[:, 2:, :2], gamma[:, 2:, 2:]

@@ -150,14 +150,16 @@ class SegmentPlan:
     jumps: np.ndarray  # (N+1, 2, 2) real eigenbasis rotations at the crossings
 
 
-def segment_midpoints(length: float, n_segments) -> tuple[float, np.ndarray]:
-    """Length h and midpoints of n_segments equal segments of [0, length].
-
-    The count must be a whole number of at least one (4096.0 counts as 4096).
-    """
+def segment_count(n_segments) -> int:
+    """A segment count as a plain int: a whole number of at least one (4096.0 counts as 4096)."""
     if not (n_segments >= 1 and float(n_segments).is_integer()):
         raise ValueError(f"need a whole number of segments >= 1, got {n_segments!r}")
-    n_segments = int(n_segments)
+    return int(n_segments)
+
+
+def segment_midpoints(length: float, n_segments) -> tuple[float, np.ndarray]:
+    """Length h and midpoints of n_segments equal segments of [0, length] (see `segment_count`)."""
+    n_segments = segment_count(n_segments)
     h = length / n_segments
     return h, (np.arange(n_segments) + 0.5) * h
 

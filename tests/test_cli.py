@@ -258,6 +258,11 @@ def test_nan_defect_is_flagged(monkeypatch, capsys):
     assert flags == ["1"] + ["0"] * (len(flags) - 1)
 
 
+def physical_block(res, m):
+    """The entries of m that carry current: all four with two open channels, else (0, 0)."""
+    return m if res.channel.regime is spinwire.Regime.TWO_CHANNEL else m[:1, :1]
+
+
 # The per-energy rows and row loop that the batch tail of `run_sweep`
 # replaced, kept as its reference: the CSV must equal this byte for byte.
 def sweep_rows_reference(field, energies, segments):
@@ -267,8 +272,8 @@ def sweep_rows_reference(field, energies, segments):
         {
             "E": res.channel.energy,
             **probability_table_reference(res),
-            "hs_t_minus_U": hs_norm_reference(res.t - berry),
-            "hs_r": hs_norm_reference(res.r),
+            "hs_t_minus_U": hs_norm_reference(physical_block(res, res.t - berry)),
+            "hs_r": hs_norm_reference(physical_block(res, res.r)),
             "unitarity_defect": res.unitarity_defect,
             "conductance": res.conductance,
             "regime": res.channel.regime.value,
@@ -326,6 +331,25 @@ def test_sweep_numbers_equal_the_per_energy_reference(field_args):
     for name, column in numbers.items():
         expected = np.array([row[name] for row in rows])
         assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "field_args", [*TAIL_FIELDS.values(), ["--scheme", "uniform", "--thetaL", "0.7", "--L", "2"]],
+    ids=[*TAIL_FIELDS.keys(), "uniform"],
+)
+def test_single_channel_distances_take_the_lower_entries_only(field_args):
+    # below E = 1 only t00 and r00 carry current; the other entries are
+    # evanescent admixtures whose last digits depend on rounding
+    cfg = cli.build_config(cli.make_parser().parse_args(["sweep", *field_args, "--points", "601"]))
+    field, grid = cli.build_field(cfg), cli.energy_grid(cfg, io.StringIO())
+    results = spinwire.solve_scattering_batch(field, grid, 256)
+    numbers = cli._sweep_numbers(field, results)
+    single = grid < 1.0
+    assert np.count_nonzero(single) == 200
+    u00 = spinwire.berry_operator_planar(field, 0.0, field.length)[0, 0]
+    t00 = np.array([res.t[0, 0] for res in results])
+    assert np.allclose(numbers["hs_r"][single], np.sqrt(numbers["R00sq"][single]), rtol=1e-11, atol=0.0)
+    assert np.allclose(numbers["hs_t_minus_U"][single], np.abs(t00 - u00)[single], rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import os
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from spinwire.core import (
     ThresholdError,
     scattering_channel,
 )
+from spinwire.analytic import WallConfig, magnetic_wall_scattering
 from spinwire.berry import planar_rotation
 from spinwire.fields import (
     TabulatedField,
@@ -307,6 +309,113 @@ def test_results_report_the_segment_count_of_the_plan():
     assert [res.n_segments for res in planned] == [64, 64]
 
 
+def solve_plan(field, n_segments):
+    """The plan `solve_scattering_batch(field, energies, n_segments)` builds."""
+    return segment_plan(field, 1 if field.constant_interior else n_segments)
+
+
+def stack(results, name):
+    """The (n, 2, 2) stack of one matrix field of a batch of results."""
+    return np.array([getattr(res, name) for res in results])
+
+
+def physical_entries(results):
+    """(n, 2, 2) mask of the physical entries: all four with two open channels, else (0, 0)."""
+    two = np.array([res.channel.regime is Regime.TWO_CHANNEL for res in results])
+    return np.where(two[:, None, None], True, [[True, False], [False, False]])
+
+
+CONSTANT_FIELDS = {
+    "wall": magnetic_wall_field(0.3, 2.0, 2.0),
+    "wall_antiparallel": magnetic_wall_field(0.0, 3.1, 4.0),
+    "wall_L0": magnetic_wall_field(1.1, 0.4, 0.0),
+    "uniform": uniform_field(0.7, 3.0),
+}
+# a closed wall interior (E < 0), single-channel and two-channel energies
+CONSTANT_ENERGIES = np.array([-0.86, -0.3, 0.3, 0.99, 1.5, 2.0, 6.0, 40.0])
+
+
+def record_plans(monkeypatch):
+    """The list of plans the solve hands to `ordered_product`, appended as it runs."""
+    plans = []
+    product = transfer.ordered_product
+
+    def recording(plan, energies):
+        plans.append(plan)
+        return product(plan, energies)
+
+    monkeypatch.setattr(scattering, "ordered_product", recording)
+    return plans
+
+
+class TestConstantInteriorPlan:
+    """A constant interior has D(h)^N = D(N h): one segment is its exact plan."""
+
+    @pytest.mark.parametrize("field", CONSTANT_FIELDS.values(), ids=CONSTANT_FIELDS.keys())
+    def test_solves_take_one_segment_at_any_count(self, field):
+        one = solve_scattering_batch(field, CONSTANT_ENERGIES, 1)
+        for n_segments in (1, 64, 4096):
+            results = solve_scattering_batch(field, CONSTANT_ENERGIES, n_segments)
+            assert [res.n_segments for res in results] == [1] * CONSTANT_ENERGIES.size
+            for name in ("t", "r"):
+                assert stack(results, name).tobytes() == stack(one, name).tobytes(), name
+        references = [solve_scattering_batch(field, CONSTANT_ENERGIES, plan=segment_plan(field, 4096))]
+        if field.zero_field_interior:
+            references.append([
+                magnetic_wall_scattering(WallConfig(field.theta_l, field.theta_r, field.length, e))
+                for e in CONSTANT_ENERGIES
+            ])
+        mask = physical_entries(one)
+        for reference in references:
+            for name in ("t", "r"):
+                assert np.max(np.abs(stack(one, name) - stack(reference, name))[mask]) < 1e-12, name
+
+    def test_an_explicit_plan_is_used_as_given(self, monkeypatch):
+        field = CONSTANT_FIELDS["wall"]
+        plan = segment_plan(field, 64)
+        used = record_plans(monkeypatch)
+        runs = [solve_scattering_batch(field, CONSTANT_ENERGIES, n, plan=plan) for n in (1, 64, 4096)]
+        assert all(p is plan for p in used) and len(used) == 3
+        for results in runs:
+            assert [res.n_segments for res in results] == [64] * CONSTANT_ENERGIES.size
+            for name in ("t", "r"):
+                assert stack(results, name).tobytes() == stack(runs[0], name).tobytes(), name
+        # the 64 factors are really built: their rounding differs from the one-segment plan's
+        one = solve_scattering_batch(field, CONSTANT_ENERGIES, 64)
+        assert stack(one, "t").tobytes() != stack(runs[0], "t").tobytes()
+
+    def test_the_product_builds_one_segment_only_for_constant_fields(self, monkeypatch):
+        plans = record_plans(monkeypatch)
+        ys = np.linspace(0.0, 4.0, 41)
+        tabulated = TabulatedField(ys, np.sin(0.4 * ys), np.cos(0.4 * ys))
+        for field, want in [
+            (CONSTANT_FIELDS["wall"], 1),
+            (CONSTANT_FIELDS["wall_L0"], 1),
+            (CONSTANT_FIELDS["uniform"], 1),
+            (scheme1_field(1, 1, 3.0), 96),
+            (scheme2_field(0, 1, 6.0), 96),
+            (tabulated, 96),
+        ]:
+            plans.clear()
+            solve_scattering_batch(field, [0.5, 2.0], 96)
+            solve_scattering(field, 2.0, 96)
+            landauer_current(field, 2.1, 2.0, 0.0, np.linspace(1.9, 2.2, 4), 96)
+            reciprocity_check(field, 2.0, 96)
+            assert [plan.n_segments for plan in plans] == [want] * 4, field
+        # the CLI's sweep reaches the solve with its --segments
+        plans.clear()
+        argv = ["sweep", "--scheme", "wall", "--thetaR", "1.2", "--L", "2", "--points", "3",
+                "--E-min", "0.5", "--E-max", "3", "--segments", "64", "--out", os.devnull]
+        assert cli.main(argv) == 0
+        assert [plan.n_segments for plan in plans] == [1]
+
+    @pytest.mark.parametrize("n_segments", [0, -2, 2.5, float("nan"), float("inf")])
+    def test_the_requested_count_is_still_checked(self, n_segments):
+        for field in CONSTANT_FIELDS.values():
+            with pytest.raises(ValueError, match="need a whole number of segments >= 1"):
+                solve_scattering_batch(field, [2.0], n_segments)
+
+
 # The per-energy assembly that `build_results` replaced, kept as its
 # reference: each field of a batch result must equal this bit for bit.
 def unitarity_defect_reference(t, r, regime):
@@ -416,9 +525,11 @@ class TestBatchAssembly:
         cli_grid, grid = cli_grid_and_edges()
         assert cli_grid[0] == -1.0 + 1e-9 and cli_grid[200] == 1.0 + 1e-9
         results = solve_scattering_batch(field, grid, 256)
-        gamma, _, _ = gamma_piecewise_batch(field, grid, 256)
+        # the reference is built from the plan the solve used (one segment for the wall)
+        plan = solve_plan(field, 256)
+        gamma, _, _ = gamma_piecewise_batch(field, grid, 256, plan=plan)
         want = [
-            build_result_reference(res.t, res.r, res.channel, 256, flow_defect_reference(g))
+            build_result_reference(res.t, res.r, res.channel, plan.n_segments, flow_defect_reference(g))
             for res, g in zip(results, gamma)
         ]
         assert_results_equal_reference(results, want)
@@ -432,12 +543,12 @@ class TestBatchAssembly:
         assert spinwire.hs_norm(gamma_tilde[0]) == hs_norm_reference(gamma_tilde[0])
 
 
-def berry_matching_reference(field, energies, n_segments):
+def berry_matching_reference(field, energies, plan):
     """t, r and the flow defect from the matching the engine used before it
     took the real product: on gamma_tilde, with the Berry factor U multiplied
     back, U (X11 K + i X10) + K U (X00 - i X01 K) and so on."""
     channels = spinwire.scattering_channels(energies)
-    _, gamma_tilde, berry = gamma_piecewise_batch(field, energies, n_segments)
+    _, gamma_tilde, berry = gamma_piecewise_batch(field, energies, plan.n_segments, plan=plan)
     x00, x01 = gamma_tilde[:, :2, :2], gamma_tilde[:, :2, 2:]
     x10, x11 = gamma_tilde[:, 2:, :2], gamma_tilde[:, 2:, 2:]
     k = np.array([[ch.k0, ch.k1] for ch in channels], dtype=complex)
@@ -461,7 +572,7 @@ class TestRealProductMatching:
     def test_matching_on_gamma_agrees_with_the_berry_matching(self, field):
         _, grid = cli_grid_and_edges()
         results = solve_scattering_batch(field, grid, 256)
-        t_ref, r_ref, flow_ref = berry_matching_reference(field, grid, 256)
+        t_ref, r_ref, flow_ref = berry_matching_reference(field, grid, solve_plan(field, 256))
         t = np.array([res.t for res in results])
         r = np.array([res.r for res in results])
         flow = np.array([res.flow_defect for res in results])
