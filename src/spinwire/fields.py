@@ -28,6 +28,10 @@ class PlanarField:
 
     All evaluation methods accept scalars or arrays of positions.  Positions
     outside [0, L] clamp to the lead values.
+
+    A field does not change after construction: `transfer.segment_plan`
+    keeps each plan it samples on the field object and hands it back on every
+    later call, so a field changed in place would be solved on its old plan.
     """
 
     length: float

@@ -26,7 +26,7 @@ from .core import (
     scattering_channels,
 )
 from .fields import PlanarField
-from .transfer import SegmentPlan, flow_defect, ordered_product, segment_count, segment_plan
+from .transfer import SegmentPlan, check_plan, flow_defect, ordered_product, segment_count, segment_plan
 
 DEFAULT_SEGMENTS = 4096
 
@@ -117,11 +117,14 @@ def solve_scattering_batch(
     the sweep layer is responsible for nudging its grids.  It matches on the
     real `ordered_product`: the Berry strip of gamma_tilde would cancel here.
 
-    Without ``plan`` the solve builds ``segment_plan(field, n_segments)``,
+    Without ``plan`` the solve takes ``segment_plan(field, n_segments)``,
     except for a field with a constant interior (the wall, the uniform field):
     its one-segment plan is exact, so it takes that one whatever
-    ``n_segments`` says.  An explicit ``plan`` is used as given.  Each result's
-    ``n_segments`` is the count of the plan used.
+    ``n_segments`` says.  A field's plan is built once per count and shared
+    read-only by every later solve of that field object.  An explicit
+    ``plan`` is used as given, whatever ``n_segments`` says, and must be the
+    field's own (`check_plan`, ValueError).  Each result's ``n_segments`` is
+    the count of the plan used.
     """
     energies = energy_batch(energies)
     channels = scattering_channels(energies)
@@ -129,6 +132,8 @@ def solve_scattering_batch(
     if plan is None:
         n_segments = segment_count(n_segments)  # checked even where the plan needs one segment
         plan = segment_plan(field, 1 if field.constant_interior else n_segments)
+    else:
+        check_plan(field, plan)
     gamma = ordered_product(plan, energies)
     g00, g01 = gamma[:, :2, :2], gamma[:, :2, 2:]
     g10, g11 = gamma[:, 2:, :2], gamma[:, 2:, 2:]

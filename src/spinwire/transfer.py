@@ -142,7 +142,14 @@ def _propagator_entries(q, length: float):
 
 @dataclass(frozen=True)
 class SegmentPlan:
-    """Precomputed, energy-independent data for one piecewise build."""
+    """Precomputed, energy-independent data for one piecewise build.
+
+    This is the geometric half of a solve: it depends on the field and the
+    segment count only.  `segment_plan` builds a field's plan once per count
+    and hands every later caller the same object, so a plan is shared and its
+    arrays are read-only.  A plan passed as ``plan=`` must be its own field's
+    (see `check_plan`), and it wins over the ``n_segments`` passed with it.
+    """
 
     n_segments: int
     seg_length: float
@@ -170,16 +177,42 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     The eigenbasis rotation between consecutive midpoint bases
     (`PlanarField.basis_theta`) sits at the shared segment boundary; the first
     and last crossings connect to the lead directions.
+
+    A field's plan is built once per segment count: it is kept on the field
+    object itself, lives as long as the field, and every later call with
+    that count returns the same plan.  Its ``magnitudes`` and ``jumps`` are
+    therefore read-only.  This rests on a field not changing after
+    construction (see `PlanarField`).  A plan handed to
+    `solve_scattering_batch` or `gamma_piecewise_batch` as ``plan=`` must be
+    the field's own (`check_plan`) and wins over their ``n_segments``.
     """
-    h, mids = segment_midpoints(field.length, n_segments)
-    th = np.asarray(field.basis_theta(mids), dtype=float)
-    angles = np.diff(th, prepend=field.theta_left, append=field.theta_right)
-    return SegmentPlan(
-        n_segments=mids.size,
-        seg_length=h,
-        magnitudes=np.asarray(field.magnitude(mids), dtype=float),
-        jumps=planar_rotation(angles).real,
-    )
+    n_segments = segment_count(n_segments)
+    plans = vars(field).setdefault("_plans", {})
+    plan = plans.get(n_segments)
+    if plan is None:
+        h, mids = segment_midpoints(field.length, n_segments)
+        th = np.asarray(field.basis_theta(mids), dtype=float)
+        angles = np.diff(th, prepend=field.theta_left, append=field.theta_right)
+        magnitudes = np.asarray(field.magnitude(mids), dtype=float)
+        jumps = planar_rotation(angles).real
+        magnitudes.flags.writeable = jumps.flags.writeable = False
+        # threads that race on a first build all return the plan stored first
+        plan = plans.setdefault(n_segments, SegmentPlan(n_segments, h, magnitudes, jumps))
+    return plan
+
+
+def check_plan(field: PlanarField, plan: SegmentPlan) -> None:
+    """Refuse a plan whose segments do not split this field's length (ValueError).
+
+    Every plan of ``field`` has, bit for bit, the segment length
+    `segment_midpoints` gives for the field's length; a plan built for a
+    region of another length does not.
+    """
+    if plan.seg_length != field.length / plan.n_segments:
+        raise ValueError(
+            f"plan of {plan.n_segments} segments of length {plan.seg_length!r} "
+            f"does not split this field's length {field.length!r}"
+        )
 
 
 def _usable_cpus() -> int:
@@ -380,10 +413,16 @@ def gamma_piecewise_batch(
     Returns gamma = `ordered_product` and gamma_tilde = diag(U^dag, U^dag) gamma,
     both (n_energies, 4, 4), and the full-interval transport U shared by all
     energies.  The batch is a non-empty 1-D sequence (or one scalar).
+
+    Without ``plan`` it takes the field's `segment_plan` at ``n_segments``,
+    built once per count and shared.  An explicit ``plan`` wins over
+    ``n_segments`` and must be the field's own (`check_plan`, ValueError).
     """
     energies = energy_batch(energies)
     if plan is None:
         plan = segment_plan(field, n_segments)
+    else:
+        check_plan(field, plan)
     gamma = ordered_product(plan, energies)
     berry = planar_rotation(field.theta_right - field.theta_left)
     gamma_tilde = np.einsum("ij,ejk->eik", _diag4(berry.conj().T), gamma)

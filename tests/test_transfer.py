@@ -1,7 +1,10 @@
 import concurrent.futures
 import dataclasses
+import gc
+import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,13 +16,15 @@ from spinwire import transfer
 from spinwire.core import J4, EvanescentOverflowError, hs_norm
 from spinwire.berry import planar_rotation
 from spinwire.fields import (
+    PlanarField,
     TabulatedField,
+    WindingField,
     magnetic_wall_field,
     scheme1_field,
     scheme2_field,
     uniform_field,
 )
-from spinwire.scattering import solve_scattering_batch
+from spinwire.scattering import solve_scattering, solve_scattering_batch
 from spinwire.transfer import (
     GROWTH_GUARD,
     ordered_product,
@@ -564,3 +569,97 @@ class TestClosedSubstitution:
         plan = segment_plan(scheme1_field(1, 0, 3.0), 600)
         closed = np.array([-0.5])
         assert np.array_equal(ordered_product(plan, closed), product_reference(plan, closed))
+
+
+MEMO_FIELDS = {**PRODUCT_FIELDS, "uniform": lambda: uniform_field(0.8, 2.0)}
+
+
+class TestPlanMemo:
+    """A field's plan is sampled once per segment count and shared read-only."""
+
+    def test_a_field_is_sampled_once_per_count(self, monkeypatch):
+        calls = {"basis_theta": 0, "magnitude": 0}
+        for cls, name in ((PlanarField, "basis_theta"), (WindingField, "magnitude")):
+            method = getattr(cls, name)
+
+            def counting(self, y, method=method, name=name):
+                calls[name] += 1
+                return method(self, y)
+
+            monkeypatch.setattr(cls, name, counting)
+        field = scheme1_field(1, 1, 3.0)
+        for energy in np.linspace(-0.5, 4.0, 20):
+            solve_scattering(field, energy)
+        assert calls == {"basis_theta": 1, "magnitude": 1}
+        for _ in range(3):
+            solve_scattering(field, 2.0, 64)
+        assert calls == {"basis_theta": 2, "magnitude": 2}
+        assert segment_plan(field, 64) is segment_plan(field, 64.0)
+
+    @pytest.mark.parametrize("name", sorted(MEMO_FIELDS))
+    def test_a_reused_field_solves_as_a_fresh_one(self, name):
+        energies = np.array([-0.5, 0.3, 1.5, 2.5])
+        reused = MEMO_FIELDS[name]()
+        solve_scattering_batch(reused, energies)
+        got = solve_scattering_batch(reused, energies)
+        for mine, fresh in zip(got, solve_scattering_batch(MEMO_FIELDS[name](), energies)):
+            assert mine.t.tobytes() == fresh.t.tobytes()
+            assert mine.r.tobytes() == fresh.r.tobytes()
+            assert mine.flow_defect == fresh.flow_defect
+
+    def test_plan_arrays_are_read_only(self):
+        plan = segment_plan(scheme2_field(0, 1, 6.0), 64)
+        with pytest.raises(ValueError):
+            plan.magnitudes[0] = 2.0
+        with pytest.raises(ValueError):
+            plan.jumps[1] *= 2.0
+
+    def test_threads_racing_on_a_first_build_share_one_plan(self):
+        field = scheme2_field(1, 0, 4.0)
+        barrier = threading.Barrier(8, timeout=30)
+
+        def build(_):
+            barrier.wait()
+            return segment_plan(field, 256)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+                plans = list(pool.map(build, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(plan is segment_plan(field, 256) for plan in plans)
+
+    def test_a_plan_is_freed_with_its_field(self):
+        field = scheme1_field(1, 0, 3.0)
+        plan = weakref.ref(segment_plan(field, 64))
+        solve_scattering(field, 2.0, 64)
+        assert plan() is not None
+        del field
+        gc.collect()
+        assert plan() is None
+
+
+class TestForeignPlan:
+    """An explicit plan must split the solved field's own length."""
+
+    def test_a_plan_of_another_length_is_refused(self):
+        field = scheme1_field(1, 0, 3.0)
+        foreign = segment_plan(scheme1_field(1, 0, 6.0), 64)
+        with pytest.raises(ValueError, match="does not split"):
+            solve_scattering_batch(field, [2.0], 64, plan=foreign)
+        with pytest.raises(ValueError, match="does not split"):
+            gamma_piecewise_batch(field, [2.0], 64, plan=foreign)
+
+    def test_the_fields_own_plans_solve(self):
+        field = scheme1_field(1, 0, 3.0)
+        for n_segments in (1, 64, 4096):
+            plan = segment_plan(field, n_segments)
+            want = solve_scattering_batch(field, [2.0], n_segments)
+            got = solve_scattering_batch(field, [2.0], plan=plan)
+            assert got[0].t.tobytes() == want[0].t.tobytes()
+            gamma_piecewise_batch(field, [2.0], 7, plan=plan)
+        wall = magnetic_wall_field(0.3, 2.1, 2.0)
+        got = solve_scattering_batch(wall, [2.0], plan=segment_plan(wall, 1))
+        assert got[0].t.tobytes() == solve_scattering_batch(wall, [2.0])[0].t.tobytes()
