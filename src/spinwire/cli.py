@@ -13,7 +13,9 @@ large batch over the usable CPUs, in threads.  Sweeps are deterministic:
 identical configuration yields byte-identical CSV whatever the thread split,
 floats are rendered with at most 12 significant digits, and energy grids are
 nudged off the exact band edges by 1e-9 (with a note on stderr, never in the
-CSV).
+CSV).  A command writes its output, to stdout or ``--out``, only after it has
+succeeded: a command that fails writes no output, and an existing ``--out``
+file keeps its contents.
 
 Exit codes: 0 success/PASS, 1 usage or config error, 2 validation FAIL,
 3 numeric failure.
@@ -24,7 +26,6 @@ from __future__ import annotations
 import argparse
 import sys
 import warnings
-from contextlib import nullcontext
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
@@ -232,7 +233,7 @@ def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
     }
 
 
-def run_sweep(cfg: SweepConfig, out, diag) -> int:
+def run_sweep(cfg: SweepConfig, diag) -> str:
     field = build_field(cfg)
     results = solve_scattering_batch(field, energy_grid(cfg, diag), cfg.segments)
     columns = cfg.csv_columns()
@@ -241,29 +242,22 @@ def run_sweep(cfg: SweepConfig, out, diag) -> int:
     cells["regime"] = [res.channel.regime.value for res in results]
     # a NaN defect is flagged too
     cells["defect_flag"] = np.where(numbers["unitarity_defect"] <= cfg.defect_tol, "0", "1").tolist()
-    out.write("\n".join([",".join(columns), *map(",".join, zip(*(cells[c] for c in columns)))]) + "\n")
-    return 0
+    return "\n".join([",".join(columns), *map(",".join, zip(*(cells[c] for c in columns)))]) + "\n"
 
 
-def run_dump_profile(cfg: SweepConfig, out) -> int:
+def run_dump_profile(cfg: SweepConfig) -> str:
     field = build_field(cfg)
     ys = np.linspace(0.0, field.length, max(cfg.points, 2))
-    print("# y b1 b3 theta |B|", file=out)
-    for y in ys:
-        b1, b3 = field.components(float(y))
-        mag = float(field.magnitude(float(y)))
-        try:
-            theta = float(field.theta(float(y)))
-        except FieldDirectionError:
-            theta = float("nan")
-        print(
-            " ".join(_fmt(v) for v in (y, float(b1), float(b3), theta, mag)),
-            file=out,
-        )
-    return 0
+    b1, b3 = field.components(ys)
+    mag = field.magnitude(ys)
+    # the direction is undefined where the field vanishes: inside the wall
+    undefined = mag == 0.0
+    theta = np.where(undefined, np.nan, field.theta(np.where(undefined, 0.0, ys)))
+    table = np.column_stack([ys, b1, b3, theta, mag]).tolist()
+    return "\n".join(["# y b1 b3 theta |B|", *(" ".join(map(_fmt, row)) for row in table)]) + "\n"
 
 
-def run_current(cfg: SweepConfig, mu_left: float, mu_right: float, temperature: float, out, diag) -> int:
+def run_current(cfg: SweepConfig, mu_left: float, mu_right: float, temperature: float, diag) -> str:
     field = build_field(cfg)
     grid = energy_grid(cfg, diag)
     # each warning becomes one plain line, like the band-edge notes
@@ -271,20 +265,19 @@ def run_current(cfg: SweepConfig, mu_left: float, mu_right: float, temperature: 
         current = landauer_current(field, mu_left, mu_right, temperature, grid, cfg.segments)
     for warning in caught:
         print(f"warning: {warning.message}", file=diag)
-    print(
+    return (
         f"current = {_fmt(current)}  (grid: {grid.size} points in "
         f"[{_fmt(grid[0])}, {_fmt(grid[-1])}], mu_left={_fmt(mu_left)}, "
-        f"mu_right={_fmt(mu_right)}, T={_fmt(temperature)})",
-        file=out,
+        f"mu_right={_fmt(mu_right)}, T={_fmt(temperature)})\n"
     )
-    return 0
 
 
-def _report(lines, verdict, out):
-    for name, value, tol, energy in lines:
-        status = "ok" if value <= tol else "EXCEEDED"
-        print(f"  {name}: max deviation {value:.3e} (tol {tol:.1e}) at E={_fmt(energy)} [{status}]", file=out)
-    print(f"verdict: {verdict}", file=out)
+def _report(lines, verdict) -> str:
+    return "".join(
+        f"  {name}: max deviation {value:.3e} (tol {tol:.1e}) at E={_fmt(energy)} "
+        f"[{'ok' if value <= tol else 'EXCEEDED'}]\n"
+        for name, value, tol, energy in lines
+    ) + f"verdict: {verdict}\n"
 
 
 def _deviation(a, b) -> float:
@@ -292,7 +285,8 @@ def _deviation(a, b) -> float:
     return max(float(np.max(np.abs(a.t - b.t))), float(np.max(np.abs(a.r - b.r))))
 
 
-def run_validate(cfg: SweepConfig, against: str, out) -> int:
+def run_validate(cfg: SweepConfig, against: str) -> tuple[str, int]:
+    """The report text and the exit code: 0 on PASS, 2 on FAIL."""
     field = build_field(cfg)
     lines = []
     if against == "oracle":
@@ -356,11 +350,8 @@ def run_validate(cfg: SweepConfig, against: str, out) -> int:
         errors = errors[::-1]  # coarsest first
         ratio = max(errors[i + 1] / errors[i] if errors[i] > 0 else 0.0 for i in range(2))
         lines.append((f"error ratio per halving at E={_fmt(energy)}", ratio, tol, energy))
-    else:
-        raise ConfigError(f"unknown validation mode {against!r}")
     ok = all(value <= tol for _, value, tol, _ in lines)
-    _report(lines, "PASS" if ok else "FAIL", out)
-    return 0 if ok else 2
+    return _report(lines, "PASS" if ok else "FAIL"), 0 if ok else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -425,14 +416,22 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
-        if args.command in ("sweep", "dump-profile"):
-            with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as out:
-                if args.command == "sweep":
-                    return run_sweep(cfg, out, sys.stderr)
-                return run_dump_profile(cfg, out)
-        if args.command == "validate":
-            return run_validate(cfg, args.against, sys.stdout)
-        return run_current(cfg, args.mu_left, args.mu_right, args.temp, sys.stdout, sys.stderr)
+        code = 0
+        if args.command == "sweep":
+            text = run_sweep(cfg, sys.stderr)
+        elif args.command == "dump-profile":
+            text = run_dump_profile(cfg)
+        elif args.command == "validate":
+            text, code = run_validate(cfg, args.against)
+        else:
+            text = run_current(cfg, args.mu_left, args.mu_right, args.temp, sys.stderr)
+        # only now, after the command succeeded, is --out opened
+        if getattr(args, "out", None):
+            with open(args.out, "w", encoding="utf-8") as out:
+                out.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -16,6 +16,7 @@ Components:   b1 = |B| sin(theta),  b3 = |B| cos(theta).
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -321,22 +322,14 @@ def magnetic_wall_field(theta_l: float, theta_r: float, length: float) -> Magnet
 
 
 def load_profile(path) -> TabulatedField:
-    """Read a tabulated profile: '# y b1 b3' header, whitespace columns.
+    """Read a tabulated profile: whitespace columns y b1 b3, one sample a row.
 
-    Extra columns beyond the first three are ignored, which lets profile
-    dumps round-trip through this loader.
+    '#' starts a comment and blank lines are skipped.  Columns beyond the
+    third are ignored, so a `dump-profile` table reads back; a row with fewer
+    than three columns, or a file with no rows, raises ValueError.
     """
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) < 3:
-                raise ValueError(f"profile row needs at least 3 columns: {line!r}")
-            rows.append([float(parts[0]), float(parts[1]), float(parts[2])])
-    if not rows:
-        raise ValueError("profile file contains no samples")
-    data = np.asarray(rows, dtype=float)
-    return TabulatedField(data[:, 0], data[:, 1], data[:, 2])
+    with warnings.catch_warnings():
+        # an empty file: TabulatedField refuses its zero samples with a ValueError
+        warnings.simplefilter("ignore", UserWarning)
+        ys, b1s, b3s = np.loadtxt(path, comments="#", usecols=(0, 1, 2), ndmin=2, unpack=True)
+    return TabulatedField(ys, b1s, b3s)

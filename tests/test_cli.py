@@ -104,6 +104,32 @@ def test_workers_flag_is_a_usage_error(tmp_path, capsys):
     assert out == "" and not out_path.exists()
 
 
+# commands that fail after parsing: a config error, a missing profile file and
+# the evanescent-growth guard
+FAILING_COMMANDS = {
+    "unknown_scheme": (["sweep", "--scheme", "nope"], 1),
+    "closed_window": (["sweep", "--E-min", "-2"], 1),
+    "missing_profile": (["dump-profile", "--scheme", "tabulated:{tmp}/missing.txt"], 1),
+    "growth_guard": (["sweep", "--scheme", "scheme1", "--L", "80", "--E-min", "-0.5",
+                      "--E-max", "0.5"], 3),
+}
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing_out", "missing_out"])
+@pytest.mark.parametrize("args, expected", FAILING_COMMANDS.values(), ids=FAILING_COMMANDS.keys())
+def test_failed_command_leaves_out_as_it_was(args, expected, existing, tmp_path, capsys):
+    out_path = tmp_path / "out.txt"
+    if existing:
+        out_path.write_bytes(b"earlier output\n")
+    argv = [arg.format(tmp=tmp_path) for arg in args] + ["--out", str(out_path)]
+    code, out, _ = run_cli(argv, capsys)
+    assert (code, out) == (expected, "")
+    if existing:
+        assert out_path.read_bytes() == b"earlier output\n"
+    else:
+        assert not out_path.exists()
+
+
 def test_uniform_sweep_is_transparent(capsys):
     code, out, _ = run_cli(
         ["sweep", "--scheme", "uniform", "--thetaL", "0.5", "--L", "2",
@@ -470,6 +496,54 @@ def test_dump_profile_roundtrips_through_loader(tmp_path, capsys):
     field = load_profile(out_path)
     assert field.length == pytest.approx(6.0)
     assert field.theta_right == pytest.approx(np.pi / 2, abs=1e-9)
+
+
+# The per-row loop that the one vectorised pass of `run_dump_profile`
+# replaced, kept as its reference: the table must equal this byte for byte.
+def dump_profile_reference(cfg):
+    field = cli.build_field(cfg)
+    out = io.StringIO()
+    print("# y b1 b3 theta |B|", file=out)
+    for y in np.linspace(0.0, field.length, max(cfg.points, 2)):
+        b1, b3 = field.components(float(y))
+        mag = float(field.magnitude(float(y)))
+        try:
+            theta = float(field.theta(float(y)))
+        except spinwire.FieldDirectionError:
+            theta = float("nan")
+        print(" ".join(format(float(v), ".12g") for v in (y, float(b1), float(b3), theta, mag)),
+              file=out)
+    return out.getvalue()
+
+
+DUMP_FIELDS = {
+    "scheme1": ["--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "3"],
+    "scheme2": ["--scheme", "scheme2", "--L", "6", "--points", "401"],
+    "wall": ["--scheme", "wall", "--thetaL", "0.3", "--thetaR", "2.5", "--L", "2", "--points", "333"],
+    "uniform": ["--scheme", "uniform", "--thetaL", "0.7", "--L", "3"],
+    "tabulated": ["--scheme", "tabulated:{tmp}/profile.txt"],
+    "zero_length_wall": ["--scheme", "wall", "--thetaR", "1", "--L", "0", "--points", "7"],
+}
+
+
+@pytest.mark.parametrize("field_args", DUMP_FIELDS.values(), ids=DUMP_FIELDS.keys())
+def test_dump_profile_equals_the_per_row_reference(field_args, tmp_path, capsys):
+    ys = np.linspace(0.0, 4.0, 201)
+    b1, b3 = spinwire.scheme2_field(1, 0, 4.0).components(ys)
+    np.savetxt(tmp_path / "profile.txt", np.column_stack([ys, b1, b3]), fmt="%.17g", header="y b1 b3")
+    argv = ["dump-profile", *(arg.format(tmp=tmp_path) for arg in field_args)]
+    out_path = tmp_path / "dump.txt"
+    code, out, _ = run_cli(argv + ["--out", str(out_path)], capsys)
+    assert (code, out) == (0, "")
+    text = out_path.read_text(encoding="utf-8")
+    assert text == dump_profile_reference(cli.build_config(cli.make_parser().parse_args(argv)))
+    thetas = [row.split()[3] for row in text.splitlines()[1:]]
+    if field_args == DUMP_FIELDS["wall"]:
+        # the direction is undefined inside the wall, and only there
+        assert (thetas[0], thetas[-1]) == ("0.3", "2.5")
+        assert set(thetas[1:-1]) == {"nan"}
+    if field_args == DUMP_FIELDS["zero_length_wall"]:
+        assert thetas == ["0"] * 7
 
 
 def test_tabulated_profile_runs_every_engine_command(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -226,6 +228,20 @@ class TestTabulated:
         assert np.array_equal(field.ys, ys)
         assert np.array_equal(field.b1s, b1)
         assert np.array_equal(field.b3s, b3)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "# y b1 b3\n", "# y b1 b3\n0 0 1\n1 0.5\n2 0.5 0.5\n3 0 1\n"],
+        ids=["empty", "header_only", "two_column_row"],
+    )
+    def test_malformed_file_raises_value_error(self, text, tmp_path):
+        path = tmp_path / "profile.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            # a warning in place of the error, or beside it, fails the test
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                load_profile(path)
 
     def test_interpolant_tracks_source(self):
         ys, b1, b3 = self.make_samples(201)
