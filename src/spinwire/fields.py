@@ -237,12 +237,51 @@ class MagneticWallField(PlanarField):
         return super().zeeman_term(y)
 
 
+def _clamped_spline(x, values):
+    """Coefficients of cubic splines through (x, values) with zero slope at both ends.
+
+    ``values`` holds one spline per row.  The knot slopes solve the C2
+    continuity system, which is tridiagonal and diagonally dominant, by a
+    Thomas sweep with slope 0 at the first and the last knot.  The result,
+    shape (4, rows, n), holds the coefficients of (y - x[i])**3 ... (y - x[i])**0
+    on interval i; column n - 1 is the constant extension past x[-1], so the
+    spline takes the last sample and slope 0 there exactly.
+    """
+    h = np.diff(x)
+    secant = np.diff(values, axis=1) / h
+    # interior knot i, slopes s:
+    #   h[i] s[i-1] + 2 (h[i-1] + h[i]) s[i] + h[i-1] s[i+1] = 3 (h[i] secant[i-1] + h[i-1] secant[i])
+    sub, sup = h[1:].tolist(), h[:-1].tolist()
+    diag = (2.0 * (h[:-1] + h[1:])).tolist()
+    rhs = (3.0 * (h[1:] * secant[:, :-1] + h[:-1] * secant[:, 1:])).tolist()
+    m = len(diag)
+    for k in range(1, m):
+        w = sub[k] / diag[k - 1]
+        diag[k] -= w * sup[k - 1]
+        for r in rhs:
+            r[k] -= w * r[k - 1]
+    for r in rhs:
+        r[m - 1] /= diag[m - 1]
+        for k in range(m - 2, -1, -1):
+            r[k] = (r[k] - sup[k] * r[k + 1]) / diag[k]
+    slopes = np.zeros_like(values)
+    slopes[:, 1:-1] = rhs
+    t = (slopes[:, :-1] + slopes[:, 1:] - 2.0 * secant) / h
+    coef = np.zeros((4,) + values.shape)
+    coef[0, :, :-1] = t / h
+    coef[1, :, :-1] = (secant - slopes[:, :-1]) / h - t
+    coef[2, :, :-1] = slopes[:, :-1]
+    coef[3] = values
+    return coef
+
+
 class TabulatedField(PlanarField):
     """Profile interpolated from (y, b1, b3) samples.
 
-    Components are cubic splines clamped to zero slope at the endpoints, so
-    the geometric connection vanishes at the interfaces as the solver
-    requires.  The unwrapped angle follows the sampled winding.
+    Components are cubic splines, built in numpy, clamped to zero slope at
+    the endpoints, so the geometric connection vanishes at the interfaces as
+    the solver requires.  The two splines share one interval lookup per
+    evaluation.  The unwrapped angle follows the sampled winding.
     """
 
     def __init__(self, ys, b1s, b3s):
@@ -270,35 +309,38 @@ class TabulatedField(PlanarField):
         self.length = float(self.ys[-1])
         self.b1s = b1s
         self.b3s = b3s
-        from scipy.interpolate import CubicSpline  # deferred: slow import, needed only here
-
-        self._spl1 = CubicSpline(self.ys, b1s, bc_type="clamped")
-        self._spl3 = CubicSpline(self.ys, b3s, bc_type="clamped")
-        self._d1 = self._spl1.derivative()
-        self._d3 = self._spl3.derivative()
+        self._coef = _clamped_spline(self.ys, np.stack([b1s, b3s]))
         self._theta_samples = np.unwrap(np.arctan2(b1s, b3s))
         self.theta_left = float(self._theta_samples[0])
         self.theta_right = float(self._theta_samples[-1])
 
+    def _splines(self, y, slopes=False):
+        """(b1, b3) at the clamped y, and with ``slopes`` also (b1', b3'): one lookup."""
+        i = np.searchsorted(self.ys[1:], y, side="right")
+        s = y - self.ys[i]
+        c0, c1, c2, c3 = np.take(self._coef, i, axis=-1)  # contiguous, unlike [..., i]
+        values = ((c0 * s + c1) * s + c2) * s + c3
+        if not slopes:
+            return values
+        return values, (3.0 * c0 * s + 2.0 * c1) * s + c2
+
     def magnitude(self, y):
-        y = self._clamp(y)
-        return np.hypot(self._spl1(y), self._spl3(y))
+        return np.hypot(*self._splines(self._clamp(y)))
 
     def theta(self, y):
         y = self._clamp(y)
-        raw = np.arctan2(self._spl1(y), self._spl3(y))
+        b1, b3 = self._splines(y)
+        raw = np.arctan2(b1, b3)
         guide = np.interp(y, self.ys, self._theta_samples)
         return raw + 2.0 * np.pi * np.round((guide - raw) / (2.0 * np.pi))
 
     def theta_deriv(self, y):
-        y = self._clamp(y)
-        b1, b3 = self._spl1(y), self._spl3(y)
-        num = b3 * self._d1(y) - b1 * self._d3(y)
-        return num / (b1 * b1 + b3 * b3)
+        (b1, b3), (d1, d3) = self._splines(self._clamp(y), slopes=True)
+        return (b3 * d1 - b1 * d3) / (b1 * b1 + b3 * b3)
 
     def components(self, y):
-        y = self._clamp(y)
-        return self._spl1(y), self._spl3(y)
+        b1, b3 = self._splines(self._clamp(y))
+        return b1, b3
 
 
 def scheme1_field(q1: int, q2: int, length: float) -> WindingField:

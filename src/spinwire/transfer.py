@@ -331,6 +331,11 @@ def _substitution_chain(factors: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     product on a 4096-segment scheme2 (1, 0, L = 4) plan at E = 0.7, best of
     nine, on a 2-vCPU Xeon: 3.7 ms, against 5.5-6.9 ms with one 4x4 product
     per segment and 2.0 ms for the granule tree at the open E = 2.5.
+
+    scipy is needed only by the lattice oracle and by a lone closed-energy
+    solve.  The first such solve in a process pays the scipy.linalg import,
+    measured at 349-364 ms against 4.3-5.8 ms for later ones (the plan
+    above, E = 0.7); batches and open energies never pay it.
     """
     from scipy.linalg.blas import dtbsv  # deferred: slow import, needed only here
 

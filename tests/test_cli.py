@@ -615,8 +615,8 @@ def test_console_entry_point_runs():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported only by TabulatedField and the lattice oracle, the
-    # thread pool only by a split product, and no process pool at all
+    # scipy is imported only by the lattice oracle and by a lone closed-energy
+    # solve, the thread pool only by a split product, and no process pool at all
     heavy = ("scipy", "multiprocessing", "concurrent.futures")
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -628,6 +628,36 @@ def test_import_leaves_scipy_unloaded():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_fields_solves_and_sweep_leave_scipy_unloaded(tmp_path):
+    # Every field, a loaded profile among them, solved at an open energy, and a
+    # tabulated sweep whose closed energies chain as a stack.  The one solve
+    # that still imports scipy (scipy.linalg.blas) is a batch of exactly one
+    # closed energy, which runs its chain in dtbsv (transfer._substitution_chain).
+    profile, sweep = tmp_path / "profile.txt", tmp_path / "sweep.csv"
+    script = f"""
+import sys
+import spinwire, spinwire.cli
+from spinwire import cli
+
+assert cli.main(["dump-profile", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "4",
+                 "--points", "200", "--out", {str(profile)!r}]) == 0
+fields = [spinwire.scheme1_field(0, 1, 3.0), spinwire.scheme2_field(1, 1, 4.0),
+          spinwire.magnetic_wall_field(0.3, 2.5, 2.0), spinwire.uniform_field(0.7, 3.0),
+          spinwire.load_profile({str(profile)!r})]
+for field in fields:
+    spinwire.solve_scattering(field, 2.5)
+assert cli.main(["sweep", "--scheme", "tabulated:" + {str(profile)!r},
+                 "--E-min", "-0.999", "--E-max", "5", "--points", "600", "--out", {str(sweep)!r}]) == 0
+print("scipy" in sys.modules)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120, env=package_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+    assert len(sweep.read_text().splitlines()) == 601
 
 
 def test_current_prints_grid_warning_as_plain_line():

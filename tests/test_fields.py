@@ -272,6 +272,46 @@ class TestTabulated:
         with pytest.raises(ValueError):
             TabulatedField(ys, ones, b3)
 
+    @staticmethod
+    def scipy_splines(field, probe):
+        """The clamped splines of scipy.interpolate, the reference the numpy spline is held to."""
+        from scipy.interpolate import CubicSpline
+
+        splines = [CubicSpline(field.ys, b, bc_type="clamped") for b in (field.b1s, field.b3s)]
+        return (np.array([spl(probe) for spl in splines]),
+                np.array([spl.derivative()(probe) for spl in splines]))
+
+    def test_spline_equals_scipy_on_benchmark_profile(self):
+        src = scheme2_field(1, 1, 4.0)
+        ys = np.linspace(0.0, 4.0, 200)
+        field = TabulatedField(ys, *(np.asarray(b, dtype=float) for b in src.components(ys)))
+        probe = np.linspace(0.0, 4.0, 100_001)
+        values, slopes = field._splines(probe, slopes=True)
+        ref_values, ref_slopes = self.scipy_splines(field, probe)
+        assert np.abs(values - ref_values).max() <= 1e-15
+        assert np.abs(slopes - ref_slopes).max() <= 1e-15
+        assert np.array_equal(np.array(field.components(probe)), values)
+
+    @pytest.mark.parametrize("n", [4, 50])
+    def test_spline_equals_scipy_on_random_knots(self, n):
+        rng = np.random.default_rng(11)
+        ys = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, n - 2)), [3.0]])
+        theta = np.cumsum(rng.normal(size=n))
+        mags = np.concatenate([[1.0], rng.uniform(0.5, 1.5, n - 2), [1.0]])
+        field = TabulatedField(ys, mags * np.sin(theta), mags * np.cos(theta))
+        probe = np.linspace(0.0, 3.0, 10_001)
+        for got, ref in zip(field._splines(probe, slopes=True), self.scipy_splines(field, probe)):
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_spline_is_clamped(self):
+        # zero slope at both ends, so the geometric connection vanishes at the interfaces
+        ys, b1, b3 = self.make_samples()
+        field = TabulatedField(ys, b1, b3)
+        values, slopes = field._splines(np.array([0.0, field.length]), slopes=True)
+        assert np.array_equal(slopes, np.zeros((2, 2)))
+        assert np.array_equal(values, [[b1[0], b1[-1]], [b3[0], b3[-1]]])
+        assert field.theta_deriv(0.0) == field.theta_deriv(field.length) == 0.0
+
     def test_lead_magnitude_enforced(self):
         ys = np.linspace(0.0, 1.0, 5)
         b1 = np.zeros(5)
