@@ -19,7 +19,6 @@ from .core import (
     ThresholdError,
     hs_distance,
     hs_norm,
-    momentum_transfer,
     scattering_channel,
     scattering_channels,
 )
@@ -63,7 +62,6 @@ from .scattering import (
 from .analytic import (
     WallConfig,
     delta_wall_scattering,
-    first_order_reflection,
     high_energy_t,
     magnetic_wall_scattering,
 )

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Regime,
-    RegimeError,
     SingularSystemError,
     planar_spinors,
     scattering_channel,
@@ -28,10 +26,7 @@ from .berry import (
     unit_direction,
 )
 from .fields import MagneticWallField, PlanarField
-from .scattering import DEFAULT_SEGMENTS, ScatterResult, build_result
-from .transfer import segment_midpoints
-
-_SIGMA_Z_CHANNEL = np.diag([1.0, -1.0]).astype(complex)
+from .scattering import ScatterResult, build_result
 
 
 def high_energy_t(field: PlanarField) -> np.ndarray:
@@ -41,35 +36,6 @@ def high_energy_t(field: PlanarField) -> np.ndarray:
     same limit.  Useful once E is large compared to the maximal local gap.
     """
     return berry_operator_planar(field, 0.0, field.length)
-
-
-def first_order_reflection(
-    field: PlanarField, energy: float, n_segments: int = DEFAULT_SEGMENTS
-) -> np.ndarray:
-    """Leading high-energy estimate of the reflection matrix.
-
-    Valid well above the gap (documented window E >= 4); the channel-averaged
-    wave vector k = sqrt(E) sets the scale and the local gap enters through
-    the transported sigma_z.  The profile integral uses midpoint quadrature on
-    the same grid as the engine.  This is an asymptotic size estimate only:
-    for smooth profiles the exact reflection decays faster than this bound,
-    and for a uniform field the exact reflection vanishes while the estimate
-    stays of order k L / E.
-    """
-    ch = scattering_channel(energy)
-    if ch.regime is not Regime.TWO_CHANNEL or energy < 4.0:
-        raise RegimeError("first-order reflection is only meaningful for E >= 4")
-    k = float(np.sqrt(energy))
-    k1 = ch.k1.real
-    length = field.length
-    h, mids = segment_midpoints(length, n_segments)
-    delta_mid = np.asarray(field.theta(mids), dtype=float) - field.theta_left
-    # sigma_z conjugated by the transport over an angle d: U(d)^T sigma_z U(d) = U(-2d) sigma_z
-    integral = (planar_rotation(-2.0 * delta_mid) @ _SIGMA_Z_CHANNEL).sum(axis=0) * h
-    rotated_r = planar_rotation(-2.0 * (field.theta_right - field.theta_left)) @ _SIGMA_Z_CHANNEL
-    bracket = (rotated_r + _SIGMA_Z_CHANNEL) - k * integral
-    prefactor = 0.5 * np.exp(2j * k * length) * (1.0 - (k1 / k) ** 2)
-    return prefactor * bracket
 
 
 def delta_wall_scattering(n_left, n_right, energy: float) -> ScatterResult:

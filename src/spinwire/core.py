@@ -36,7 +36,7 @@ class FieldDirectionError(ValueError):
 
 
 class SingularSystemError(ArithmeticError):
-    """A boundary-matching linear system is numerically singular."""
+    """A boundary-matching linear system is exactly singular."""
 
 
 class EvanescentOverflowError(ArithmeticError):
@@ -135,19 +135,6 @@ def scattering_channels(energies) -> list[ChannelData]:
 def scattering_channel(energy: float) -> ChannelData:
     """Lead wave vectors of one energy that scatters; see `scattering_channels`."""
     return scattering_channels([float(energy)])[0]
-
-
-def momentum_transfer(energy: float) -> float:
-    """Momentum change k1 - k0 of a channel-converting transmission (negative).
-
-    Only defined in the two-channel regime; `scattering_channel` refuses the
-    energies that do not scatter.  For large energies it approaches -1/sqrt(E)
-    in code units.
-    """
-    ch = scattering_channel(energy)
-    if ch.regime is not Regime.TWO_CHANNEL:
-        raise RegimeError(f"momentum transfer needs two open channels, E={energy}")
-    return float(ch.k1.real - ch.k0.real)
 
 
 def hs_norm(a: np.ndarray) -> np.floating | np.ndarray:

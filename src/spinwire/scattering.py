@@ -1,5 +1,13 @@
 """Boundary matching: turn transfer matrices into t_E, r_E and observables.
 
+The matching works with S-matrices (Ko & Inkson, PRB 38, 9945 (1988); L. Li,
+JOSA A 13, 1024 (1996)).  Inside the wire the waves are written at the unit
+wave vector, W0 = [[I, I], [iI, -iI]], so the lead wave vectors never enter
+the wire's block.  Each lead is a diagonal step between its flux-normalised
+waves and the unit waves, with rho = (k - 1)/(k + 1) and
+tau = 2 sqrt(k)/(k + 1), and one Redheffer star product folds the three
+from the left: (left * wire) * right.
+
 Conventions: the left interface sits at y = 0 (so the left phase matrix is the
 identity), amplitudes carry the sqrt(k_out/k_in) flux normalization, and in
 the single-channel regime only the (0,0) entries of t and r are physical; the
@@ -92,16 +100,60 @@ def build_result(
 
 
 def _inv2(m):
+    """Inverses of a stack of 2x2 matrices; an exactly singular one raises SingularSystemError."""
     det = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
-    bad = np.abs(det) < 1e-300
-    if np.any(bad):
-        raise SingularSystemError("boundary-matching system is numerically singular")
+    if np.any(det == 0):
+        raise SingularSystemError("a 2x2 step of the boundary matching is exactly singular")
     out = np.empty_like(m)
     out[:, 0, 0] = m[:, 1, 1]
     out[:, 1, 1] = m[:, 0, 0]
     out[:, 0, 1] = -m[:, 0, 1]
     out[:, 1, 0] = -m[:, 1, 0]
     return out / det[:, None, None]
+
+
+def _star(a, b):
+    """Redheffer star product of two S-matrices (r, t, r', t') of (n, 2, 2) stacks, a on the left.
+
+    r and t answer a wave incident from the left, r' and t' one from the right.
+    """
+    ra, ta, rpa, tpa = a
+    rb, tb, rpb, tpb = b
+    m = _inv2(np.eye(2) - rpa @ rb)  # the multiple reflections between a and b
+    rb_m, tb_m = rb @ m, tb @ m
+    return (
+        ra + tpa @ rb_m @ ta,
+        tb_m @ ta,
+        rpb + tb_m @ rpa @ tpb,
+        tpa @ (np.eye(2) + rb_m @ rpa) @ tpb,
+    )
+
+
+def _wire_block(gamma: np.ndarray):
+    """S-matrix of a stack of real transfer products in the wire's unit waves.
+
+    In the unit waves W0 = [[I, I], [iI, -iI]] a real gamma reads
+    W0^-1 gamma W0 = [[A, B], [conj(B), conj(A)]], so one 2x2 inverse,
+    that of conj(A), gives the block's S-matrix.
+    """
+    g00, g01 = gamma[:, :2, :2], gamma[:, :2, 2:]
+    g10, g11 = gamma[:, 2:, :2], gamma[:, 2:, 2:]
+    a = 0.5 * ((g00 + g11) + 1j * (g01 - g10))
+    b = 0.5 * ((g00 - g11) - 1j * (g01 + g10))
+    tp = _inv2(np.conj(a))
+    r = -tp @ np.conj(b)
+    return r, a + b @ r, b @ tp, tp
+
+
+def _lead_step(k):
+    """rho and tau of the step between a lead's flux-normalised waves and unit waves.
+
+    A lead wave of wave vector k meets the unit wave vector: the left lead's
+    step has the S-matrix (rho, tau, -rho, tau), the right lead's the mirror
+    (-rho, tau, rho, tau).  For an evanescent k = i kappa, sqrt(k) carries the
+    flux normalisation of the closed channel.
+    """
+    return (k - 1.0) / (k + 1.0), 2.0 * np.sqrt(k) / (k + 1.0)
 
 
 def solve_scattering_batch(
@@ -135,23 +187,12 @@ def solve_scattering_batch(
     else:
         check_plan(field, plan)
     gamma = ordered_product(plan, energies)
-    g00, g01 = gamma[:, :2, :2], gamma[:, :2, 2:]
-    g10, g11 = gamma[:, 2:, :2], gamma[:, 2:, 2:]
 
     k = np.array([[ch.k0, ch.k1] for ch in channels], dtype=complex)
-    w = np.stack([np.ones_like(k[:, 0]), np.sqrt(k[:, 1] / k[:, 0])], axis=-1)
-    winv = 1.0 / w[:, None, :]
-    fr_dag = np.exp(-1j * k * field.length)
-
-    # batched diagonals: diag(d) @ m is d[:, :, None] * m, m @ diag(d) is m * d[:, None, :]
-    kc, kr = k[:, :, None], k[:, None, :]
-    plus = g00 + 1j * (g01 * kr)  # G00 + i G01 K
-    minus = g00 - 1j * (g01 * kr)  # G00 - i G01 K
-    a_mat = g11 * kr + 1j * g10 + kc * minus
-    b_mat = g11 * kr - 1j * g10 - kc * plus
-    r_w = _inv2(a_mat) @ b_mat
-    r = w[:, :, None] * (r_w * winv)
-    t = (w * fr_dag)[:, :, None] * ((plus + minus @ r_w) * winv)
+    rho, tau = (d[:, :, None] * np.eye(2) for d in _lead_step(k))
+    left = _star((rho, tau, -rho, tau), _wire_block(gamma))
+    r, t, _, _ = _star(left, (-rho, tau, rho, tau))
+    t = np.exp(-1j * k * field.length)[:, :, None] * t  # the right lead's waves carry diag(exp(i k L))
 
     return build_results(t, r, channels, plan.n_segments, flow_defect(gamma))
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spinwire.core import RegimeError, ThresholdError, hs_distance, hs_norm
+from spinwire.core import hs_distance, hs_norm
 from spinwire.berry import planar_direction, planar_rotation
 from spinwire.fields import (
     magnetic_wall_field,
@@ -12,7 +12,6 @@ from spinwire.fields import (
 from spinwire.analytic import (
     WallConfig,
     delta_wall_scattering,
-    first_order_reflection,
     high_energy_t,
     magnetic_wall_scattering,
 )
@@ -54,70 +53,6 @@ class TestHighEnergyTransmission:
         d10 = hs_distance(solve_scattering(f, 10.0, 4096).t, u)
         d100 = hs_distance(solve_scattering(f, 100.0, 4096).t, u)
         assert d100 < d10
-
-
-class TestFirstOrderReflection:
-    def test_scaling_exponent(self):
-        f = scheme1_field(0, 0, 3.0)
-        energies = np.array([25.0, 50.0, 100.0, 200.0, 400.0])
-        norms = [hs_norm(first_order_reflection(f, e, 2048)) for e in energies]
-        slope = np.polyfit(np.log(energies), np.log(norms), 1)[0]
-        assert -0.55 < slope < -0.45
-
-    def test_uniform_field_closed_form(self):
-        length, energy = 0.5, 25.0
-        r1 = first_order_reflection(uniform_field(0.0, length), energy, 512)
-        k = np.sqrt(energy)
-        k1 = np.sqrt(energy - 1.0)
-        sz = np.diag([1.0, -1.0])
-        expected = (
-            0.5
-            * np.exp(2j * k * length)
-            * (1.0 - (k1 / k) ** 2)
-            * (2.0 * sz - k * length * sz)
-        )
-        assert np.max(np.abs(r1 - expected)) < 1e-6
-
-    def test_estimate_vanishes_at_infinite_energy(self):
-        f = scheme1_field(0, 0, 3.0)
-        assert hs_norm(first_order_reflection(f, 1e6, 512)) < 1e-2
-
-    def test_regime_guard(self):
-        with pytest.raises(RegimeError):
-            first_order_reflection(scheme1_field(0, 0, 3.0), 2.0, 256)
-        # the band edge is refused by the one band-edge gate first
-        with pytest.raises(ThresholdError):
-            first_order_reflection(scheme1_field(0, 0, 3.0), 1.0, 256)
-
-    @pytest.mark.parametrize("n_segments", [0, -2, 2.5, float("nan"), float("inf")])
-    def test_segment_count_must_be_a_positive_whole_number(self, n_segments):
-        with pytest.raises(ValueError, match="need a whole number of segments >= 1"):
-            first_order_reflection(scheme1_field(1, 1, 3.0), 5.0, n_segments)
-
-    def test_integral_float_count_is_that_count(self):
-        f = scheme1_field(1, 1, 3.0)
-        assert np.array_equal(first_order_reflection(f, 5.0, 64.0), first_order_reflection(f, 5.0, 64))
-
-    @pytest.mark.xfail(
-        strict=True,
-        reason=(
-            "the estimate is an upper envelope, not a correction: the exact "
-            "reflection of these smooth profiles decays ~E^-3/2 (interface "
-            "derivatives vanish) while the estimate decays ~E^-1/2, so at "
-            "E=100 it overshoots the true reflection by orders of magnitude"
-        ),
-    )
-    def test_estimate_points_toward_full_reflection(self):
-        f = scheme1_field(0, 0, 3.0)
-        r_full = solve_scattering(f, 100.0, 4096).r
-        r1 = first_order_reflection(f, 100.0, 4096)
-        assert hs_distance(r_full, r1) < hs_norm(r_full)
-
-    def test_exact_reflection_decays_faster_than_estimate(self):
-        f = scheme1_field(0, 0, 3.0)
-        r_full = solve_scattering(f, 100.0, 4096).r
-        r1 = first_order_reflection(f, 100.0, 4096)
-        assert hs_norm(r_full) < hs_norm(r1)
 
 
 class TestDeltaWall:

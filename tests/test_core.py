@@ -11,7 +11,6 @@ from spinwire.core import (
     RegimeError,
     ThresholdError,
     hs_distance,
-    momentum_transfer,
     planar_spinors,
     scattering_channel,
     scattering_channels,
@@ -129,24 +128,6 @@ def test_evanescent_wave_decays_rightward():
     ch = scattering_channel(0.0)
     amplitudes = np.abs(np.exp(1j * ch.k1 * np.array([1.0, 5.0, 20.0])))
     assert np.all(np.diff(amplitudes) < 0)
-
-
-def test_momentum_transfer_values():
-    assert momentum_transfer(5.0) == pytest.approx(2.0 - np.sqrt(6.0))
-    assert momentum_transfer(1.25) == pytest.approx(-1.0)
-
-
-def test_momentum_transfer_asymptotic_form():
-    exact = momentum_transfer(100.0)
-    assert abs(exact - (-1.0 / np.sqrt(100.0))) <= 0.002 * abs(exact)
-
-
-def test_momentum_transfer_needs_two_channels():
-    with pytest.raises(RegimeError):
-        momentum_transfer(0.5)
-    # the band edge is refused by the one band-edge gate
-    with pytest.raises(ThresholdError):
-        momentum_transfer(1.0)
 
 
 def test_hs_distance_examples():

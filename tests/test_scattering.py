@@ -13,6 +13,7 @@ from spinwire.core import (
     GridCoarseWarning,
     Regime,
     RegimeError,
+    SingularSystemError,
     ThresholdError,
     scattering_channel,
 )
@@ -545,8 +546,9 @@ class TestBatchAssembly:
 
 def berry_matching_reference(field, energies, plan):
     """t, r and the flow defect from the matching the engine used before it
-    took the real product: on gamma_tilde, with the Berry factor U multiplied
-    back, U (X11 K + i X10) + K U (X00 - i X01 K) and so on."""
+    took the real product and matched through S-matrices: on gamma_tilde, with
+    the Berry factor U multiplied back and the lead wave vectors K in every
+    term, U (X11 K + i X10) + K U (X00 - i X01 K) and so on."""
     channels = spinwire.scattering_channels(energies)
     _, gamma_tilde, berry = gamma_piecewise_batch(field, energies, plan.n_segments, plan=plan)
     x00, x01 = gamma_tilde[:, :2, :2], gamma_tilde[:, :2, 2:]
@@ -561,7 +563,7 @@ def berry_matching_reference(field, energies, plan):
     minus = x00 - 1j * (x01 * kr)
     a_mat = u @ (x11 * kr + 1j * x10) + kc * (u @ minus)
     b_mat = u @ (x11 * kr - 1j * x10) - kc * (u @ plus)
-    r_w = scattering._inv2(a_mat) @ b_mat
+    r_w = np.linalg.inv(a_mat) @ b_mat
     r = w[:, :, None] * (r_w * winv)
     t = (w * fr_dag)[:, :, None] * ((u @ (plus + minus @ r_w)) * winv)
     return t, r, flow_defect(gamma_tilde)
@@ -599,6 +601,87 @@ class TestRealProductMatching:
         argv = ["sweep", "--scheme", "scheme2", "--L", "3", "--points", "12", "--segments", "64"]
         assert cli.main(argv) == 0
         assert len(capsys.readouterr().out.splitlines()) == 13
+
+
+W0 = np.block([[np.eye(2), np.eye(2)], [1j * np.eye(2), -1j * np.eye(2)]])
+
+
+def s_matrix_reference(transfer):
+    """(r, t, r', t') of a stack of transfer matrices taking (right-, left-moving)
+    amplitudes on the left to those on the right, by np.linalg."""
+    t11, t12 = transfer[:, :2, :2], transfer[:, :2, 2:]
+    t21, t22 = transfer[:, 2:, :2], transfer[:, 2:, 2:]
+    tp = np.linalg.inv(t22)
+    r = -tp @ t21
+    return r, t11 + t12 @ r, t12 @ tp, tp
+
+
+def lead_waves(k):
+    """(psi, psi') of the flux-normalised lead waves exp(+-iky)/sqrt(k) at y = 0, for (n, 2) k."""
+    eye = np.broadcast_to(np.eye(2), (len(k), 2, 2))
+    ik = 1j * k[:, :, None] * np.eye(2)
+    return np.block([[eye, eye], [ik, -ik]]) / np.sqrt(np.concatenate([k, k], axis=1))[:, None, :]
+
+
+def random_s_matrices(rng, n=50):
+    return tuple(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)) for _ in range(4))
+
+
+class TestSMatrixMatching:
+    def test_a_real_gamma_in_unit_waves_has_conjugate_blocks(self):
+        rng = np.random.default_rng(21)
+        gamma = rng.normal(size=(200, 4, 4))
+        block = np.linalg.inv(W0) @ gamma @ W0
+        a, b = block[:, :2, :2], block[:, :2, 2:]
+        assert np.max(np.abs(block[:, 2:, :2] - np.conj(b))) < 1e-14
+        assert np.max(np.abs(block[:, 2:, 2:] - np.conj(a))) < 1e-14
+        for got, want in zip(scattering._wire_block(gamma), s_matrix_reference(block)):
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12
+
+    @pytest.mark.parametrize("k", [0.3, 1.0, 2.7, 0.4j, 3.1j], ids=str)
+    def test_lead_steps_are_the_lead_waves_in_unit_waves(self, k):
+        k = np.array([[k, k]], dtype=complex)
+        rho, tau = (d[:, :, None] * np.eye(2) for d in scattering._lead_step(k))
+        left = s_matrix_reference(np.linalg.inv(W0) @ lead_waves(k))
+        right = s_matrix_reference(np.linalg.inv(lead_waves(k)) @ W0)
+        for got, want in zip(left + right, (rho, tau, -rho, tau, -rho, tau, rho, tau)):
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_star_is_associative_with_the_identity(self):
+        rng = np.random.default_rng(22)
+        a, b, c = (random_s_matrices(rng) for _ in range(3))
+        star = scattering._star
+        for got, want in zip(star(star(a, b), c), star(a, star(b, c))):
+            assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-10
+        zero, eye = np.zeros((50, 2, 2)), np.broadcast_to(np.eye(2), (50, 2, 2))
+        identity = (zero, eye, zero, eye)
+        for got, want in zip(star(identity, a) + star(a, identity), a + a):
+            assert np.max(np.abs(got - want)) < 1e-14
+
+    def test_star_of_the_wire_between_its_leads_is_the_transfer_product(self):
+        rng = np.random.default_rng(23)
+        k = np.array([[1.3, 0.2], [0.8, 0.5j]], dtype=complex)
+        gamma = rng.normal(size=(2, 4, 4))
+        rho, tau = (d[:, :, None] * np.eye(2) for d in scattering._lead_step(k))
+        left = scattering._star((rho, tau, -rho, tau), scattering._wire_block(gamma))
+        got = scattering._star(left, (-rho, tau, rho, tau))
+        want = s_matrix_reference(np.linalg.inv(lead_waves(k)) @ gamma @ lead_waves(k))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w) / (1.0 + np.abs(w))) < 1e-12
+
+    def test_an_exactly_singular_step_raises(self):
+        eye = np.eye(2)[None].astype(complex)
+        step = (eye, eye, eye, eye)
+        with pytest.raises(SingularSystemError, match="exactly singular"):
+            scattering._star(step, step)  # I - r'_a r_b = 0
+        with pytest.raises(SingularSystemError, match="exactly singular"):
+            scattering._wire_block(np.zeros((1, 4, 4)))  # conj(A) = 0
+
+    def test_long_wire_batch_returns_every_energy(self):
+        # the reciprocal 1-norm condition of conj(A) falls to 1e-21 on this grid;
+        # the matching raises only on an exactly singular step
+        results = solve_scattering_batch(scheme2_field(0, 0, 40.0), np.linspace(-0.95, 0.95, 20))
+        assert len(results) == 20
 
 
 def assert_columns_equal_reference(results, u):
