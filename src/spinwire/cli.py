@@ -17,8 +17,11 @@ CSV).  A command writes its output, to stdout or ``--out``, only after it has
 succeeded: a command that fails writes no output, and an existing ``--out``
 file keeps its contents.
 
-Exit codes: 0 success/PASS, 1 usage or config error, 2 validation FAIL,
-3 numeric failure.
+Exit codes follow the type of the exception that ended the command:
+0 success/PASS; 1 usage error or any other refused input, a bad profile
+included (ValueError, OSError); 2 validation FAIL; 3 numeric failure, any
+ArithmeticError (singular matching, evanescent overflow, a lattice spacing too
+coarse for the oracle).
 """
 
 from __future__ import annotations
@@ -30,15 +33,7 @@ from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .core import (
-    ChannelMismatchError,
-    EvanescentOverflowError,
-    FieldDirectionError,
-    Regime,
-    RegimeError,
-    SingularSystemError,
-    hs_norm,
-)
+from .core import Regime, hs_norm
 from .berry import (
     align_sign,
     berry_operator_planar,
@@ -62,15 +57,6 @@ from .scattering import (
 )
 from .analytic import WallConfig, delta_wall_scattering, magnetic_wall_scattering
 from .lattice import fd_scattering
-
-NUMERIC_ERRORS = (
-    RegimeError,
-    SingularSystemError,
-    EvanescentOverflowError,
-    ChannelMismatchError,
-    FieldDirectionError,
-    np.linalg.LinAlgError,
-)
 
 # CSV columns in order, by the output group that enables them; None is always on
 CSV_LAYOUT = (
@@ -168,8 +154,6 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
         raise ConfigError("points must be >= 1")
     if cfg.segments < 1:
         raise ConfigError("segments must be >= 1")
-    if cfg.L <= 0 and not cfg.scheme.startswith("wall"):
-        raise ConfigError("L must be positive")
     if not (np.isfinite(cfg.defect_tol) and cfg.defect_tol >= 0.0):
         raise ConfigError(f"defect_tol must be non-negative and finite, got {cfg.defect_tol}")
     cfg.output_groups()
@@ -432,10 +416,7 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(text)
         return code
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NUMERIC_ERRORS as exc:
+    except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:

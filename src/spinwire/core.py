@@ -43,8 +43,12 @@ class EvanescentOverflowError(ArithmeticError):
     """Evanescent growth across the region exceeds the double-precision guard."""
 
 
-class ChannelMismatchError(ValueError):
-    """Lattice and continuum channel regimes disagree (spacing too coarse)."""
+class ChannelMismatchError(ArithmeticError):
+    """The lattice spacing is too coarse for the energy: a numeric failure, not a bad input.
+
+    The lattice band misses a channel the continuum opens, or resolves it too
+    poorly; a finer spacing cures it.
+    """
 
 
 class GridCoarseWarning(UserWarning):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FieldDirectionError, zeeman_matrix
+from .core import FieldDirectionError
 
 
 class PlanarField:
@@ -62,10 +62,6 @@ class PlanarField:
         mag = self.magnitude(y)
         th = self.theta(y)
         return mag * np.sin(th), mag * np.cos(th)
-
-    def zeeman_term(self, y: float) -> np.ndarray:
-        """On-site Zeeman 2x2 matrix in the fixed (up, down) basis."""
-        return zeeman_matrix(*self.components(float(y)))
 
     def _clamp(self, y):
         return np.clip(np.asarray(y, dtype=float), 0.0, self.length)
@@ -225,16 +221,6 @@ class MagneticWallField(PlanarField):
         mag = self.magnitude(y)
         th = np.where(y <= 0.0, self.theta_left, self.theta_right)
         return mag * np.sin(th), mag * np.cos(th)
-
-    def zeeman_term(self, y: float) -> np.ndarray:
-        # average the one-sided limits on the exact interface points so that
-        # lattice discretizations keep second-order accuracy across the jump
-        y = float(y)
-        if y == 0.0:
-            return 0.5 * zeeman_matrix(np.sin(self.theta_left), np.cos(self.theta_left))
-        if y == self.length:
-            return 0.5 * zeeman_matrix(np.sin(self.theta_right), np.cos(self.theta_right))
-        return super().zeeman_term(y)
 
 
 def _clamped_spline(x, values):

@@ -50,9 +50,13 @@ def build_lattice(field: PlanarField, spacing: float) -> Lattice:
     a = field.length / n_cells
     ys = np.arange(n_cells + 1) * a
     onsite = zeeman_matrix(*field.components(ys))
-    # interface sites may sit on a field discontinuity; use the one-sided mean
-    onsite[0] = field.zeeman_term(0.0)
-    onsite[-1] = field.zeeman_term(field.length)
+    # the end sites are evaluated at exactly 0 and L: ys[-1] can miss L by an
+    # ulp, which inside a wall lands on the zero field.  A wall's field jumps
+    # at both ends, and the mean of its one-sided limits keeps the lattice
+    # second-order accurate across the jump.
+    for site, y in ((0, 0.0), (-1, field.length)):
+        end = zeeman_matrix(*field.components(y))
+        onsite[site] = 0.5 * end if field.zero_field_interior else end
     return Lattice(spacing=a, ys=ys, onsite=onsite)
 
 

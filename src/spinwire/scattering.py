@@ -259,7 +259,9 @@ def landauer_current(
         energies, mu_right, temperature
     )
     if mu_left == mu_right:
-        scattering_channels(energies)  # a grid that does not scatter is refused at zero bias too
+        # a grid or count that a bias refuses is refused at zero bias too, in the same order
+        scattering_channels(energies)
+        segment_count(n_segments)
         return 0.0
     g = np.array([res.conductance for res in solve_scattering_batch(field, energies, n_segments)])
     steps = np.abs(np.diff(g))

@@ -397,6 +397,31 @@ def test_numeric_failure_exit_code(args, reason, capsys):
     assert reason in err
 
 
+# a profile whose field vanishes at an interior sample: the direction is
+# undefined there, so the profile is refused as bad input
+ZERO_PROFILE = "# y b1 b3\n0 0 1\n0.5 0 0.5\n1 0 0\n1.5 0 -0.5\n2 0 -1\n"
+
+# the exception that ends each command picks its exit code
+EXIT_BY_EXCEPTION = {
+    "FieldDirectionError": (["sweep", "--scheme", "tabulated:{tmp}/zero.txt", "--E-min", "0",
+                             "--E-max", "2", "--points", "5"], 1, "error: tabulated profile has |B| = 0"),
+    "EvanescentOverflowError": (FAILING_COMMANDS["growth_guard"][0], 3,
+                                "numeric failure: evanescent growth"),
+    "ChannelMismatchError": (["validate", "--scheme", "scheme1", "--L", "20000", "--against",
+                              "oracle"], 3, "numeric failure: lattice band too narrow"),
+    "FileNotFoundError": (FAILING_COMMANDS["missing_profile"][0], 1, "error: "),
+}
+
+
+@pytest.mark.parametrize("args, expected, message", EXIT_BY_EXCEPTION.values(),
+                         ids=EXIT_BY_EXCEPTION.keys())
+def test_exit_code_follows_the_exception_type(args, expected, message, tmp_path, capsys):
+    (tmp_path / "zero.txt").write_text(ZERO_PROFILE)
+    code, out, err = run_cli([arg.format(tmp=tmp_path) for arg in args], capsys)
+    assert (code, out) == (expected, "")
+    assert err.startswith(message)
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -4,8 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from spinwire.core import ChannelMismatchError, ThresholdError
-from spinwire.fields import magnetic_wall_field, scheme1_field, scheme2_field, uniform_field
+from spinwire.core import ChannelMismatchError, ThresholdError, zeeman_matrix
+from spinwire.fields import (
+    TabulatedField,
+    magnetic_wall_field,
+    scheme1_field,
+    scheme2_field,
+    uniform_field,
+)
 from spinwire.analytic import WallConfig, magnetic_wall_scattering
 from spinwire.lattice import build_lattice, fd_scattering, lattice_wavenumbers
 from spinwire.scattering import solve_scattering
@@ -130,6 +136,31 @@ def test_lattice_sites_span_region():
     assert lat.ys[0] == 0.0
     assert lat.ys[-1] == pytest.approx(3.0)
     assert lat.onsite.shape == (65, 2, 2)
+
+
+def _tabulated_scheme2(length):
+    ys = np.linspace(0.0, length, 200)
+    return TabulatedField(ys, *scheme2_field(1, 1, length).components(ys))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [magnetic_wall_field(0.3, 2.0, 3.3), scheme1_field(1, 1, 3.3), uniform_field(0.7, 3.3),
+     _tabulated_scheme2(3.3)],
+    ids=["wall", "scheme1", "uniform", "tabulated"],
+)
+def test_end_sites_sit_exactly_on_the_interfaces(field):
+    # 3.3 / 0.003 rounds to 1100 cells, whose last site misses L by an ulp:
+    # inside the wall, where the field is 0
+    lat = build_lattice(field, 0.003)
+    assert lat.ys[-1] != field.length
+    if field.zero_field_interior:
+        # the field jumps at both ends: the mean of the one-sided limits
+        ends = [0.5 * zeeman_matrix(np.sin(th), np.cos(th)) for th in (0.3, 2.0)]
+    else:
+        ends = [zeeman_matrix(*field.components(y)) for y in (0.0, field.length)]
+    assert np.array_equal(lat.onsite[0], ends[0])
+    assert np.array_equal(lat.onsite[-1], ends[1])
 
 
 def test_oracle_shares_no_solver_code_with_the_engine():

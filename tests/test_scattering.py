@@ -100,8 +100,12 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "field",
-        [scheme1_field(1, 1, 3.0), scheme2_field(1, 1, 3.0), magnetic_wall_field(0.0, 2.0, 2.0)],
-        ids=["scheme1", "scheme2", "wall"],
+        [scheme1_field(1, 1, 3.0), scheme2_field(1, 1, 3.0), magnetic_wall_field(0.0, 2.0, 2.0),
+         pytest.param(uniform_field(0.7, 2.0), marks=pytest.mark.xfail(strict=True, reason=(
+             "a wire transparent at a band edge loses flux to rounding in the unit-wave "
+             "matching: unitarity_defect 1.85e-8 at E = nextafter(-1, 0) (CHANGES.md FOUND, "
+             "S-matrix matching)")))],
+        ids=["scheme1", "scheme2", "wall", "uniform"],
     )
     def test_next_float_off_a_band_edge_solves(self, field):
         # the threshold test is exact: one ulp off an edge is a regular energy
@@ -158,17 +162,19 @@ class TestLandauer:
         assert landauer_current(u, 5.0, 5.0, 0.0, grid, 64) == 0.0
 
     @pytest.mark.parametrize(
-        "grid, error",
-        [([], ValueError), ([np.nan], ValueError), ([-2.0, 0.5], RegimeError),
-         ([1.0, 0.5], ThresholdError)],
-        ids=["empty", "nan", "below-both-bands", "band-edge"],
+        "grid, n_segments, error",
+        [([], 64, ValueError), ([np.nan], 64, ValueError), ([-2.0, 0.5], 64, RegimeError),
+         ([1.0, 0.5], 64, ThresholdError), ([0.5], 0, ValueError), ([0.5], 2.5, ValueError),
+         ([0.5], np.nan, ValueError)],
+        ids=["empty", "nan", "below-both-bands", "band-edge", "no-segments",
+             "fractional-segments", "nan-segments"],
     )
-    def test_zero_bias_refuses_the_grids_a_bias_refuses(self, grid, error):
+    def test_zero_bias_refuses_the_grids_a_bias_refuses(self, grid, n_segments, error):
         f = scheme1_field(0, 0, 3.0)
         refusals = []
         for mu_right in (2.0, 2.5):  # a bias, then none
             with pytest.raises(error) as refused:
-                landauer_current(f, 2.5, mu_right, 0.0, grid, 64)
+                landauer_current(f, 2.5, mu_right, 0.0, grid, n_segments)
             refusals.append((type(refused.value), str(refused.value)))
         assert refusals[0] == refusals[1] and refusals[0][0] is error
 
