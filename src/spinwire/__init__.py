@@ -35,7 +35,6 @@ from .fields import (
     uniform_field,
 )
 from .berry import (
-    berry_connection_planar,
     berry_operator_overlap,
     berry_operator_planar,
     berry_operator_segmented,

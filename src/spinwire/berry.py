@@ -35,12 +35,6 @@ def planar_rotation(delta_theta) -> np.ndarray:
     return np.moveaxis(np.array([[c, -s], [s, c]], dtype=complex), (0, 1), (-2, -1))
 
 
-def berry_connection_planar(field: PlanarField, y: float) -> np.ndarray:
-    """Skew connection K(y) between the local eigenstates, K = theta'/2 * [[0,1],[-1,0]]."""
-    dth = float(field.theta_deriv(y))
-    return np.array([[0.0, 0.5 * dth], [-0.5 * dth, 0.0]], dtype=complex)
-
-
 def berry_operator_planar(field: PlanarField, y1: float, y2: float) -> np.ndarray:
     """Transport operator from y1 to y2 for a planar field (closed form).
 

@@ -70,10 +70,6 @@ CSV_LAYOUT = (
 OUTPUT_GROUPS = tuple(group for group, _ in CSV_LAYOUT if group)
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class SweepConfig:
     """All knobs of a run: its fields are the config-file keys and, spelled with -, the flags."""
@@ -95,7 +91,7 @@ class SweepConfig:
         groups = tuple(tok.strip() for tok in self.outputs.split(",") if tok.strip())
         for tok in groups:
             if tok not in OUTPUT_GROUPS:
-                raise ConfigError(f"unknown output group {tok!r}; choose from {OUTPUT_GROUPS}")
+                raise ValueError(f"unknown output group {tok!r}; choose from {OUTPUT_GROUPS}")
         return groups
 
     def csv_columns(self) -> tuple[str, ...]:
@@ -121,7 +117,7 @@ def _coerce(key: str, raw: str):
     try:
         return _CONFIG_TYPES[key](raw)
     except ValueError as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
+        raise ValueError(f"bad value for {key!r}: {raw!r}") from exc
 
 
 def parse_config_file(path: str) -> dict:
@@ -133,10 +129,10 @@ def parse_config_file(path: str) -> dict:
             if not text:
                 continue
             if "=" not in text:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
+                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {line.rstrip()!r}")
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in _CONFIG_TYPES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             values[key] = _coerce(key, raw)
     return values
 
@@ -151,11 +147,11 @@ def build_config(args: argparse.Namespace) -> SweepConfig:
             values[key] = override
     cfg = SweepConfig(**values)
     if cfg.points < 1:
-        raise ConfigError("points must be >= 1")
+        raise ValueError("points must be >= 1")
     if cfg.segments < 1:
-        raise ConfigError("segments must be >= 1")
+        raise ValueError("segments must be >= 1")
     if not (np.isfinite(cfg.defect_tol) and cfg.defect_tol >= 0.0):
-        raise ConfigError(f"defect_tol must be non-negative and finite, got {cfg.defect_tol}")
+        raise ValueError(f"defect_tol must be non-negative and finite, got {cfg.defect_tol}")
     cfg.output_groups()
     return cfg
 
@@ -172,7 +168,7 @@ def build_field(cfg: SweepConfig) -> PlanarField:
         return uniform_field(cfg.thetaL, cfg.L)
     if scheme.startswith("tabulated:"):
         return load_profile(scheme.split(":", 1)[1])
-    raise ConfigError(
+    raise ValueError(
         f"unknown scheme {scheme!r}; expected scheme1, scheme2, wall, uniform or tabulated:PATH"
     )
 
@@ -189,7 +185,7 @@ def energy_grid(cfg: SweepConfig, diag) -> np.ndarray:
                 file=diag,
             )
     if np.any(grid <= -1.0):
-        raise ConfigError("energy window extends into the closed regime (E <= -1)")
+        raise ValueError("energy window extends into the closed regime (E <= -1)")
     return grid
 
 
@@ -284,7 +280,7 @@ def run_validate(cfg: SweepConfig, against: str) -> tuple[str, int]:
             lines.append(("probability rel. error (a=L/8192)", float(np.max(rel)), tol, energy))
     elif against == "wall":
         if not field.zero_field_interior:
-            raise ConfigError("validate --against wall needs scheme = wall")
+            raise ValueError("validate --against wall needs scheme = wall")
         tol = 1e-10
         energies = np.linspace(1.01, 100.0, 50)
         engine = solve_scattering_batch(field, energies, cfg.segments)
@@ -310,7 +306,7 @@ def run_validate(cfg: SweepConfig, against: str) -> tuple[str, int]:
         lines.append(("delta closed form vs wall at L=1e-6", devs[worst], tol, energies[worst]))
     elif against == "berry":
         if field.zero_field_interior:
-            raise ConfigError("validate --against berry needs a continuous profile")
+            raise ValueError("validate --against berry needs a continuous profile")
         tol = 1e-8
         segmented = berry_operator_segmented(field_directions(field, cfg.segments))
         planar = berry_operator_planar(field, 0.0, field.length)
@@ -319,9 +315,9 @@ def run_validate(cfg: SweepConfig, against: str) -> tuple[str, int]:
     elif against == "convergence":
         if field.constant_interior:
             # the plan is exact, so the errors it would divide are rounding
-            raise ConfigError("validate --against convergence needs a non-constant profile")
+            raise ValueError("validate --against convergence needs a non-constant profile")
         if cfg.segments < 4:
-            raise ConfigError("validate --against convergence needs segments >= 4")
+            raise ValueError("validate --against convergence needs segments >= 4")
         tol = 0.5  # error ratio bound: each halving of the step must gain >= 2x
         energy = 3.0
         reference = solve_scattering_batch(field, [energy], 4 * cfg.segments)[0].probabilities
@@ -340,7 +336,7 @@ def run_validate(cfg: SweepConfig, against: str) -> tuple[str, int]:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:

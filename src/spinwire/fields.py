@@ -25,7 +25,10 @@ from .core import FieldDirectionError
 
 
 class PlanarField:
-    """Base class; subclasses provide magnitude/theta and their derivative.
+    """Base class; a field is its magnitude |B|(y) and unwrapped angle theta(y).
+
+    Subclasses provide `magnitude` and `theta`; `components` and
+    `basis_theta` derive from them unless a subclass overrides them.
 
     All evaluation methods accept scalars or arrays of positions.  Positions
     outside [0, L] clamp to the lead values.
@@ -48,9 +51,6 @@ class PlanarField:
         raise NotImplementedError
 
     def theta(self, y):
-        raise NotImplementedError
-
-    def theta_deriv(self, y):
         raise NotImplementedError
 
     def basis_theta(self, y):
@@ -126,32 +126,20 @@ class WindingField(PlanarField):
     def _phase(self, y):
         return self._sections * np.pi * self._clamp(y) / (self.scheme * self.length)
 
-    def _section(self, u):
-        """Start angle of u's section and u's angle within it."""
-        width = np.pi / self.scheme
-        sec = np.minimum(np.floor(u / width), self._sections)
-        return sec * width, u - sec * width
-
     def magnitude(self, y):
         u = self._phase(y)
         a, b = self._exponents
         return np.hypot(np.abs(np.sin(u)) ** a, np.abs(np.cos(u)) ** b)
 
     def theta(self, y):
-        start, v = self._section(self._phase(y))
+        u = self._phase(y)
+        width = np.pi / self.scheme
+        start = np.minimum(np.floor(u / width), self._sections) * width
+        v = u - start
         a, b = self._exponents
         # within a section sin(v) >= 0 and cos(v)**b carries the sign, so
         # atan2 lands in [0, pi] and the sections chain continuously
         return start + np.arctan2(np.sin(v) ** a, np.cos(v) ** b)
-
-    def theta_deriv(self, y):
-        _, v = self._section(self._phase(y))
-        a, b = self._exponents
-        s, c = np.sin(v), np.cos(v)
-        num = a * s ** (a - 1) * c ** (b + 1) + b * s ** (a + 1) * c ** (b - 1)
-        den = s ** (2 * a) + c ** (2 * b)
-        inside = (np.asarray(y, dtype=float) > 0.0) & (np.asarray(y, dtype=float) < self.length)
-        return np.where(inside, num / den, 0.0) * (self._sections * np.pi / (self.scheme * self.length))
 
 
 @dataclass(frozen=True)
@@ -173,17 +161,14 @@ class UniformField(PlanarField):
     def theta(self, y):
         return np.full_like(self._clamp(y), self.theta0)
 
-    def theta_deriv(self, y):
-        return np.zeros_like(self._clamp(y))
-
 
 @dataclass(frozen=True)
 class MagneticWallField(PlanarField):
     """Zero-field region of length L between misaligned uniform leads.
 
-    The direction is undefined inside the wall, so theta and theta_deriv raise
-    there.  The transfer engine carries the left lead's eigenbasis through the
-    wall and rotates it to the right lead's at y = L (`basis_theta`).
+    The direction is undefined inside the wall, so theta raises there.  The
+    transfer engine carries the left lead's eigenbasis through the wall and
+    rotates it to the right lead's at y = L (`basis_theta`).
     """
 
     theta_l: float
@@ -209,9 +194,6 @@ class MagneticWallField(PlanarField):
         if np.any((y > 0.0) & (y < self.length)):
             raise FieldDirectionError("field direction undefined inside the wall")
         return np.where(y <= 0.0, self.theta_left, self.theta_right)
-
-    def theta_deriv(self, y):
-        return np.zeros_like(self.theta(y))
 
     def basis_theta(self, y):
         return np.where(np.asarray(y, dtype=float) < self.length, self.theta_left, self.theta_right)
@@ -265,8 +247,8 @@ class TabulatedField(PlanarField):
     """Profile interpolated from (y, b1, b3) samples.
 
     Components are cubic splines, built in numpy, clamped to zero slope at
-    the endpoints, so the geometric connection vanishes at the interfaces as
-    the solver requires.  The two splines share one interval lookup per
+    the endpoints, so the field direction does not change at either interface,
+    as the solver requires.  The two splines share one interval lookup per
     evaluation.  The unwrapped angle follows the sampled winding.
     """
 
@@ -300,15 +282,12 @@ class TabulatedField(PlanarField):
         self.theta_left = float(self._theta_samples[0])
         self.theta_right = float(self._theta_samples[-1])
 
-    def _splines(self, y, slopes=False):
-        """(b1, b3) at the clamped y, and with ``slopes`` also (b1', b3'): one lookup."""
+    def _splines(self, y):
+        """(b1, b3) at the clamped y: one interval lookup for both."""
         i = np.searchsorted(self.ys[1:], y, side="right")
         s = y - self.ys[i]
         c0, c1, c2, c3 = np.take(self._coef, i, axis=-1)  # contiguous, unlike [..., i]
-        values = ((c0 * s + c1) * s + c2) * s + c3
-        if not slopes:
-            return values
-        return values, (3.0 * c0 * s + 2.0 * c1) * s + c2
+        return ((c0 * s + c1) * s + c2) * s + c3
 
     def magnitude(self, y):
         return np.hypot(*self._splines(self._clamp(y)))
@@ -319,10 +298,6 @@ class TabulatedField(PlanarField):
         raw = np.arctan2(b1, b3)
         guide = np.interp(y, self.ys, self._theta_samples)
         return raw + 2.0 * np.pi * np.round((guide - raw) / (2.0 * np.pi))
-
-    def theta_deriv(self, y):
-        (b1, b3), (d1, d3) = self._splines(self._clamp(y), slopes=True)
-        return (b3 * d1 - b1 * d3) / (b1 * b1 + b3 * b3)
 
     def components(self, y):
         b1, b3 = self._splines(self._clamp(y))

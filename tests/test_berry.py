@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from spinwire.core import FieldDirectionError, hs_norm, planar_spinors
+from spinwire.core import hs_norm
 from spinwire.berry import (
     align_sign,
-    berry_connection_planar,
     berry_operator_overlap,
     berry_operator_planar,
     berry_operator_segmented,
@@ -13,53 +12,7 @@ from spinwire.berry import (
     planar_rotation,
     spin_eigenvectors,
 )
-from spinwire.fields import magnetic_wall_field, scheme1_field, scheme2_field, uniform_field
-
-
-def connection_by_finite_differences(field, y, h=1e-6):
-    """Oracle: K[l,l'] = <phi_l | d_y phi_l'> from the eigenvectors themselves."""
-    k = np.empty((2, 2), dtype=complex)
-    minus = planar_spinors(float(field.theta(y - h)))
-    plus = planar_spinors(float(field.theta(y + h)))
-    here = planar_spinors(float(field.theta(y)))
-    for a in range(2):
-        for b in range(2):
-            k[a, b] = np.vdot(here[a], (plus[b] - minus[b]) / (2.0 * h))
-    return k
-
-
-class TestConnection:
-    def test_uniform_field_has_no_connection(self):
-        f = uniform_field(1.1, 2.0)
-        assert hs_norm(berry_connection_planar(f, 1.0)) == 0.0
-
-    def test_vanishes_at_lead_interfaces(self):
-        f = scheme1_field(0, 0, 3.0)
-        assert hs_norm(berry_connection_planar(f, 0.0)) == 0.0
-        assert hs_norm(berry_connection_planar(f, 3.0)) == 0.0
-
-    @pytest.mark.parametrize(
-        "f, y",
-        [
-            # the scheme1 (0, 0, 3) cases keep their bare-position ids
-            pytest.param(f, y, id=f"{name}{y}")
-            for name, f in (
-                ("", scheme1_field(0, 0, 3.0)),
-                ("scheme2_1_1_6-", scheme2_field(1, 1, 6.0)),
-                ("scheme1_10_0_3-", scheme1_field(10, 0, 3.0)),
-            )
-            for y in (0.4, 1.1, 1.5, 2.3)
-        ],
-    )
-    def test_matches_eigenvector_finite_differences(self, f, y):
-        k = berry_connection_planar(f, y)
-        assert np.allclose(k, connection_by_finite_differences(f, y), atol=1e-8)
-
-    def test_skew(self):
-        f = scheme2_field(1, 0, 6.0)
-        for y in (0.5, 2.0, 4.4):
-            k = berry_connection_planar(f, y)
-            assert np.allclose(k + k.conj().T, 0.0, atol=1e-15)
+from spinwire.fields import magnetic_wall_field, scheme1_field, scheme2_field
 
 
 class TestPlanarOperator:
@@ -111,12 +64,6 @@ class TestWallTransport:
         u_0y = berry_operator_planar(self.wall, 0.0, y)
         u_yl = berry_operator_planar(self.wall, y, 2.0)
         assert np.array_equal(u_yl @ u_0y, berry_operator_planar(self.wall, 0.0, 2.0))
-
-    def test_connection_undefined_inside(self):
-        with pytest.raises(FieldDirectionError):
-            berry_connection_planar(self.wall, 1.0)
-        for y in (0.0, 2.0):
-            assert np.array_equal(berry_connection_planar(self.wall, y), np.zeros((2, 2)))
 
 
 class TestOverlapRoute:

@@ -139,21 +139,36 @@ class TestScheme2:
         assert np.max(np.abs(wrapped)) < 1e-10
 
 
+def tabulated_from(src, n):
+    """The tabulated profile of n equally spaced samples of src."""
+    ys = np.linspace(0.0, src.length, n)
+    return TabulatedField(ys, *(np.asarray(b, dtype=float) for b in src.components(ys)))
+
+
+def one_sided_slopes(field, h):
+    """One-sided difference quotients of (b1, b3) into the wire, at y = 0 and at y = L."""
+    return [
+        (np.array(field.components(y0 + sign * h)) - np.array(field.components(y0))) / h
+        for y0, sign in ((0.0, +1), (field.length, -1))
+    ]
+
+
 @pytest.mark.parametrize(
     "field",
-    [scheme1_field(0, 0, 3.0), scheme1_field(0, 1, 3.0), scheme2_field(0, 0, 6.0), scheme2_field(1, 1, 6.0)],
-    ids=["s1_q0", "s1_q2=1", "s2_q0", "s2_q1=q2=1"],
+    [
+        scheme1_field(0, 0, 3.0),
+        scheme1_field(0, 1, 3.0),
+        scheme2_field(0, 0, 6.0),
+        scheme2_field(1, 1, 6.0),
+        tabulated_from(scheme2_field(1, 1, 4.0), 200),
+        uniform_field(0.7, 2.0),
+    ],
+    ids=["s1_q0", "s1_q2=1", "s2_q0", "s2_q1=q2=1", "tabulated", "uniform"],
 )
 def test_component_derivatives_vanish_at_interfaces(field):
-    h = 1e-5
-    for y0, sign in ((0.0, +1), (field.length, -1)):
-        b1a, b3a = field.components(y0)
-        b1b, b3b = field.components(y0 + sign * h)
-        assert abs((b1b - b1a) / h) < 1e-3
-        assert abs((b3b - b3a) / h) < 1e-3
-    # the connection inherits the flat interface: theta' -> 0 there
-    assert abs(float(field.theta_deriv(0.0))) == 0.0
-    assert abs(float(field.theta_deriv(field.length))) == 0.0
+    # the field direction does not change at either interface
+    for slopes in one_sided_slopes(field, 1e-5):
+        assert np.all(np.abs(slopes) < 1e-3)
 
 
 def test_uniform_field_is_flat():
@@ -161,7 +176,6 @@ def test_uniform_field_is_flat():
     ys = np.linspace(0.0, 2.0, 11)
     assert np.allclose(np.asarray(f.theta(ys)), 0.7)
     assert np.allclose(np.asarray(f.magnitude(ys)), 1.0)
-    assert np.allclose(np.asarray(f.theta_deriv(ys)), 0.0)
 
 
 class TestOmega:
@@ -203,9 +217,8 @@ def test_non_finite_angle_rejected(angle):
 
 def test_wall_direction_undefined_inside():
     w = magnetic_wall_field(0.2, 1.3, 2.0)
-    for undefined in (w.theta, w.theta_deriv):
-        with pytest.raises(FieldDirectionError):
-            undefined(1.0)
+    with pytest.raises(FieldDirectionError):
+        w.theta(1.0)
     assert float(w.theta(0.0)) == pytest.approx(0.2)
     assert float(w.theta(2.0)) == pytest.approx(1.3)
 
@@ -277,19 +290,13 @@ class TestTabulated:
         """The clamped splines of scipy.interpolate, the reference the numpy spline is held to."""
         from scipy.interpolate import CubicSpline
 
-        splines = [CubicSpline(field.ys, b, bc_type="clamped") for b in (field.b1s, field.b3s)]
-        return (np.array([spl(probe) for spl in splines]),
-                np.array([spl.derivative()(probe) for spl in splines]))
+        return np.array([CubicSpline(field.ys, b, bc_type="clamped")(probe) for b in (field.b1s, field.b3s)])
 
     def test_spline_equals_scipy_on_benchmark_profile(self):
-        src = scheme2_field(1, 1, 4.0)
-        ys = np.linspace(0.0, 4.0, 200)
-        field = TabulatedField(ys, *(np.asarray(b, dtype=float) for b in src.components(ys)))
+        field = tabulated_from(scheme2_field(1, 1, 4.0), 200)
         probe = np.linspace(0.0, 4.0, 100_001)
-        values, slopes = field._splines(probe, slopes=True)
-        ref_values, ref_slopes = self.scipy_splines(field, probe)
-        assert np.abs(values - ref_values).max() <= 1e-15
-        assert np.abs(slopes - ref_slopes).max() <= 1e-15
+        values = field._splines(probe)
+        assert np.abs(values - self.scipy_splines(field, probe)).max() <= 1e-15
         assert np.array_equal(np.array(field.components(probe)), values)
 
     @pytest.mark.parametrize("n", [4, 50])
@@ -300,17 +307,17 @@ class TestTabulated:
         mags = np.concatenate([[1.0], rng.uniform(0.5, 1.5, n - 2), [1.0]])
         field = TabulatedField(ys, mags * np.sin(theta), mags * np.cos(theta))
         probe = np.linspace(0.0, 3.0, 10_001)
-        for got, ref in zip(field._splines(probe, slopes=True), self.scipy_splines(field, probe)):
-            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        ref = self.scipy_splines(field, probe)
+        assert np.abs(field._splines(probe) - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_spline_is_clamped(self):
-        # zero slope at both ends, so the geometric connection vanishes at the interfaces
+        # zero slope at both ends, so the field direction does not change at the interfaces
         ys, b1, b3 = self.make_samples()
         field = TabulatedField(ys, b1, b3)
-        values, slopes = field._splines(np.array([0.0, field.length]), slopes=True)
-        assert np.array_equal(slopes, np.zeros((2, 2)))
+        values = field.components(np.array([0.0, field.length]))
         assert np.array_equal(values, [[b1[0], b1[-1]], [b3[0], b3[-1]]])
-        assert field.theta_deriv(0.0) == field.theta_deriv(field.length) == 0.0
+        for slopes in one_sided_slopes(field, 1e-6):
+            assert np.all(np.abs(slopes) < 1e-6)
 
     def test_lead_magnitude_enforced(self):
         ys = np.linspace(0.0, 1.0, 5)
