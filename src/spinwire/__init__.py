@@ -49,10 +49,8 @@ from .transfer import (
     segment_plan,
 )
 from .scattering import (
-    ReciprocityReport,
     ScatterResult,
     landauer_current,
-    reciprocity_check,
     solve_scattering,
     solve_scattering_batch,
     transmission_columns,

@@ -27,7 +27,6 @@ from .core import (
     ChannelData,
     GridCoarseWarning,
     Regime,
-    RegimeError,
     SingularSystemError,
     energy_batch,
     hs_norm,
@@ -253,16 +252,13 @@ def landauer_current(
 
     The grid must cover the window where the occupations differ; a warning is
     emitted when the conductance jumps by more than 10% between neighbours.
+    Zero bias runs the same solve as a bias and integrates G_E * 0 to 0.0, so
+    it refuses the same grids and counts, and a coarse grid can warn there too.
     """
     energies = np.sort(np.atleast_1d(np.asarray(energies, dtype=float)))
     occ = fermi_occupation(energies, mu_left, temperature) - fermi_occupation(
         energies, mu_right, temperature
     )
-    if mu_left == mu_right:
-        # a grid or count that a bias refuses is refused at zero bias too, in the same order
-        scattering_channels(energies)
-        segment_count(n_segments)
-        return 0.0
     g = np.array([res.conductance for res in solve_scattering_batch(field, energies, n_segments)])
     steps = np.abs(np.diff(g))
     scale = np.maximum(np.maximum(np.abs(g[:-1]), np.abs(g[1:])), 1e-12)
@@ -275,41 +271,3 @@ def landauer_current(
         )
     return float(np.trapezoid(g * occ, energies) / (2.0 * np.pi))
 
-
-@dataclass(frozen=True)
-class ReciprocityReport:
-    """Deviations from transmission reciprocity between the two channels."""
-
-    amplitude_gap: float  # |t01 + exp(-i (k0 - k1) L) t10|
-    probability_gap: float  # ||t01|^2 - |t10|^2|
-
-
-def reciprocity_check(
-    field: PlanarField, energy: float, n_segments: int = DEFAULT_SEGMENTS
-) -> ReciprocityReport:
-    """Measure how symmetric the off-diagonal transmissions are.
-
-    The Zeeman term of a planar field is real, so S = S^T.  When the profile
-    is also mirror-symmetric about its midpoint (|B|(L-y) = |B|(y) and
-    theta(L-y) = theta_left + theta_right - theta(y), true of every built-in
-    profile), the mirror maps t' onto t up to the sign convention of
-    `planar_spinors`, and the two symmetries together give t01 = -t10 with
-    each lead's waves referenced at its own interface.  In this module's gauge
-    (left interface at y = 0, right-lead phases diag(exp(i k L))) that reads
-
-        t01 + exp(-i (k0 - k1) L) t10 = 0,
-
-    whose modulus is `amplitude_gap`.  It vanishes to rounding for
-    antiparallel and orthogonal leads alike, and so does its modulus-level
-    consequence `probability_gap`.  Profiles without the mirror symmetry,
-    such as an asymmetric tabulated one, need satisfy neither.
-    """
-    res = solve_scattering(field, energy, n_segments)
-    if res.channel.regime is not Regime.TWO_CHANNEL:
-        raise RegimeError("reciprocity check needs two open channels")
-    t01, t10 = res.t[0, 1], res.t[1, 0]
-    phase = np.exp(-1j * (res.channel.k0 - res.channel.k1) * field.length)
-    return ReciprocityReport(
-        amplitude_gap=float(abs(t01 + phase * t10)),
-        probability_gap=float(abs(abs(t01) ** 2 - abs(t10) ** 2)),
-    )

@@ -164,13 +164,6 @@ def segment_count(n_segments) -> int:
     return int(n_segments)
 
 
-def segment_midpoints(length: float, n_segments) -> tuple[float, np.ndarray]:
-    """Length h and midpoints of n_segments equal segments of [0, length] (see `segment_count`)."""
-    n_segments = segment_count(n_segments)
-    h = length / n_segments
-    return h, (np.arange(n_segments) + 0.5) * h
-
-
 def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     """Split the region into equal segments with midpoint-sampled field data.
 
@@ -190,7 +183,8 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     plans = vars(field).setdefault("_plans", {})
     plan = plans.get(n_segments)
     if plan is None:
-        h, mids = segment_midpoints(field.length, n_segments)
+        h = field.length / n_segments
+        mids = (np.arange(n_segments) + 0.5) * h
         th = np.asarray(field.basis_theta(mids), dtype=float)
         angles = np.diff(th, prepend=field.theta_left, append=field.theta_right)
         magnitudes = np.asarray(field.magnitude(mids), dtype=float)
@@ -202,16 +196,17 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
 
 
 def check_plan(field: PlanarField, plan: SegmentPlan) -> None:
-    """Refuse a plan whose segments do not split this field's length (ValueError).
+    """Refuse a plan that is not this field object's own (ValueError).
 
-    Every plan of ``field`` has, bit for bit, the segment length
-    `segment_midpoints` gives for the field's length; a plan built for a
-    region of another length does not.
+    A field's plans are the ones `segment_plan` keeps on it, so the memo
+    decides (building the field's own plan at that count if it has none yet):
+    a plan of another field object, even an equal one or one of the same
+    length, is refused.
     """
-    if plan.seg_length != field.length / plan.n_segments:
+    if plan is not segment_plan(field, plan.n_segments):
         raise ValueError(
-            f"plan of {plan.n_segments} segments of length {plan.seg_length!r} "
-            f"does not split this field's length {field.length!r}"
+            f"plan of {plan.n_segments} segments is not this field's own: "
+            "pass segment_plan(field, n_segments) of the field object being solved"
         )
 
 

@@ -642,14 +642,27 @@ class TestPlanMemo:
 
 
 class TestForeignPlan:
-    """An explicit plan must split the solved field's own length."""
+    """An explicit plan must be the very `segment_plan` of the solved field object."""
 
     def test_a_plan_of_another_length_is_refused(self):
         field = scheme1_field(1, 0, 3.0)
         foreign = segment_plan(scheme1_field(1, 0, 6.0), 64)
-        with pytest.raises(ValueError, match="does not split"):
+        with pytest.raises(ValueError, match="not this field's own"):
             solve_scattering_batch(field, [2.0], 64, plan=foreign)
-        with pytest.raises(ValueError, match="does not split"):
+        with pytest.raises(ValueError, match="not this field's own"):
+            gamma_piecewise_batch(field, [2.0], 64, plan=foreign)
+
+    @pytest.mark.parametrize(
+        "field, owner",
+        [(scheme2_field(1, 1, 3.0), scheme1_field(0, 0, 3.0)),
+         (scheme2_field(1, 1, 3.0), scheme2_field(1, 1, 3.0))],
+        ids=["same-length-other-field", "equal-separate-field"],
+    )
+    def test_a_plan_of_another_field_object_is_refused(self, field, owner):
+        foreign = segment_plan(owner, 64)
+        with pytest.raises(ValueError, match="not this field's own"):
+            solve_scattering_batch(field, [2.0], plan=foreign)
+        with pytest.raises(ValueError, match="not this field's own"):
             gamma_piecewise_batch(field, [2.0], 64, plan=foreign)
 
     def test_the_fields_own_plans_solve(self):
