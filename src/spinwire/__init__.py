@@ -53,6 +53,7 @@ from .scattering import (
     landauer_current,
     solve_scattering,
     solve_scattering_batch,
+    solve_scattering_sweep,
     transmission_columns,
     transmission_probabilities,
 )

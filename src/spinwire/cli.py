@@ -7,9 +7,15 @@ Commands:
   current       Landauer current for a bias window on the configured grid
 
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
-flags override file keys.  Unknown keys are hard errors.  A sweep solves its
-whole grid as one batch in this process; the transfer product alone spreads a
-large batch over the usable CPUs, in threads.  Sweeps are deterministic:
+flags override file keys.  Unknown keys are hard errors.  A sweep takes the
+transfer product at the Chebyshev-Lobatto nodes of its window (degree 24 at
+first, doubled on nested nodes until the coefficient tail has decayed),
+interpolates it at every grid energy and matches each energy exactly
+(`scattering.solve_scattering_sweep`).  It solves the grid directly, as one
+batch, where interpolation would not pay or not be exact to rounding: a wall
+or uniform field, a grid no larger than the node set, and a wire whose
+evanescent growth at the window's lowest energy passes ln(1e-11 / eps).
+Sweeps are deterministic: the nodes depend only on the configuration, so
 identical configuration yields byte-identical CSV whatever the thread split,
 floats are rendered with at most 12 significant digits, and energy grids are
 nudged off the exact band edges by 1e-9 (with a note on stderr, never in the
@@ -53,6 +59,7 @@ from .scattering import (
     DEFAULT_SEGMENTS,
     landauer_current,
     solve_scattering_batch,
+    solve_scattering_sweep,
     transmission_columns,
 )
 from .analytic import WallConfig, delta_wall_scattering, magnetic_wall_scattering
@@ -215,7 +222,7 @@ def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
 
 def run_sweep(cfg: SweepConfig, diag) -> str:
     field = build_field(cfg)
-    results = solve_scattering_batch(field, energy_grid(cfg, diag), cfg.segments)
+    results = solve_scattering_sweep(field, energy_grid(cfg, diag), cfg.segments)
     columns = cfg.csv_columns()
     numbers = _sweep_numbers(field, results)
     cells = {name: list(map(_fmt, numbers[name].tolist())) for name in columns if name in numbers}

@@ -33,9 +33,27 @@ from .core import (
     scattering_channels,
 )
 from .fields import PlanarField
-from .transfer import SegmentPlan, check_plan, flow_defect, ordered_product, segment_count, segment_plan
+from .transfer import (
+    SegmentPlan,
+    check_plan,
+    evanescent_growth,
+    flow_defect,
+    ordered_product,
+    segment_count,
+    segment_plan,
+)
 
 DEFAULT_SEGMENTS = 4096
+# A sweep interpolates gamma(E) (see solve_scattering_sweep): first at degree
+# _SWEEP_DEGREE, doubled on nested nodes until the last _SWEEP_TAIL Chebyshev
+# coefficients are at most _SWEEP_TAIL_TOL of the largest.  The interpolant
+# keeps gamma to rounding relative to its largest entry, about eps * e^g for a
+# growth g, so it runs only while g at the window's lowest energy keeps that
+# under 1e-11: g <= ln(1e-11 / eps), about 10.7.
+_SWEEP_DEGREE = 24
+_SWEEP_TAIL = 4
+_SWEEP_TAIL_TOL = 1e-13
+_SWEEP_GROWTH_LIMIT = float(np.log(1e-11 / np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -185,15 +203,104 @@ def solve_scattering_batch(
         plan = segment_plan(field, 1 if field.constant_interior else n_segments)
     else:
         check_plan(field, plan)
-    gamma = ordered_product(plan, energies)
+    return _match(field, channels, ordered_product(plan, energies), plan.n_segments)
 
+
+def _match(field: PlanarField, channels: list[ChannelData], gamma: np.ndarray, n_segments: int):
+    """The ScatterResults of a batch from its real transfer products: the wire between its leads."""
     k = np.array([[ch.k0, ch.k1] for ch in channels], dtype=complex)
     rho, tau = (d[:, :, None] * np.eye(2) for d in _lead_step(k))
     left = _star((rho, tau, -rho, tau), _wire_block(gamma))
     r, t, _, _ = _star(left, (-rho, tau, rho, tau))
     t = np.exp(-1j * k * field.length)[:, :, None] * t  # the right lead's waves carry diag(exp(i k L))
 
-    return build_results(t, r, channels, plan.n_segments, flow_defect(gamma))
+    return build_results(t, r, channels, n_segments, flow_defect(gamma))
+
+
+def solve_scattering_sweep(
+    field: PlanarField,
+    energies,
+    n_segments: int = DEFAULT_SEGMENTS,
+) -> list[ScatterResult]:
+    """Scattering matrices of a sweep's grid, its products taken from a Chebyshev interpolant.
+
+    Every factor of gamma is entire in E, so the real product gamma(E) is
+    too, and its Chebyshev interpolant on [min E, max E] converges
+    geometrically (Trefethen, Approximation Theory and Approximation
+    Practice, SIAM 2013, ch. 8).  The sweep takes `ordered_product` at the
+    Chebyshev-Lobatto nodes of the window, fits the coefficients, evaluates
+    gamma at every grid energy and matches each one exactly, as
+    `solve_scattering_batch` does.  The nodes start at degree 24 and double,
+    keeping the products already taken, until the coefficient tail has
+    decayed (see the constants above).  The node rule depends only on the
+    field, the count and the window, so the results do too.  Each result's
+    ``flow_defect`` is that of its interpolated gamma.
+
+    The grid is solved by `solve_scattering_batch` instead, byte for byte,
+    when interpolation would not pay or not be exact to rounding: a field with
+    a constant interior (its one-segment plan is exact), a grid of no more
+    points than nodes, a window of zero width, and a window whose lowest
+    energy has an evanescent growth over _SWEEP_GROWTH_LIMIT.  The grid is
+    checked as a batch's is, before any product is taken.
+    """
+    energies = energy_batch(energies)
+    channels = scattering_channels(energies)
+    n_segments = segment_count(n_segments)
+    lo, hi = energies.min(), energies.max()
+    if not (field.constant_interior or energies.size <= _SWEEP_DEGREE + 1 or lo == hi):
+        plan = segment_plan(field, n_segments)
+        if evanescent_growth(plan, np.array([lo]))[0] <= _SWEEP_GROWTH_LIMIT:
+            gamma = _interpolated_products(plan, energies, lo, hi)
+            if gamma is not None:
+                return _match(field, channels, gamma, plan.n_segments)
+    return solve_scattering_batch(field, energies, n_segments)
+
+
+def _interpolated_products(plan: SegmentPlan, energies: np.ndarray, lo: float, hi: float):
+    """gamma at each energy from its Chebyshev interpolant on [lo, hi], or None.
+
+    None once the degree + 1 nodes the tail asks for reach the grid's size.
+    """
+    degree = _SWEEP_DEGREE
+    values = ordered_product(plan, _lobatto_energies(degree, lo, hi)).reshape(-1, 16)
+    while True:
+        coeffs = _chebyshev_coefficients(values)
+        if np.abs(coeffs[-_SWEEP_TAIL:]).max() <= _SWEEP_TAIL_TOL * np.abs(coeffs).max():
+            break
+        degree *= 2
+        if degree + 1 >= energies.size:
+            return None
+        # the nodes of degree 2n are those of degree n and the odd-indexed ones between them
+        nested = np.empty((degree + 1, 16))
+        nested[::2] = values
+        nested[1::2] = ordered_product(plan, _lobatto_energies(degree, lo, hi)[1::2]).reshape(-1, 16)
+        values = nested
+    x = np.clip((2.0 * energies - (lo + hi)) / (hi - lo), -1.0, 1.0)
+    chebyshev = np.cos(np.outer(np.arccos(x), np.arange(degree + 1)))  # T_m(x) = cos(m arccos x)
+    return (chebyshev @ coeffs).reshape(-1, 4, 4)
+
+
+def _lobatto_energies(degree: int, lo: float, hi: float) -> np.ndarray:
+    """The degree + 1 Chebyshev-Lobatto points cos(pi k / degree) of [lo, hi], from hi down to lo."""
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(degree + 1) / degree)
+    nodes[0], nodes[-1] = hi, lo  # the grid's own end energies
+    return nodes
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients c_m of sum_m c_m T_m through values at the Lobatto points, by a cosine matrix.
+
+    This is the type-I discrete cosine transform, written as a matrix so that
+    no FFT module is imported; its angles pi m k / n are reduced mod 2 pi exactly.
+    """
+    n = values.shape[0] - 1
+    m = np.arange(n + 1)
+    cosines = np.cos(np.pi * (np.outer(m, m) % (2 * n)) / n)
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 0.5
+    coeffs = (2.0 / n) * (cosines @ (ends[:, None] * values))
+    coeffs[[0, -1]] *= 0.5
+    return coeffs
 
 
 def solve_scattering(

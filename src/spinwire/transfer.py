@@ -30,7 +30,10 @@ unitarity where the complex evaluation passes.
 
 The association of the product depends only on the plan and on the energy's
 regime, never on the batch, the block size or the thread split (a large
-batch runs in threads, see `ordered_product`).  Every batch, a batch of one
+batch runs in threads, see `ordered_product`).  A CLI sweep takes products
+only at its interpolation nodes, too few to split, so it reaches the thread
+split only when it falls back to a direct batch
+(`scattering.solve_scattering_sweep`).  Every batch, a batch of one
 included, is an (n, 4, 4) stack chained with np.matmul, and a batch in which
 some energy's evanescent growth passes exp(GROWTH_GUARD) is refused before
 any factor is built (`_check_growth`).
@@ -242,18 +245,23 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _check_growth(plan: SegmentPlan, energies: np.ndarray) -> None:
-    """Refuse the batch if an energy's evanescent growth exceeds exp(GROWTH_GUARD).
+def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
+    """Each energy's evanescent growth exponent across the plan.
 
-    The growth is the sum over segments of h * sqrt(|B| - E) where E < |B|:
-    the upper channel's decay exponent, which bounds the lower one's.  It is
+    The growth is the sum over segments of h * sqrt(max(|B| - E, 0)): the
+    upper channel's decay exponent, which bounds the lower one's.  It is
     summed in segment order, and an open energy (E >= max|B|) has none.
     """
-    closed = energies[energies < plan.magnitudes.max()]
-    growth = np.subtract(plan.magnitudes, closed[:, None])  # (energy, segment), in place below
+    growth = np.subtract(plan.magnitudes, energies[:, None])  # (energy, segment), in place below
     np.sqrt(np.maximum(growth, 0.0, out=growth), out=growth)
     growth *= plan.seg_length
-    if np.any(np.cumsum(growth, axis=1, out=growth)[:, -1] > GROWTH_GUARD):
+    return np.cumsum(growth, axis=1, out=growth)[:, -1]
+
+
+def _check_growth(plan: SegmentPlan, energies: np.ndarray) -> None:
+    """Refuse the batch if an energy's `evanescent_growth` exceeds GROWTH_GUARD."""
+    closed = energies[energies < plan.magnitudes.max()]
+    if np.any(evanescent_growth(plan, closed) > GROWTH_GUARD):
         raise EvanescentOverflowError(
             f"evanescent growth exceeds exp({GROWTH_GUARD:g}); region too long for this energy"
         )

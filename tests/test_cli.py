@@ -83,17 +83,20 @@ def test_sweep_respects_output_groups(capsys):
 
 def test_sweep_workers_do_not_change_bytes(tmp_path, monkeypatch, capsys):
     # the product's threads are a sweep's only workers: 12 points run
-    # serially, and 600 and 2048 points split into one thread per patched CPU
-    for points in ("12", "600", "2048"):
-        args = SWEEP_ARGS + ["--points", points]
+    # serially, 600 and 2048 points take the product at 25 interpolation
+    # nodes, serially too, and the 600 points of a wire too long for the
+    # interpolant are solved directly, one thread per patched CPU
+    for name, extra in (("12", ["--points", "12"]), ("600", ["--points", "600"]),
+                        ("2048", ["--points", "2048"]),
+                        ("long-600", ["--points", "600", "--q2", "1", "--L", "40", "--E-min", "-0.5"])):
         csvs = []
         for cpus in (1, 2, 3):
             monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
-            out = tmp_path / f"sweep{points}_{cpus}.csv"
-            code, _, _ = run_cli(args + ["--out", str(out)], capsys)
+            out = tmp_path / f"sweep{name}_{cpus}.csv"
+            code, _, _ = run_cli(SWEEP_ARGS + extra + ["--out", str(out)], capsys)
             assert code == 0
             csvs.append(out.read_bytes())
-        assert csvs[1] == csvs[0] and csvs[2] == csvs[0], points
+        assert csvs[1] == csvs[0] and csvs[2] == csvs[0], name
 
 
 def test_workers_flag_is_a_usage_error(tmp_path, capsys):
@@ -271,13 +274,13 @@ def test_defect_tol_must_be_non_negative_and_finite(tol, capsys):
 
 
 def test_nan_defect_is_flagged(monkeypatch, capsys):
-    solve = cli.solve_scattering_batch
+    solve = cli.solve_scattering_sweep
 
     def first_defect_nan(*args):
         results = solve(*args)
         return [dataclasses.replace(results[0], unitarity_defect=float("nan")), *results[1:]]
 
-    monkeypatch.setattr(cli, "solve_scattering_batch", first_defect_nan)
+    monkeypatch.setattr(cli, "solve_scattering_sweep", first_defect_nan)
     code, out, _ = run_cli(SWEEP_ARGS, capsys)
     assert code == 0
     flags = [line.split(",")[-1] for line in out.strip().splitlines()[1:]]
@@ -291,8 +294,9 @@ def physical_block(res, m):
 
 # The per-energy rows and row loop that the batch tail of `run_sweep`
 # replaced, kept as its reference: the CSV must equal this byte for byte.
-def sweep_rows_reference(field, energies, segments):
-    results = spinwire.solve_scattering_batch(field, np.asarray(energies), segments)
+# `solve` is the solve whose results the rows are built from.
+def sweep_rows_reference(field, energies, segments, solve=spinwire.solve_scattering_batch):
+    results = solve(field, np.asarray(energies), segments)
     berry = spinwire.berry_operator_planar(field, 0.0, field.length)
     return [
         {
@@ -313,7 +317,8 @@ def sweep_csv_reference(cfg):
     out = io.StringIO()
     columns = cfg.csv_columns()
     print(",".join(columns), file=out)
-    for row in sweep_rows_reference(cli.build_field(cfg), grid, cfg.segments):
+    rows = sweep_rows_reference(cli.build_field(cfg), grid, cfg.segments, spinwire.solve_scattering_sweep)
+    for row in rows:
         row["defect_flag"] = "0" if row["unitarity_defect"] <= cfg.defect_tol else "1"
         cells = (row[col] for col in columns)
         print(",".join(c if isinstance(c, str) else format(float(c), ".12g") for c in cells), file=out)

@@ -35,6 +35,7 @@ from spinwire.scattering import (
     landauer_current,
     solve_scattering,
     solve_scattering_batch,
+    solve_scattering_sweep,
     transmission_columns,
     transmission_probabilities,
 )
@@ -753,3 +754,115 @@ class TestProbabilityColumns:
             table = transmission_probabilities(res)
             assert table == probability_table_reference(res)
             assert {type(value) for value in table.values()} == {float}
+
+
+def record_products(monkeypatch):
+    """The size of each batch `scattering.ordered_product` is called with, in call order."""
+    sizes = []
+    product = scattering.ordered_product
+
+    def recording(plan, energies):
+        sizes.append(len(energies))
+        return product(plan, energies)
+
+    monkeypatch.setattr(scattering, "ordered_product", recording)
+    return sizes
+
+
+def sweep_csv(tmp_path, argv, name):
+    """The exit code of a `spinwire sweep` and the bytes of the CSV it wrote with --out, if any."""
+    out = tmp_path / f"{name}.csv"
+    code = cli.main(argv + ["--out", str(out)])
+    return code, out.read_bytes() if out.exists() else None
+
+
+SWEEP_GRID = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=600), io.StringIO())
+
+
+class TestSweep:
+    @pytest.mark.parametrize(
+        "field",
+        [scheme1_field(0, 0, 6.0), scheme2_field(0, 0, 6.0), scheme1_field(10, 1, 3.0)],
+        ids=["scheme1-L6", "scheme2-L6", "scheme1-q10-L3"],
+    )
+    def test_interpolated_rows_agree_with_the_direct_batch(self, field, monkeypatch):
+        sizes = record_products(monkeypatch)
+        swept = solve_scattering_sweep(field, SWEEP_GRID, 256)
+        assert sizes == [25]  # the degree-24 nodes alone
+        direct = solve_scattering_batch(field, SWEEP_GRID, 256)
+        got, want = transmission_columns(swept), transmission_columns(direct)
+        for name in want:
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-10, name
+        swept_defects = np.array([res.unitarity_defect for res in swept])
+        direct_defects = np.array([res.unitarity_defect for res in direct])
+        assert np.max(np.abs(swept_defects - direct_defects)) <= 1e-10
+        assert np.array_equal(swept_defects <= 1e-8, direct_defects <= 1e-8)  # the CLI's defect_tol
+        assert [res.n_segments for res in swept] == [256] * 600
+
+    def test_a_wide_window_doubles_the_degree_on_nested_nodes(self, monkeypatch):
+        field = scheme1_field(1, 1, 3.0)
+        grid = np.linspace(-0.999, 200.0, 600)
+        sizes = record_products(monkeypatch)
+        swept = solve_scattering_sweep(field, grid, 256)
+        assert sizes == [25, 24]  # degree 48 adds only the 24 nodes between the first 25
+        got, want = transmission_columns(swept), transmission_columns(solve_scattering_batch(field, grid, 256))
+        for name in want:
+            assert np.max(np.abs(got[name] - want[name])) <= 1e-10, name
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--scheme", "scheme1", "--q2", "1", "--L", "40", "--E-min", "-0.5", "--points", "600"], 0),
+            (["--scheme", "scheme1", "--q2", "1", "--L", "40", "--E-min", "-1", "--points", "600"], 3),
+            (["--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "3", "--points", "25"], 0),
+            (["--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "3", "--points", "60",
+              "--E-max", "2000"], 0),
+            (["--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "3", "--points", "60",
+              "--E-min", "2", "--E-max", "2"], 0),
+            (["--scheme", "wall", "--thetaL", "0.3", "--thetaR", "2.0", "--L", "2", "--points", "600"], 0),
+            (["--scheme", "uniform", "--thetaL", "0.7", "--L", "2", "--points", "600"], 0),
+        ],
+        ids=["gated-out", "gated-out-singular", "short-grid", "tail-needs-the-grid", "zero-width",
+             "wall", "uniform"],
+    )
+    def test_sweeps_the_interpolant_skips_are_the_direct_csv(self, argv, code, tmp_path, monkeypatch):
+        # the gated-out wire keeps the direct batch's flagged rows, and at
+        # E = -1 + 1e-9 its exit 3 (an exactly singular step at 256 segments)
+        argv = ["sweep", "--E-min", "-1", *argv, "--segments", "256"]
+        swept = sweep_csv(tmp_path, argv, "swept")
+        monkeypatch.setattr(cli, "solve_scattering_sweep", solve_scattering_batch)
+        assert swept == sweep_csv(tmp_path, argv, "direct")
+        assert swept[0] == code
+
+    def test_the_gate_is_the_growth_at_the_lowest_energy(self, monkeypatch):
+        # scheme1 (0, 0) grows by e^10.4 across L = 7.5 at E = -1 + 1e-9, and by e^11.1 across L = 8
+        for length, interpolated in ((7.5, True), (8.0, False)):
+            field = scheme1_field(0, 0, length)
+            growth = transfer.evanescent_growth(segment_plan(field, 256), SWEEP_GRID[:1])[0]
+            assert bool(growth <= scattering._SWEEP_GROWTH_LIMIT) is interpolated
+            sizes = record_products(monkeypatch)
+            solve_scattering_sweep(field, SWEEP_GRID[::-1], 256)  # the lowest energy, not the first
+            assert sizes == ([25] if interpolated else [600]), length
+
+    @pytest.mark.parametrize(
+        "grid",
+        [np.append(SWEEP_GRID, 1.0), np.append(SWEEP_GRID, -1.0), np.append(SWEEP_GRID, np.nan), []],
+        ids=["threshold", "lower-edge", "nan", "empty"],
+    )
+    def test_a_grid_is_refused_as_a_batch_is_before_any_product(self, grid, monkeypatch):
+        field = scheme1_field(1, 1, 3.0)
+        with pytest.raises(Exception) as direct:
+            solve_scattering_batch(field, grid, 256)
+        sizes = record_products(monkeypatch)
+        with pytest.raises(direct.type):
+            solve_scattering_sweep(field, grid, 256)
+        assert sizes == []
+
+    def test_the_csv_depends_only_on_the_config(self, tmp_path, monkeypatch):
+        argv = ["sweep", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
+                "--E-min", "-1", "--points", "600", "--segments", "256"]
+        first = sweep_csv(tmp_path, argv, "first")
+        assert first[0] == 0 and first[1].count(b"\n") == 601
+        assert sweep_csv(tmp_path, argv, "second") == first
+        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
+        assert sweep_csv(tmp_path, argv, "one-cpu") == first
