@@ -4,7 +4,8 @@ Commands:
   sweep         solve the configured profile on an energy grid, emit CSV
   validate      compare the engine against an independent reference
   dump-profile  emit the field profile as a y/b1/b3/theta/|B| table
-  current       Landauer current for a bias window on the configured grid
+  current       Landauer current for a bias window on the configured grid,
+                its conductances solved as a sweep's are
 
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
 flags override file keys.  Unknown keys are hard errors.  A sweep takes the
@@ -16,12 +17,12 @@ batch, where interpolation would not pay or not be exact to rounding: a wall
 or uniform field, a grid no larger than the node set, and a wire whose
 evanescent growth at the window's lowest energy passes ln(1e-11 / eps).
 Sweeps are deterministic: the nodes depend only on the configuration, so
-identical configuration yields byte-identical CSV whatever the thread split,
-floats are rendered with at most 12 significant digits, and energy grids are
-nudged off the exact band edges by 1e-9 (with a note on stderr, never in the
-CSV).  A command writes its output, to stdout or ``--out``, only after it has
-succeeded: a command that fails writes no output, and an existing ``--out``
-file keeps its contents.
+identical configuration yields byte-identical CSV, floats are rendered with
+at most 12 significant digits, and energy grids are nudged off the exact
+band edges by 1e-9 (with a note on stderr, never in the CSV).  A command
+writes its output, to stdout or ``--out``, only after it has succeeded: a
+command that fails writes no output, and an existing ``--out`` file keeps
+its contents.
 
 Exit codes follow the type of the exception that ended the command:
 0 success/PASS; 1 usage error or any other refused input, a bad profile

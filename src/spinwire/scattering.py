@@ -357,16 +357,19 @@ def landauer_current(
 ) -> float:
     """Two-terminal current I = (1/2 pi) int G_E (f_L - f_R) dE, trapezoidal.
 
-    The grid must cover the window where the occupations differ; a warning is
-    emitted when the conductance jumps by more than 10% between neighbours.
-    Zero bias runs the same solve as a bias and integrates G_E * 0 to 0.0, so
-    it refuses the same grids and counts, and a coarse grid can warn there too.
+    G_E is read from `solve_scattering_sweep` on the sorted grid, so it
+    comes from the sweep's interpolant or from its direct fallback, and the
+    grid and count are refused as a batch refuses them.  The grid must cover
+    the window where the occupations differ; a warning is emitted when the
+    conductance jumps by more than 10% between neighbours.  Zero bias runs
+    the same solve as a bias and integrates G_E * 0 to 0.0, so it refuses
+    the same grids and counts, and a coarse grid can warn there too.
     """
     energies = np.sort(np.atleast_1d(np.asarray(energies, dtype=float)))
     occ = fermi_occupation(energies, mu_left, temperature) - fermi_occupation(
         energies, mu_right, temperature
     )
-    g = np.array([res.conductance for res in solve_scattering_batch(field, energies, n_segments)])
+    g = np.array([res.conductance for res in solve_scattering_sweep(field, energies, n_segments)])
     steps = np.abs(np.diff(g))
     scale = np.maximum(np.maximum(np.abs(g[:-1]), np.abs(g[1:])), 1e-12)
     if np.any(steps > 0.1 * scale):

@@ -29,14 +29,11 @@ a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
 unitarity where the complex evaluation passes.
 
 The association of the product depends only on the plan and on the energy's
-regime, never on the batch, the block size or the thread split (a large
-batch runs in threads, see `ordered_product`).  A CLI sweep takes products
-only at its interpolation nodes, too few to split, so it reaches the thread
-split only when it falls back to a direct batch
-(`scattering.solve_scattering_sweep`).  Every batch, a batch of one
-included, is an (n, 4, 4) stack chained with np.matmul, and a batch in which
-some energy's evanescent growth passes exp(GROWTH_GUARD) is refused before
-any factor is built (`_check_growth`).
+regime, never on the batch or the block size, and a product runs in one
+thread.  Every batch, a batch of one included, is an (n, 4, 4) stack
+chained with np.matmul, and a batch in which some energy's evanescent growth
+passes exp(GROWTH_GUARD) is refused before any factor is built
+(`_check_growth`).
 
 * An energy with a channel closed on some segment (E < max|B|) has a granule
   of one segment: it multiplies its factors one at a time, as a plain
@@ -56,9 +53,8 @@ any factor is built (`_check_growth`).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache
 
 import numpy as np
 
@@ -77,25 +73,10 @@ GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
 # never below one (_GRANULE rows: 2.4 MB at 600 open energies).
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ROWS = 256
-# Fewest energies a thread's chunk of a batch may hold (see ordered_product).
-# Two threads against one on an otherwise idle 2-vCPU machine, 4096-segment
-# scheme1 plan:
-#   energies   20     32     48     96         192        256        600
-#   speed-up   0.75x  0.82x  1.16x  0.87-1.07x 0.99-1.23x 1.20-1.50x 1.52-1.75x
-# The split breaks even near 48 energies per chunk; 128 keeps a margin for
-# machines with more cores, whose threads share the GIL in every segment step.
-_MIN_CHUNK_ENERGIES = 128
-# Fewest segments a plan must have for a batch to be split at all: a thin
-# plan gives each thread too little work for the pool to pay for itself.
-# Two threads against one on a 2-vCPU machine, 600 energies, scheme1 plan:
-#   segments   1     16    32    64    96    128       256       512
-#   speed-up   0.3x  0.8x  0.9x  1.0x  1.1x  1.1-1.2x  1.3-1.4x  1.3-1.4x
-# The split breaks even near 64 segments; 128 keeps a margin.
-_MIN_SPLIT_SEGMENTS = 128
 # Consecutive segments an open energy reduces by a pairwise tree before the
-# granule product joins the chain (see _serial_product).  One thread, a
-# 4096-segment scheme2 (1, 0, L = 4) plan, open energies on [1, 5], medians of
-# five rounds (the per-segment chain: 3.06 ms, 11.2 ms and 143 ms):
+# granule product joins the chain (see ordered_product).  A 4096-segment
+# scheme2 (1, 0, L = 4) plan, open energies on [1, 5], medians of five
+# rounds (the per-segment chain: 3.06 ms, 11.2 ms and 143 ms):
 #   granule                       16        32        64
 #   solve_scattering, E = 2.5     1.40 ms   1.37 ms   1.36 ms
 #   product, 20 energies          7.89 ms   7.76 ms   7.71 ms
@@ -213,36 +194,22 @@ def check_plan(field: PlanarField, plan: SegmentPlan) -> None:
         )
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     """The real transfer product gamma of a batch, in float64: what the matching uses.
 
-    The batch passes `_check_growth` first.  An energy's product depends only
-    on the plan and on that energy (see the module docstring), so a large
-    batch is split along the energy axis into one contiguous chunk per usable
-    CPU, run in threads (numpy's ufuncs and the stacked matmul release the
-    GIL) and joined in order, bit for bit as one serial pass.  It is split
-    only when every chunk gets at least _MIN_CHUNK_ENERGIES energies and the
-    plan has at least _MIN_SPLIT_SEGMENTS segments: on small chunks the
-    threads' per-segment Python dispatch contends for the GIL, and on thin
-    plans starting the pool costs more than the product.
+    The batch passes `_check_growth` first.  Its closed and open energies are
+    then chained apart, each regime's rows with its own granule (see the
+    module docstring), so an energy's product depends only on the plan and
+    on that energy.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     _check_growth(plan, energies)
-    n_chunks = min(_usable_cpus(), energies.shape[0] // _MIN_CHUNK_ENERGIES)
-    if n_chunks < 2 or plan.n_segments < _MIN_SPLIT_SEGMENTS:
-        return _serial_product(plan, energies)
-    from concurrent.futures import ThreadPoolExecutor  # here, so `import spinwire` skips it
-
-    with ThreadPoolExecutor(max_workers=n_chunks) as pool:  # a pool per call: no thread outlives it
-        parts = list(pool.map(partial(_serial_product, plan), np.array_split(energies, n_chunks)))
-    return np.concatenate(parts)
+    gamma = np.empty((energies.shape[0], 4, 4))
+    is_open = energies >= plan.magnitudes.max()
+    for rows, granule in ((~is_open, 1), (is_open, _GRANULE)):
+        if rows.any():
+            gamma[rows] = _granule_chain(plan, energies[rows], granule)
+    return gamma
 
 
 def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
@@ -265,16 +232,6 @@ def _check_growth(plan: SegmentPlan, energies: np.ndarray) -> None:
         raise EvanescentOverflowError(
             f"evanescent growth exceeds exp({GROWTH_GUARD:g}); region too long for this energy"
         )
-
-
-def _serial_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
-    """The ordered product of a batch in one thread, each regime's rows chained apart."""
-    gamma = np.empty((energies.shape[0], 4, 4))
-    is_open = energies >= plan.magnitudes.max()
-    for rows, granule in ((~is_open, 1), (is_open, _GRANULE)):
-        if rows.any():
-            gamma[rows] = _granule_chain(plan, energies[rows], granule)
-    return gamma
 
 
 def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
@@ -359,7 +316,7 @@ def _substitution_matches_batch() -> bool:
     """Whether `_substitution_chain` reproduces a batch's stacked chain bit for bit.
 
     A lone closed energy must keep the bits it has in any larger batch, which
-    byte-identical output across batch sizes and thread splits rests on.  Both
+    byte-identical output across batch sizes rests on.  Both
     round each entry as a chain of fused multiply-adds in the same order on
     the BLAS builds this was measured on; a build that rounds otherwise keeps
     the stacked chain.  Checked once, on 64 seeded random factors of a batch

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import spinwire
-from spinwire import cli, transfer
+from spinwire import cli
 from spinwire.fields import load_profile
 
 from conftest import hs_norm_reference, probability_table_reference
@@ -79,24 +79,6 @@ def test_sweep_respects_output_groups(capsys):
         "E", "P00", "P01", "P10", "P11", "R00sq",
         "unitarity_defect", "regime", "defect_flag",
     ]
-
-
-def test_sweep_workers_do_not_change_bytes(tmp_path, monkeypatch, capsys):
-    # the product's threads are a sweep's only workers: 12 points run
-    # serially, 600 and 2048 points take the product at 25 interpolation
-    # nodes, serially too, and the 600 points of a wire too long for the
-    # interpolant are solved directly, one thread per patched CPU
-    for name, extra in (("12", ["--points", "12"]), ("600", ["--points", "600"]),
-                        ("2048", ["--points", "2048"]),
-                        ("long-600", ["--points", "600", "--q2", "1", "--L", "40", "--E-min", "-0.5"])):
-        csvs = []
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
-            out = tmp_path / f"sweep{name}_{cpus}.csv"
-            code, _, _ = run_cli(SWEEP_ARGS + extra + ["--out", str(out)], capsys)
-            assert code == 0
-            csvs.append(out.read_bytes())
-        assert csvs[1] == csvs[0] and csvs[2] == csvs[0], name
 
 
 def test_workers_flag_is_a_usage_error(tmp_path, capsys):
@@ -646,7 +628,7 @@ def test_console_entry_point_runs():
 
 def test_import_leaves_scipy_unloaded():
     # scipy is imported only by the lattice oracle and by a lone closed-energy
-    # solve, the thread pool only by a split product, and no process pool at all
+    # solve, and no solve imports a thread or process pool at all
     heavy = ("scipy", "multiprocessing", "concurrent.futures")
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -665,9 +647,12 @@ def test_fields_solves_and_sweep_leave_scipy_unloaded(tmp_path):
     # tabulated sweep whose closed energies chain as a stack.  The one solve
     # that still imports scipy (scipy.linalg.blas) is a batch of exactly one
     # closed energy, which runs its chain in dtbsv (transfer._substitution_chain).
+    # A 600-energy, 256-segment direct batch and a 600-point current start no
+    # thread: a product runs in the calling thread.
     profile, sweep = tmp_path / "profile.txt", tmp_path / "sweep.csv"
     script = f"""
-import sys
+import contextlib, io, sys, threading
+import numpy as np
 import spinwire, spinwire.cli
 from spinwire import cli
 
@@ -680,6 +665,15 @@ for field in fields:
     spinwire.solve_scattering(field, 2.5)
 assert cli.main(["sweep", "--scheme", "tabulated:" + {str(profile)!r},
                  "--E-min", "-0.999", "--E-max", "5", "--points", "600", "--out", {str(sweep)!r}]) == 0
+grid = np.linspace(-0.9, 4.0, 600)
+assert len(spinwire.solve_scattering_batch(spinwire.scheme2_field(1, 1, 6.0), grid, 256)) == 600
+with contextlib.redirect_stdout(io.StringIO()) as current:
+    assert cli.main(["current", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
+                     "--E-min", "-0.9", "--E-max", "3", "--points", "600", "--segments", "256",
+                     "--mu-left", "2", "--mu-right", "0"]) == 0
+assert current.getvalue().startswith("current = ")
+assert "concurrent.futures" not in sys.modules
+assert threading.active_count() == 1
 print("scipy" in sys.modules)
 """
     proc = subprocess.run(

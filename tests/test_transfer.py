@@ -411,65 +411,6 @@ class TestBlockedProduct:
         ordered_product(plan, np.array([2.5, 0.0]))  # growth 50 at E = 0
         assert calls
 
-    def test_threaded_batch_equals_serial_batch(self, monkeypatch):
-        plan = segment_plan(scheme2_field(1, 0, 5.0), 512)
-        energies = np.linspace(-0.99, 10.0, 600)
-        pools = []
-
-        class RecordingPool(concurrent.futures.ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        products = {}
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
-            products[cpus] = ordered_product(plan, energies)
-        assert pools == [2, 3]  # one CPU runs serially, more split the batch
-        assert np.array_equal(products[1], products[2])
-        assert np.array_equal(products[1], products[3])
-        rows = [0, 199, 200, 401, 599]  # both sides of each chunk boundary
-        assert np.array_equal(products[3][rows], product_reference(plan, energies[rows]))
-
-    def test_growth_guard_trips_in_the_last_chunk_only(self, monkeypatch):
-        # uniform field, L = 50: growth 50 * sqrt(1 - E) passes 60 below E = -0.44,
-        # which only the last of three chunks of this descending grid reaches;
-        # the whole batch is refused, and no thread outlives the call
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 3)
-        plan = segment_plan(uniform_field(0.0, 50.0), transfer._MIN_SPLIT_SEGMENTS)
-        energies = np.linspace(5.0, -0.99, 600)
-        threads = threading.active_count()
-        assert np.isfinite(ordered_product(plan, energies[:400])).all()
-        with pytest.raises(EvanescentOverflowError):
-            ordered_product(plan, energies)
-        assert threading.active_count() == threads
-
-    def test_small_batches_start_no_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
-        plan = segment_plan(scheme1_field(1, 0, 3.0), 64)
-        small = np.linspace(-0.9, 4.0, 2 * transfer._MIN_CHUNK_ENERGIES - 1)
-        assert np.array_equal(ordered_product(plan, small), product_reference(plan, small))
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
-        large = np.linspace(-0.9, 4.0, 600)
-        assert np.array_equal(ordered_product(plan, large), product_reference(plan, large))
-
-    def test_thin_plans_start_no_thread(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was started")
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 2)
-        energies = np.linspace(-0.9, 4.0, 600)
-        for n_segments in (1, transfer._MIN_SPLIT_SEGMENTS - 1):
-            plan = segment_plan(scheme1_field(1, 0, 3.0), n_segments)
-            want = product_reference(plan, energies)
-            assert np.array_equal(ordered_product(plan, energies), want)
-
 
 EDGE_FIELDS = {
     "scheme1": lambda: scheme1_field(1, 0, 3.0),
@@ -488,7 +429,6 @@ class TestOpenTree:
         edge = plan.magnitudes.max()
         below = np.nextafter(edge, -np.inf)
         energies = np.concatenate([np.linspace(edge - 1.5, edge + 3.0, 598), [edge, below]])
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         whole = ordered_product(plan, energies)
         # the edge itself is open, the float just below it is closed
         assert np.array_equal(whole[-2], tree_product_reference(plan, [edge])[0])
@@ -498,13 +438,9 @@ class TestOpenTree:
         chunks = np.concatenate([ordered_product(plan, p) for p in np.array_split(energies, 7)])
         assert np.array_equal(singles, whole)
         assert np.array_equal(chunks, whole)
-        for cpus in (2, 3):
-            monkeypatch.setattr(transfer, "_usable_cpus", lambda: cpus)
-            assert np.array_equal(ordered_product(plan, energies), whole)
         # a budget of 5 segments for the whole batch cuts the closed rows'
         # blocks inside the plan, and the open rows round theirs up to one
         # granule; no row moves
-        monkeypatch.setattr(transfer, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
         assert np.array_equal(ordered_product(plan, energies), whole)
 
