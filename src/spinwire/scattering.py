@@ -34,6 +34,7 @@ from .core import (
 )
 from .fields import PlanarField
 from .transfer import (
+    REGROUP_GROWTH_LIMIT,
     SegmentPlan,
     check_plan,
     evanescent_growth,
@@ -48,12 +49,11 @@ DEFAULT_SEGMENTS = 4096
 # _SWEEP_DEGREE, doubled on nested nodes until the last _SWEEP_TAIL Chebyshev
 # coefficients are at most _SWEEP_TAIL_TOL of the largest.  The interpolant
 # keeps gamma to rounding relative to its largest entry, about eps * e^g for a
-# growth g, so it runs only while g at the window's lowest energy keeps that
-# under 1e-11: g <= ln(1e-11 / eps), about 10.7.
+# growth g, so it runs only while g at the window's lowest energy is within
+# transfer.REGROUP_GROWTH_LIMIT, about 10.7.
 _SWEEP_DEGREE = 24
 _SWEEP_TAIL = 4
 _SWEEP_TAIL_TOL = 1e-13
-_SWEEP_GROWTH_LIMIT = float(np.log(1e-11 / np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -240,7 +240,7 @@ def solve_scattering_sweep(
     when interpolation would not pay or not be exact to rounding: a field with
     a constant interior (its one-segment plan is exact), a grid of no more
     points than nodes, a window of zero width, and a window whose lowest
-    energy has an evanescent growth over _SWEEP_GROWTH_LIMIT.  The grid is
+    energy has an evanescent growth over REGROUP_GROWTH_LIMIT.  The grid is
     checked as a batch's is, before any product is taken.
     """
     energies = energy_batch(energies)
@@ -249,7 +249,7 @@ def solve_scattering_sweep(
     lo, hi = energies.min(), energies.max()
     if not (field.constant_interior or energies.size <= _SWEEP_DEGREE + 1 or lo == hi):
         plan = segment_plan(field, n_segments)
-        if evanescent_growth(plan, np.array([lo]))[0] <= _SWEEP_GROWTH_LIMIT:
+        if evanescent_growth(plan, np.array([lo]))[0] <= REGROUP_GROWTH_LIMIT:
             gamma = _interpolated_products(plan, energies, lo, hi)
             if gamma is not None:
                 return _match(field, channels, gamma, plan.n_segments)

@@ -28,55 +28,58 @@ bits differ, and on the unstabilised product that rounding matters: with it
 a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
 unitarity where the complex evaluation passes.
 
-The association of the product depends only on the plan and on the energy's
-regime, never on the batch or the block size, and a product runs in one
-thread.  Every batch, a batch of one included, is an (n, 4, 4) stack
-chained with np.matmul, and a batch in which some energy's evanescent growth
-passes exp(GROWTH_GUARD) is refused before any factor is built
-(`_check_growth`).
+The association of the product depends only on the plan and on the energy,
+never on the batch or the block size, and a product runs in one thread.
+Every batch, a batch of one included, is an (n, 4, 4) stack chained with
+np.matmul.  Each energy's `evanescent_growth` g is computed once, before any
+factor is built: a batch in which some g passes GROWTH_GUARD is refused, and
+g alone picks how the energy's product is grouped.
 
-* An energy with a channel closed on some segment (E < max|B|) has a granule
-  of one segment: it multiplies its factors one at a time, as a plain
-  per-segment loop does; a lone such energy runs that chain inside BLAS, as
-  forward substitution on a banded triangular system, with the same bits
-  (`_substitution_chain`).  Its product grows evanescently, and on the
-  unstabilised product regrouping it moves which energies fail: a pairwise
+* An energy with g <= REGROUP_GROWTH_LIMIT (every open energy, E >= max|B|,
+  has g = 0) reduces each granule of _GRANULE consecutive segments, counted
+  from segment 0, by a balanced pairwise tree (`_granule_products`) and
+  chains the granule products in segment order, which removes most of the
+  per-segment multiplication calls.  Its rounding relative to the largest
+  entry, about eps * e^g, stays under 1e-11, so the grouping moves a result
+  by no more than that.
+* Any other energy has a granule of one segment: it multiplies its factors
+  one at a time, as a plain per-segment loop does.  On the unstabilised
+  product regrouping a large growth moves which energies fail: a pairwise
   tree over every energy made scheme1 (0, 0), L = 40 raise
   SingularSystemError, and scheme2 (0, 0), L = 20 fail 8 of 20 energies
   instead of 7.
-* An open energy (E >= max|B|) has no evanescent growth at all.  It reduces
-  each granule of _GRANULE consecutive segments, counted from segment 0, by
-  a balanced pairwise tree (`_granule_products`) and chains the granule
-  products in segment order, which removes most of the per-segment
-  multiplication calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
 from .core import J4, EvanescentOverflowError, energy_batch, hs_norm
-from .berry import planar_rotation
+from .berry import berry_operator_planar, planar_rotation
 from .fields import PlanarField
 
 GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
+# The largest evanescent growth g at which a product may be regrouped (the
+# granule tree) or interpolated (scattering.solve_scattering_sweep): rounding
+# relative to the largest entry, about eps * e^g, stays under 1e-11.
+REGROUP_GROWTH_LIMIT = float(np.log(1e-11 / np.finfo(float).eps))
 # A block of factors holds at most _BLOCK_BYTES (so it stays in L2 cache) and at
 # most _BLOCK_ROWS segments.  The row cap binds below 33 energies: a one-energy
 # block's temporaries then stay in cache and under glibc's mmap and trim
 # thresholds, so the heap top is not handed back and re-faulted on every call,
 # and the gather-multiply that builds a block costs about 2.5x less per row
 # than in one 4096-row block.  Larger batches keep the byte budget (27 rows at
-# 300 energies).  Open energies round a block down to whole granules, but
-# never below one (_GRANULE rows: 2.4 MB at 600 open energies).
+# 300 energies).  The tree's rows round a block down to whole granules, but
+# never below one (_GRANULE rows: 2.4 MB at 600 energies).
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ROWS = 256
-# Consecutive segments an open energy reduces by a pairwise tree before the
-# granule product joins the chain (see ordered_product).  A 4096-segment
-# scheme2 (1, 0, L = 4) plan, open energies on [1, 5], medians of five
-# rounds (the per-segment chain: 3.06 ms, 11.2 ms and 143 ms):
+# Consecutive segments an energy within REGROUP_GROWTH_LIMIT reduces by a
+# pairwise tree before the granule product joins the chain (see the module
+# docstring).  A 4096-segment scheme2 (1, 0, L = 4) plan, open energies on
+# [1, 5], medians of five rounds (the per-segment chain: 3.06 ms, 11.2 ms
+# and 143 ms):
 #   granule                       16        32        64
 #   solve_scattering, E = 2.5     1.40 ms   1.37 ms   1.36 ms
 #   product, 20 energies          7.89 ms   7.76 ms   7.71 ms
@@ -197,16 +200,24 @@ def check_plan(field: PlanarField, plan: SegmentPlan) -> None:
 def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     """The real transfer product gamma of a batch, in float64: what the matching uses.
 
-    The batch passes `_check_growth` first.  Its closed and open energies are
-    then chained apart, each regime's rows with its own granule (see the
+    Each energy's `evanescent_growth` is taken once (open energies have
+    none).  The batch is refused if one of them exceeds GROWTH_GUARD, before
+    any factor is built.  Otherwise the energies within REGROUP_GROWTH_LIMIT
+    run the granule tree and the rest chain segment by segment (see the
     module docstring), so an energy's product depends only on the plan and
     on that energy.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    _check_growth(plan, energies)
+    growth = np.zeros(energies.shape[0])
+    closed = energies < plan.magnitudes.max()
+    growth[closed] = evanescent_growth(plan, energies[closed])
+    if np.any(growth > GROWTH_GUARD):
+        raise EvanescentOverflowError(
+            f"evanescent growth exceeds exp({GROWTH_GUARD:g}); region too long for this energy"
+        )
     gamma = np.empty((energies.shape[0], 4, 4))
-    is_open = energies >= plan.magnitudes.max()
-    for rows, granule in ((~is_open, 1), (is_open, _GRANULE)):
+    tree = growth <= REGROUP_GROWTH_LIMIT
+    for rows, granule in ((tree, _GRANULE), (~tree, 1)):
         if rows.any():
             gamma[rows] = _granule_chain(plan, energies[rows], granule)
     return gamma
@@ -225,31 +236,21 @@ def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     return np.cumsum(growth, axis=1, out=growth)[:, -1]
 
 
-def _check_growth(plan: SegmentPlan, energies: np.ndarray) -> None:
-    """Refuse the batch if an energy's `evanescent_growth` exceeds GROWTH_GUARD."""
-    closed = energies[energies < plan.magnitudes.max()]
-    if np.any(evanescent_growth(plan, closed) > GROWTH_GUARD):
-        raise EvanescentOverflowError(
-            f"evanescent growth exceeds exp({GROWTH_GUARD:g}); region too long for this energy"
-        )
-
-
 def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
     """Chain the granule products of a batch of energies that share one granule.
 
-    The factors of each block of segments (at most _BLOCK_ROWS of them, within
-    _BLOCK_BYTES, but always whole granules) are built in one vectorised pass
-    into a buffer reused across blocks; only the left multiplication of each
-    granule product runs per step.  The association depends on the granule
-    alone, so the result does not depend on the block size.  A batch of one
-    closed energy chains a block in four dtbsv calls instead of one matmul
-    per segment (`_substitution_chain`).
+    A granule of _GRANULE segments is reduced by a pairwise tree, and a
+    granule of 1 is the per-segment chain.  The factors of each block of
+    segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES, but always
+    whole granules) are built in one vectorised pass into a buffer reused
+    across blocks; only the left multiplication of each granule product runs
+    per step.  The association depends on the granule alone, so the result
+    does not depend on the block size.
     """
     n_e = energies.shape[0]
     gamma = np.zeros((n_e, 4, 4))
     gamma[:, :2, :2] = plan.jumps[0]
     gamma[:, 2:, 2:] = plan.jumps[0]
-    substitute = n_e == 1 and granule == 1 and _substitution_matches_batch()
     # 16 float64 per factor, in whole granules; no more rows than the plan has segments
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (n_e * 16 * 8)))
     block = min(max(granule, rows - rows % granule), plan.n_segments)
@@ -264,71 +265,9 @@ def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.
         np.multiply(
             pieces[_PIECE_INDEX].transpose(1, 2, 0), u[..., _ROTATION_INDEX], out=factors[:nb]
         )
-        block_factors = factors[:nb].reshape(nb, n_e, 4, 4)
-        if substitute:
-            gamma[0] = _substitution_chain(block_factors[:, 0], gamma[0])
-        else:
-            for product in _granule_products(block_factors, granule):
-                gamma = np.matmul(product, gamma)
+        for product in _granule_products(factors[:nb].reshape(nb, n_e, 4, 4), granule):
+            gamma = np.matmul(product, gamma)
     return gamma
-
-
-# Lower band storage (row d holds the entries d below the diagonal, each in its
-# own column) of the unit block-bidiagonal system x_{k+1} - F_k x_k = 0: entry
-# F_k[r, c] sits 4 + r - c below the diagonal, in column 4k + c, stored negated.
-_BAND_OFFSET = np.array([4 + r - c for r, c in np.ndindex(4, 4)])
-_BAND_COLUMN = np.array([c for r, c in np.ndindex(4, 4)])
-
-
-def _substitution_chain(factors: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """F_{n-1} ... F_0 gamma for one energy's (n, 4, 4) factors, in BLAS.
-
-    Forward substitution on the system above, one dtbsv call per column of
-    gamma, runs the per-segment chain in compiled code: x_{k+1}[r] gathers
-    F_k[r, c] x_k[c] for c = 0..3 in turn, one multiply-add each, as the
-    4x4 dgemm of the stacked matmul does.  It is used only where the two
-    agree bit for bit (see `_substitution_matches_batch`).  A one-energy
-    product on a 4096-segment scheme2 (1, 0, L = 4) plan at E = 0.7, best of
-    nine, on a 2-vCPU Xeon: 3.7 ms, against 5.5-6.9 ms with one 4x4 product
-    per segment and 2.0 ms for the granule tree at the open E = 2.5.
-
-    scipy is needed only by the lattice oracle and by a lone closed-energy
-    solve.  The first such solve in a process pays the scipy.linalg import,
-    measured at 349-364 ms against 4.3-5.8 ms for later ones (the plan
-    above, E = 0.7); batches and open energies never pay it.
-    """
-    from scipy.linalg.blas import dtbsv  # deferred: slow import, needed only here
-
-    n = factors.shape[0]
-    band = np.zeros((8, 4 * (n + 1)))
-    band[:, : 4 * n].reshape(8, n, 4)[_BAND_OFFSET, :, _BAND_COLUMN] = -factors.reshape(n, 16).T
-    out = np.empty((4, 4))
-    x = np.empty(4 * (n + 1))
-    for col in range(4):
-        x[:4] = gamma[:, col]
-        x[4:] = 0.0
-        out[:, col] = dtbsv(7, band, x, lower=1, diag=1, overwrite_x=1)[-4:]
-    return out
-
-
-@cache
-def _substitution_matches_batch() -> bool:
-    """Whether `_substitution_chain` reproduces a batch's stacked chain bit for bit.
-
-    A lone closed energy must keep the bits it has in any larger batch, which
-    byte-identical output across batch sizes rests on.  Both
-    round each entry as a chain of fused multiply-adds in the same order on
-    the BLAS builds this was measured on; a build that rounds otherwise keeps
-    the stacked chain.  Checked once, on 64 seeded random factors of a batch
-    of two energies, each row against its own substitution.
-    """
-    rng = np.random.default_rng(0)
-    factors, gamma = rng.standard_normal((64, 2, 4, 4)), rng.standard_normal((2, 4, 4))
-    want = gamma
-    for factor in factors:
-        want = np.matmul(factor, want)
-    got = [_substitution_chain(factors[:, e], gamma[e]) for e in range(2)]
-    return np.array_equal(got, want)
 
 
 def _granule_products(factors: np.ndarray, granule: int) -> np.ndarray:
@@ -389,7 +328,7 @@ def gamma_piecewise_batch(
     else:
         check_plan(field, plan)
     gamma = ordered_product(plan, energies)
-    berry = planar_rotation(field.theta_right - field.theta_left)
+    berry = berry_operator_planar(field, 0.0, field.length)
     gamma_tilde = np.einsum("ij,ejk->eik", _diag4(berry.conj().T), gamma)
     return gamma, gamma_tilde, berry
 

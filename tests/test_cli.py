@@ -627,8 +627,8 @@ def test_console_entry_point_runs():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported only by the lattice oracle and by a lone closed-energy
-    # solve, and no solve imports a thread or process pool at all
+    # scipy is imported only by the lattice oracle, and no solve imports a
+    # thread or process pool at all
     heavy = ("scipy", "multiprocessing", "concurrent.futures")
     proc = subprocess.run(
         [sys.executable, "-c",
@@ -643,12 +643,12 @@ def test_import_leaves_scipy_unloaded():
 
 
 def test_fields_solves_and_sweep_leave_scipy_unloaded(tmp_path):
-    # Every field, a loaded profile among them, solved at an open energy, and a
-    # tabulated sweep whose closed energies chain as a stack.  The one solve
-    # that still imports scipy (scipy.linalg.blas) is a batch of exactly one
-    # closed energy, which runs its chain in dtbsv (transfer._substitution_chain).
-    # A 600-energy, 256-segment direct batch and a 600-point current start no
-    # thread: a product runs in the calling thread.
+    # Every field, a loaded profile among them, solved at an open energy, a
+    # tabulated sweep, and two lone closed energies: one within the regrouping
+    # limit, which runs the granule tree, and one over it, which chains
+    # segment by segment.  Neither imports scipy.  A 600-energy, 256-segment
+    # direct batch and a 600-point current start no thread: a product runs in
+    # the calling thread.
     profile, sweep = tmp_path / "profile.txt", tmp_path / "sweep.csv"
     script = f"""
 import contextlib, io, sys, threading
@@ -663,6 +663,8 @@ fields = [spinwire.scheme1_field(0, 1, 3.0), spinwire.scheme2_field(1, 1, 4.0),
           spinwire.load_profile({str(profile)!r})]
 for field in fields:
     spinwire.solve_scattering(field, 2.5)
+spinwire.solve_scattering(spinwire.scheme2_field(1, 0, 4.0), 0.7)
+spinwire.solve_scattering(spinwire.scheme1_field(0, 0, 20.0), -0.5)
 assert cli.main(["sweep", "--scheme", "tabulated:" + {str(profile)!r},
                  "--E-min", "-0.999", "--E-max", "5", "--points", "600", "--out", {str(sweep)!r}]) == 0
 grid = np.linspace(-0.9, 4.0, 600)

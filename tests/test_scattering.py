@@ -852,7 +852,7 @@ class TestSweep:
         for length, interpolated in ((7.5, True), (8.0, False)):
             field = scheme1_field(0, 0, length)
             growth = transfer.evanescent_growth(segment_plan(field, 256), SWEEP_GRID[:1])[0]
-            assert bool(growth <= scattering._SWEEP_GROWTH_LIMIT) is interpolated
+            assert bool(growth <= transfer.REGROUP_GROWTH_LIMIT) is interpolated
             sizes = record_products(monkeypatch)
             solve_scattering_sweep(field, SWEEP_GRID[::-1], 256)  # the lowest energy, not the first
             assert sizes == ([25] if interpolated else [600]), length

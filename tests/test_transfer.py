@@ -257,14 +257,15 @@ def tree_product_reference(plan, energies, granule=transfer._GRANULE):
 
 
 def product_reference(plan, energies):
-    """Row by row: the tree on open energies (E >= max|B|), the loop on the others."""
+    """Row by row: the tree where the evanescent growth is within the regrouping
+    limit (open energies have none), the loop where it is over."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    is_open = energies >= plan.magnitudes.max()
+    tree = transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT
     want = np.empty((energies.shape[0], 4, 4), dtype=complex)
-    if not is_open.all():
-        want[~is_open] = ordered_product_reference(plan, energies[~is_open])
-    if is_open.any():
-        want[is_open] = tree_product_reference(plan, energies[is_open])
+    if not tree.all():
+        want[~tree] = ordered_product_reference(plan, energies[~tree])
+    if tree.any():
+        want[tree] = tree_product_reference(plan, energies[tree])
     return want
 
 
@@ -286,8 +287,9 @@ PRODUCT_FIELDS = {
 class TestBlockedProduct:
     """The blocked real product reproduces its complex reference bit for bit.
 
-    The reference is the per-segment loop for an energy with a closed channel
-    and the granule tree for an open one (`product_reference`).
+    The reference is the granule tree for an energy whose evanescent growth
+    is within the regrouping limit and the per-segment loop for one over it
+    (`product_reference`).
     """
 
     def test_entries_are_the_real_parts_of_the_complex_ones(self):
@@ -332,7 +334,8 @@ class TestBlockedProduct:
         plan = segment_plan(PRODUCT_FIELDS[name](), n_segments)
         # complex rotations give the complex references the same bits as real ones
         complex_plan = dataclasses.replace(plan, jumps=plan.jumps.astype(complex))
-        # -0.5 is closed on every field; 2.5 is open on every field, 0.3 on the wall only
+        # -0.5 is closed on every field; 2.5 is open on every field, 0.3 on the
+        # wall only; every growth here is within the regrouping limit
         energies = np.array([-0.5, 0.3, 2.5])
         for batch in (energies, energies[:1], energies[1:2], energies[2:]):
             got = ordered_product(plan, batch)
@@ -344,9 +347,9 @@ class TestBlockedProduct:
     @pytest.mark.parametrize("name", sorted(PRODUCT_FIELDS))
     def test_sub_range_and_small_blocks(self, name, monkeypatch):
         # a budget of 5 segments of 16 float64 entries for the whole batch, so
-        # block boundaries fall inside the plan (each regime's rows get their
-        # share of it); a batch of one crosses them as a stack of one.
-        # Open rows round their blocks up to whole granules of 32 segments.
+        # block boundaries fall inside the plan; a batch of one crosses them as
+        # a stack of one.  The tree's rows round their blocks up to whole
+        # granules of 32 segments.
         plan = segment_plan(PRODUCT_FIELDS[name](), 64)
         energies = np.array([-0.5, 0.3, 2.5])
         for batch in (energies, energies[1:2], energies[2:]):
@@ -357,9 +360,11 @@ class TestBlockedProduct:
     def test_one_energy_product_peak_allocation(self):
         # row-capped blocks keep a one-energy call's temporaries small (2.3 MiB
         # with one 4096-row block), so the heap top is not trimmed and re-faulted;
-        # the closed energy chains per segment, the open one runs the granule tree
-        plan = segment_plan(scheme1_field(1, 1, 6.0), 4096)
-        for energy in (0.7, 2.5):
+        # the closed 0.7 and the open 2.5 run the granule tree, and -0.5 on the
+        # long wire is over the regrouping limit and chains per segment
+        short = segment_plan(scheme1_field(1, 1, 6.0), 4096)
+        long = segment_plan(scheme1_field(0, 0, 20.0), 4096)
+        for plan, energy in ((short, 0.7), (short, 2.5), (long, -0.5)):
             tracemalloc.start()
             try:
                 ordered_product(plan, np.array([energy]))
@@ -412,25 +417,46 @@ class TestBlockedProduct:
         assert calls
 
 
+# fields whose evanescent growth crosses the regrouping limit at a closed
+# scattering energy: E = -0.21, -0.79 and -0.79 at 150 segments
 EDGE_FIELDS = {
-    "scheme1": lambda: scheme1_field(1, 0, 3.0),
-    "uniform": lambda: uniform_field(0.8, 2.0),
-    "wall": lambda: magnetic_wall_field(0.3, 2.1, 2.0),  # max|B| = 0
+    "scheme1": lambda: scheme1_field(0, 0, 10.0),
+    "uniform": lambda: uniform_field(0.0, 8.0),
+    "wall": lambda: magnetic_wall_field(0.3, 2.1, 12.0),  # |B| = 0: growth L sqrt(-E)
 }
 
 
+def growth_edge(plan):
+    """The lowest energy whose evanescent growth is within the regrouping limit.
+
+    The growth falls as the energy rises, so this bisects down to two
+    adjacent floats; the one below the edge is over the limit.
+    """
+    lo, hi = plan.magnitudes.max() - 100.0, plan.magnitudes.max()
+    while np.nextafter(lo, np.inf) < hi:
+        mid = 0.5 * (lo + hi)
+        if transfer.evanescent_growth(plan, np.array([mid]))[0] <= transfer.REGROUP_GROWTH_LIMIT:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestOpenTree:
-    """Open energies (E >= max|B|) run the granule tree; every other energy keeps the loop."""
+    """Energies within the regrouping limit run the granule tree; the others keep the loop."""
 
     @pytest.mark.parametrize("name", sorted(EDGE_FIELDS))
     def test_regime_edge_and_determinism(self, name, monkeypatch):
         # 150 segments: four whole granules and a short one of 22
         plan = segment_plan(EDGE_FIELDS[name](), 150)
-        edge = plan.magnitudes.max()
+        edge = growth_edge(plan)
         below = np.nextafter(edge, -np.inf)
+        growth = transfer.evanescent_growth(plan, np.array([edge, below]))
+        assert growth[0] <= transfer.REGROUP_GROWTH_LIMIT < growth[1]
+        assert -1.0 < edge < plan.magnitudes.max()
         energies = np.concatenate([np.linspace(edge - 1.5, edge + 3.0, 598), [edge, below]])
         whole = ordered_product(plan, energies)
-        # the edge itself is open, the float just below it is closed
+        # the edge itself runs the tree, the float just below it the loop
         assert np.array_equal(whole[-2], tree_product_reference(plan, [edge])[0])
         assert np.array_equal(whole[-1], ordered_product_reference(plan, [below])[0])
         assert not np.array_equal(whole[-2], ordered_product_reference(plan, [edge])[0])
@@ -438,8 +464,8 @@ class TestOpenTree:
         chunks = np.concatenate([ordered_product(plan, p) for p in np.array_split(energies, 7)])
         assert np.array_equal(singles, whole)
         assert np.array_equal(chunks, whole)
-        # a budget of 5 segments for the whole batch cuts the closed rows'
-        # blocks inside the plan, and the open rows round theirs up to one
+        # a budget of 5 segments for the whole batch cuts the loop rows'
+        # blocks inside the plan, and the tree rows round theirs up to one
         # granule; no row moves
         monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
         assert np.array_equal(ordered_product(plan, energies), whole)
@@ -456,55 +482,23 @@ class TestOpenTree:
     @pytest.mark.parametrize("scheme", [scheme1_field, scheme2_field])
     @pytest.mark.parametrize("length", [10.0, 20.0, 40.0])
     def test_evanescent_wires_keep_the_loop(self, scheme, length):
-        # every energy of these wires has a closed channel, so the set of
-        # energies whose unstabilised product fails flux unitarity cannot move
-        plan = segment_plan(scheme(0, 0, length), 4096)
+        # every energy of these wires has a closed channel; those whose growth
+        # is over the regrouping limit keep the loop, and only they fail flux
+        # unitarity, so the set of energies whose unstabilised product fails
+        # cannot move
+        field = scheme(0, 0, length)
+        plan = segment_plan(field, 4096)
         energies = np.linspace(-0.95, 0.95, 20)
         assert np.all(energies < plan.magnitudes.max())
         got = ordered_product(plan, energies)
-        assert np.array_equal(got, ordered_product_reference(plan, energies))
-        # one energy at a time runs the chain by substitution in BLAS
+        over = transfer.evanescent_growth(plan, energies) > transfer.REGROUP_GROWTH_LIMIT
+        assert np.array_equal(got[over], ordered_product_reference(plan, energies[over]))
+        results = solve_scattering_batch(field, energies)
+        assert np.all(over[[res.unitarity_defect > 1e-8 for res in results]])
+        # one energy at a time takes the same grouping
         singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
         assert np.array_equal(singles, got)
         assert np.array_equal(np.signbit(singles), np.signbit(got))
-
-
-class TestClosedSubstitution:
-    """One closed energy runs its per-segment chain as a banded triangular solve."""
-
-    def test_one_closed_energy_runs_the_substitution(self, monkeypatch):
-        # the BLAS build this suite runs on reproduces a batch's stacked
-        # chain, so the bit-identity tests above exercise the substitution
-        assert transfer._substitution_matches_batch()
-        calls = []
-        substitution = transfer._substitution_chain
-        monkeypatch.setattr(
-            transfer, "_substitution_chain", lambda *args: calls.append(1) or substitution(*args)
-        )
-        plan = segment_plan(scheme1_field(1, 0, 3.0), 600)  # blocks of 256, 256 and 88 rows
-        for batch, blocks in (([-0.5], 3), ([2.5], 0), ([-0.5, -0.4], 0)):
-            calls.clear()
-            batch = np.array(batch)
-            assert np.array_equal(ordered_product(plan, batch), product_reference(plan, batch))
-            assert len(calls) == blocks
-
-    def test_probe_catches_a_one_ulp_difference(self, monkeypatch):
-        # a build whose substitution rounds one entry otherwise fails the
-        # probe, and its lone closed energy keeps the stacked chain
-        substitution = transfer._substitution_chain
-
-        def nudged(*args):
-            out = substitution(*args)
-            out[2, 1] = np.nextafter(out[2, 1], np.inf)
-            return out
-
-        monkeypatch.setattr(transfer, "_substitution_chain", nudged)
-        probe = transfer._substitution_matches_batch.__wrapped__  # uncached
-        assert not probe()
-        monkeypatch.setattr(transfer, "_substitution_matches_batch", probe)
-        plan = segment_plan(scheme1_field(1, 0, 3.0), 600)
-        closed = np.array([-0.5])
-        assert np.array_equal(ordered_product(plan, closed), product_reference(plan, closed))
 
 
 MEMO_FIELDS = {**PRODUCT_FIELDS, "uniform": lambda: uniform_field(0.8, 2.0)}
