@@ -8,14 +8,9 @@ Commands:
                 its conductances solved as a sweep's are
 
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
-flags override file keys.  Unknown keys are hard errors.  A sweep takes the
-transfer product at the Chebyshev-Lobatto nodes of its window (degree 24 at
-first, doubled on nested nodes until the coefficient tail has decayed),
-interpolates it at every grid energy and matches each energy exactly
-(`scattering.solve_scattering_sweep`).  It solves the grid directly, as one
-batch, where interpolation would not pay or not be exact to rounding: a wall
-or uniform field, a grid no larger than the node set, and a wire whose
-evanescent growth at the window's lowest energy passes ln(1e-11 / eps).
+flags override file keys.  Unknown keys and bad values are hard errors.  A
+sweep solves its grid by `scattering.solve_scattering_sweep`, which says when
+it interpolates the transfer product and when it solves the grid directly.
 Sweeps are deterministic: the nodes depend only on the configuration, so
 identical configuration yields byte-identical CSV, floats are rendered with
 at most 12 significant digits, and energy grids are nudged off the exact
@@ -63,7 +58,7 @@ from .scattering import (
     solve_scattering_sweep,
     transmission_columns,
 )
-from .analytic import WallConfig, delta_wall_scattering, magnetic_wall_scattering
+from .analytic import WallConfig, delta_wall_scattering, high_energy_t, magnetic_wall_scattering
 from .lattice import fd_scattering
 
 # CSV columns in order, by the output group that enables them; None is always on
@@ -121,13 +116,6 @@ _CONFIG_HELP = {
 }
 
 
-def _coerce(key: str, raw: str):
-    try:
-        return _CONFIG_TYPES[key](raw)
-    except ValueError as exc:
-        raise ValueError(f"bad value for {key!r}: {raw!r}") from exc
-
-
 def parse_config_file(path: str) -> dict:
     """Flat key = value parser; '#' starts a comment; unknown keys are errors."""
     values: dict = {}
@@ -141,7 +129,10 @@ def parse_config_file(path: str) -> dict:
             key, raw = (part.strip() for part in text.split("=", 1))
             if key not in _CONFIG_TYPES:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = _coerce(key, raw)
+            try:
+                values[key] = _CONFIG_TYPES[key](raw)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {raw!r}") from exc
     return values
 
 
@@ -192,8 +183,6 @@ def energy_grid(cfg: SweepConfig, diag) -> np.ndarray:
                 f"note: grid point {idx} nudged off the band edge {edge:+g} by 1e-9",
                 file=diag,
             )
-    if np.any(grid <= -1.0):
-        raise ValueError("energy window extends into the closed regime (E <= -1)")
     return grid
 
 
@@ -207,10 +196,9 @@ def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
     A single-channel row takes its distances from the (0, 0) entries alone,
     the physical ones, as `transmission_columns` masks its P columns.
     """
-    berry = berry_operator_planar(field, 0.0, field.length)
     two_channel = np.array([res.channel.regime is Regime.TWO_CHANNEL for res in results])
     physical = np.where(two_channel[:, None, None], True, [[True, False], [False, False]])
-    t_minus_u = np.array([res.t for res in results]) - berry
+    t_minus_u = np.array([res.t for res in results]) - high_energy_t(field)
     return {
         "E": np.array([res.channel.energy for res in results]),
         **transmission_columns(results),

@@ -56,11 +56,10 @@ class GridCoarseWarning(UserWarning):
 
 
 class Regime(enum.Enum):
-    """Channel regime of an energy: both lead channels open, the lower one only, or none."""
+    """Channel regime of an energy that scatters: both lead channels open, or the lower one only."""
 
     TWO_CHANNEL = "two_channel"
     SINGLE_CHANNEL = "single_channel"
-    CLOSED = "closed"
 
 
 @dataclass(frozen=True)
@@ -81,10 +80,6 @@ def wavenumber(x):
     return pos + neg
 
 
-# regime of an energy by its number of open channels
-_REGIMES = (Regime.CLOSED, Regime.SINGLE_CHANNEL, Regime.TWO_CHANNEL)
-
-
 def energy_batch(energies) -> np.ndarray:
     """A batch of energies as a non-empty 1-D float64 array; one scalar is a batch of one."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
@@ -93,29 +88,11 @@ def energy_batch(energies) -> np.ndarray:
     return energies
 
 
-def _lead_wave_vectors(energies: np.ndarray):
-    """k0, k1 and the number of open channels of each energy of a finite 1-D batch.
-
-    ``k_l = sqrt(E - E_l)`` with the decaying branch (Im k >= 0).  Band-edge
-    ties belong to the lower regime, so E = +1 has one open channel and
-    E = -1 none.
-    """
-    k0 = wavenumber(energies - E_LOWER)
-    k1 = wavenumber(energies - E_UPPER)
-    n_open = (energies > E_LOWER).astype(int) + (energies > E_UPPER)
-    return k0, k1, n_open
-
-
-def _channel_data(energies: np.ndarray, k0, k1, n_open) -> list[ChannelData]:
-    return [
-        ChannelData(energy=e, k0=a, k1=b, regime=_REGIMES[n])
-        for e, a, b, n in zip(energies.tolist(), k0.tolist(), k1.tolist(), n_open.tolist())
-    ]
-
-
 def scattering_channels(energies) -> list[ChannelData]:
     """Lead wave vectors of a batch of energies that scatter: above E = -1 and on neither band edge.
 
+    This is the one gate that decides whether an energy scatters, and in which
+    regime.  ``k_l = sqrt(E - E_l)`` with the decaying branch (Im k >= 0).
     The band-edge test is exact: next to an edge a float64 energy still has
     |k| >= 1.05e-8, so only k == 0 itself is refused.  A batch with an energy
     that does not scatter is refused with the error of its first such energy,
@@ -123,17 +100,23 @@ def scattering_channels(energies) -> list[ChannelData]:
     """
     energies = energy_batch(energies)
     finite = np.isfinite(energies)
-    k0, k1, n_open = _lead_wave_vectors(np.where(finite, energies, 0.0))
-    refused = ~finite | (n_open == 0) | (k0 == 0) | (k1 == 0)
+    safe = np.where(finite, energies, 0.0)
+    k0, k1 = wavenumber(safe - E_LOWER), wavenumber(safe - E_UPPER)
+    # band-edge ties belong to the lower regime: E = +1 has one open channel, E = -1 none
+    closed, two_channel = safe <= E_LOWER, safe > E_UPPER
+    refused = ~finite | closed | (k1 == 0)
     if refused.any():
         i = int(refused.argmax())
         energy = float(energies[i])
         if not finite[i]:
             raise ValueError("energy must be finite")
-        if n_open[i] == 0:
+        if closed[i]:
             raise RegimeError(f"E={energy} is below both bands; nothing scatters")
         raise ThresholdError(f"E={energy} sits on a band edge; nudge the energy off the threshold")
-    return _channel_data(energies, k0, k1, n_open)
+    return [
+        ChannelData(e, a, b, Regime.TWO_CHANNEL if two else Regime.SINGLE_CHANNEL)
+        for e, a, b, two in zip(energies.tolist(), k0.tolist(), k1.tolist(), two_channel.tolist())
+    ]
 
 
 def scattering_channel(energy: float) -> ChannelData:

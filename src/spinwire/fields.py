@@ -34,17 +34,15 @@ class PlanarField:
     outside [0, L] clamp to the lead values.
 
     A field does not change after construction: `transfer.segment_plan`
-    keeps each plan it samples on the field object and hands it back on every
-    later call, so a field changed in place would be solved on its old plan.
+    keeps its plans on it.
     """
 
     length: float
     theta_left: float
     theta_right: float
     zero_field_interior = False
-    # field constant on (0, L), so a piecewise-constant plan is exact at any segment
-    # count: `solve_scattering_batch` then builds one segment, and
-    # `validate --against convergence` refuses the field
+    # field constant on (0, L), so a piecewise-constant plan is exact at any
+    # segment count (see `solve_scattering_batch`)
     constant_interior = False
 
     def magnitude(self, y):

@@ -45,12 +45,7 @@ from .transfer import (
 )
 
 DEFAULT_SEGMENTS = 4096
-# A sweep interpolates gamma(E) (see solve_scattering_sweep): first at degree
-# _SWEEP_DEGREE, doubled on nested nodes until the last _SWEEP_TAIL Chebyshev
-# coefficients are at most _SWEEP_TAIL_TOL of the largest.  The interpolant
-# keeps gamma to rounding relative to its largest entry, about eps * e^g for a
-# growth g, so it runs only while g at the window's lowest energy is within
-# transfer.REGROUP_GROWTH_LIMIT, about 10.7.
+# the sweep's interpolation rule (see solve_scattering_sweep)
 _SWEEP_DEGREE = 24
 _SWEEP_TAIL = 4
 _SWEEP_TAIL_TOL = 1e-13
@@ -181,19 +176,17 @@ def solve_scattering_batch(
 ) -> list[ScatterResult]:
     """Scattering matrices of the field for a batch of energies.
 
-    The batch is a non-empty 1-D sequence (or one scalar).  All energies must
-    be strictly above the lower band edge and away from the exact thresholds;
-    the sweep layer is responsible for nudging its grids.  It matches on the
-    real `ordered_product`: the Berry strip of gamma_tilde would cancel here.
+    The batch is a non-empty 1-D sequence (or one scalar) of energies that
+    scatter (`core.scattering_channels`); the sweep layer is responsible for
+    nudging its grids off the band edges.  It matches on the real
+    `ordered_product`: the Berry strip of gamma_tilde would cancel here.
 
     Without ``plan`` the solve takes ``segment_plan(field, n_segments)``,
     except for a field with a constant interior (the wall, the uniform field):
     its one-segment plan is exact, so it takes that one whatever
-    ``n_segments`` says.  A field's plan is built once per count and shared
-    read-only by every later solve of that field object.  An explicit
-    ``plan`` is used as given, whatever ``n_segments`` says, and must be the
-    field's own (`check_plan`, ValueError).  Each result's ``n_segments`` is
-    the count of the plan used.
+    ``n_segments`` says, after checking the count.  An explicit ``plan``
+    follows `segment_plan`'s rule.  Each result's ``n_segments`` is the count
+    of the plan used.
     """
     energies = energy_batch(energies)
     channels = scattering_channels(energies)
@@ -230,17 +223,20 @@ def solve_scattering_sweep(
     Practice, SIAM 2013, ch. 8).  The sweep takes `ordered_product` at the
     Chebyshev-Lobatto nodes of the window, fits the coefficients, evaluates
     gamma at every grid energy and matches each one exactly, as
-    `solve_scattering_batch` does.  The nodes start at degree 24 and double,
-    keeping the products already taken, until the coefficient tail has
-    decayed (see the constants above).  The node rule depends only on the
-    field, the count and the window, so the results do too.  Each result's
-    ``flow_defect`` is that of its interpolated gamma.
+    `solve_scattering_batch` does.  The nodes start at degree _SWEEP_DEGREE
+    and double, keeping the products already taken, until the last
+    _SWEEP_TAIL coefficients are at most _SWEEP_TAIL_TOL of the largest.  The
+    node rule depends only on the field, the count and the window, so the
+    results do too.  Each result's ``flow_defect`` is that of its
+    interpolated gamma.
 
     The grid is solved by `solve_scattering_batch` instead, byte for byte,
-    when interpolation would not pay or not be exact to rounding: a field with
-    a constant interior (its one-segment plan is exact), a grid of no more
-    points than nodes, a window of zero width, and a window whose lowest
-    energy has an evanescent growth over REGROUP_GROWTH_LIMIT.  The grid is
+    when interpolation would not pay or not be exact to rounding: a field
+    with a constant interior, a grid of no more points than nodes (the first
+    _SWEEP_DEGREE + 1, or as many as the tail asks for), a window of zero
+    width, and a window whose lowest energy has an evanescent growth g over
+    REGROUP_GROWTH_LIMIT (about 10.7), since the interpolant keeps gamma only
+    to rounding relative to its largest entry, about eps * e^g.  The grid is
     checked as a batch's is, before any product is taken.
     """
     energies = energy_batch(energies)
@@ -365,7 +361,7 @@ def landauer_current(
     the same solve as a bias and integrates G_E * 0 to 0.0, so it refuses
     the same grids and counts, and a coarse grid can warn there too.
     """
-    energies = np.sort(np.atleast_1d(np.asarray(energies, dtype=float)))
+    energies = np.sort(energy_batch(energies))
     occ = fermi_occupation(energies, mu_left, temperature) - fermi_occupation(
         energies, mu_right, temperature
     )

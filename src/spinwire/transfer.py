@@ -132,10 +132,7 @@ class SegmentPlan:
     """Precomputed, energy-independent data for one piecewise build.
 
     This is the geometric half of a solve: it depends on the field and the
-    segment count only.  `segment_plan` builds a field's plan once per count
-    and hands every later caller the same object, so a plan is shared and its
-    arrays are read-only.  A plan passed as ``plan=`` must be its own field's
-    (see `check_plan`), and it wins over the ``n_segments`` passed with it.
+    segment count only.  Plans are shared and read-only; see `segment_plan`.
     """
 
     n_segments: int
@@ -162,9 +159,9 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
     object itself, lives as long as the field, and every later call with
     that count returns the same plan.  Its ``magnitudes`` and ``jumps`` are
     therefore read-only.  This rests on a field not changing after
-    construction (see `PlanarField`).  A plan handed to
-    `solve_scattering_batch` or `gamma_piecewise_batch` as ``plan=`` must be
-    the field's own (`check_plan`) and wins over their ``n_segments``.
+    construction (see `PlanarField`).  A plan handed to a solve as ``plan=``
+    is used as given and wins over the ``n_segments`` passed with it; it
+    must be the field's own (`check_plan`, ValueError).
     """
     n_segments = segment_count(n_segments)
     plans = vars(field).setdefault("_plans", {})
@@ -316,11 +313,9 @@ def gamma_piecewise_batch(
 
     Returns gamma = `ordered_product` and gamma_tilde = diag(U^dag, U^dag) gamma,
     both (n_energies, 4, 4), and the full-interval transport U shared by all
-    energies.  The batch is a non-empty 1-D sequence (or one scalar).
-
-    Without ``plan`` it takes the field's `segment_plan` at ``n_segments``,
-    built once per count and shared.  An explicit ``plan`` wins over
-    ``n_segments`` and must be the field's own (`check_plan`, ValueError).
+    energies.  The batch is a non-empty 1-D sequence (or one scalar).  The
+    plan is the field's `segment_plan` at ``n_segments``, or ``plan`` by that
+    function's rule.
     """
     energies = energy_batch(energies)
     if plan is None:

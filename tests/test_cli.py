@@ -94,6 +94,8 @@ def test_workers_flag_is_a_usage_error(tmp_path, capsys):
 FAILING_COMMANDS = {
     "unknown_scheme": (["sweep", "--scheme", "nope"], 1),
     "closed_window": (["sweep", "--E-min", "-2"], 1),
+    "no_points": (["sweep", "--points", "0"], 1),
+    "no_segments": (["sweep", "--segments", "0", "--points", "3"], 1),
     "missing_profile": (["dump-profile", "--scheme", "tabulated:{tmp}/missing.txt"], 1),
     "growth_guard": (["sweep", "--scheme", "scheme1", "--L", "80", "--E-min", "-0.5",
                       "--E-max", "0.5"], 3),
@@ -212,12 +214,19 @@ def test_unknown_flag_is_usage_error(capsys):
 
 
 def test_closed_window_rejected(capsys):
-    code, _, err = run_cli(
-        ["sweep", "--scheme", "scheme1", "--E-min", "-3", "--E-max", "0", "--points", "4"],
-        capsys,
-    )
-    assert code == 1
-    assert "closed regime" in err
+    window = ["--scheme", "scheme1", "--E-min", "-3", "--E-max", "0", "--points", "4"]
+    for command in (["sweep"], ["current", "--mu-left", "0", "--mu-right", "-0.5"]):
+        code, out, err = run_cli(command + window, capsys)
+        assert (code, out) == (1, "")
+        assert "E=-3.0 is below both bands" in err
+
+
+def test_bad_config_value_is_an_error_with_line_number(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("scheme = scheme1\nq1 = x\n")
+    code, out, err = run_cli(["sweep", "--config", str(cfg)], capsys)
+    assert (code, out) == (1, "")
+    assert "bad.cfg:2: bad value for 'q1'" in err
 
 
 def test_non_finite_length_is_a_config_error(capsys):

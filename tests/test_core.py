@@ -56,12 +56,7 @@ def one_energy_channel(energy):
     """Wave vectors and regime of one energy, each from a 0-d evaluation."""
     k0 = complex(wavenumber(energy - E_LOWER))
     k1 = complex(wavenumber(energy - E_UPPER))
-    if energy > E_UPPER:
-        regime = Regime.TWO_CHANNEL
-    elif energy > E_LOWER:
-        regime = Regime.SINGLE_CHANNEL
-    else:
-        regime = Regime.CLOSED
+    regime = Regime.TWO_CHANNEL if energy > E_UPPER else Regime.SINGLE_CHANNEL
     return ChannelData(energy=energy, k0=k0, k1=k1, regime=regime)
 
 
