@@ -15,9 +15,10 @@ Sweeps are deterministic: the nodes depend only on the configuration, so
 identical configuration yields byte-identical CSV, floats are rendered with
 at most 12 significant digits, and energy grids are nudged off the exact
 band edges by 1e-9 (with a note on stderr, never in the CSV).  A command
-writes its output, to stdout or ``--out``, only after it has succeeded: a
-command that fails writes no output, and an existing ``--out`` file keeps
-its contents.
+writes its notes, then each warning as one plain ``warning:`` line on stderr,
+then its output, to stdout or ``--out``, only after it has succeeded: a
+command that fails writes only its error line, and an existing ``--out``
+file keeps its contents.
 
 Exit codes follow the type of the exception that ended the command:
 0 success/PASS; 1 usage error or any other refused input, a bad profile
@@ -172,18 +173,13 @@ def build_field(cfg: SweepConfig) -> PlanarField:
     )
 
 
-def energy_grid(cfg: SweepConfig, diag) -> np.ndarray:
-    """Sweep grid with exact band edges nudged off by 1e-9."""
+def energy_grid(cfg: SweepConfig) -> tuple[np.ndarray, list[str]]:
+    """Sweep grid with exact band edges nudged off by 1e-9, and a note per nudged point."""
     grid = np.linspace(cfg.E_min, cfg.E_max, cfg.points)
-    for edge in (-1.0, 1.0):
-        hits = np.nonzero(np.abs(grid - edge) < 1e-12)[0]
-        for idx in hits:
-            grid[idx] = edge + 1e-9
-            print(
-                f"note: grid point {idx} nudged off the band edge {edge:+g} by 1e-9",
-                file=diag,
-            )
-    return grid
+    hits = [(i, e) for e in (-1.0, 1.0) for i in np.nonzero(np.abs(grid - e) < 1e-12)[0]]
+    for i, e in hits:
+        grid[i] = e + 1e-9
+    return grid, [f"note: grid point {i} nudged off the band edge {e:+g} by 1e-9" for i, e in hits]
 
 
 def _fmt(x: float) -> str:
@@ -209,16 +205,19 @@ def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
     }
 
 
-def run_sweep(cfg: SweepConfig, diag) -> str:
+def run_sweep(cfg: SweepConfig) -> tuple[str, list[str]]:
+    """The CSV text and the grid's notes."""
     field = build_field(cfg)
-    results = solve_scattering_sweep(field, energy_grid(cfg, diag), cfg.segments)
+    grid, notes = energy_grid(cfg)
+    results = solve_scattering_sweep(field, grid, cfg.segments)
     columns = cfg.csv_columns()
     numbers = _sweep_numbers(field, results)
     cells = {name: list(map(_fmt, numbers[name].tolist())) for name in columns if name in numbers}
     cells["regime"] = [res.channel.regime.value for res in results]
     # a NaN defect is flagged too
     cells["defect_flag"] = np.where(numbers["unitarity_defect"] <= cfg.defect_tol, "0", "1").tolist()
-    return "\n".join([",".join(columns), *map(",".join, zip(*(cells[c] for c in columns)))]) + "\n"
+    rows = map(",".join, zip(*(cells[c] for c in columns)))
+    return "\n".join([",".join(columns), *rows]) + "\n", notes
 
 
 def run_dump_profile(cfg: SweepConfig) -> str:
@@ -233,19 +232,17 @@ def run_dump_profile(cfg: SweepConfig) -> str:
     return "\n".join(["# y b1 b3 theta |B|", *(" ".join(map(_fmt, row)) for row in table)]) + "\n"
 
 
-def run_current(cfg: SweepConfig, mu_left: float, mu_right: float, temperature: float, diag) -> str:
+def run_current(
+    cfg: SweepConfig, mu_left: float, mu_right: float, temperature: float
+) -> tuple[str, list[str]]:
     field = build_field(cfg)
-    grid = energy_grid(cfg, diag)
-    # each warning becomes one plain line, like the band-edge notes
-    with warnings.catch_warnings(record=True) as caught:
-        current = landauer_current(field, mu_left, mu_right, temperature, grid, cfg.segments)
-    for warning in caught:
-        print(f"warning: {warning.message}", file=diag)
+    grid, notes = energy_grid(cfg)
+    current = landauer_current(field, mu_left, mu_right, temperature, grid, cfg.segments)
     return (
         f"current = {_fmt(current)}  (grid: {grid.size} points in "
         f"[{_fmt(grid[0])}, {_fmt(grid[-1])}], mu_left={_fmt(mu_left)}, "
         f"mu_right={_fmt(mu_right)}, T={_fmt(temperature)})\n"
-    )
+    ), notes
 
 
 def _report(lines, verdict) -> str:
@@ -392,16 +389,19 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = build_config(args)
-        code = 0
-        if args.command == "sweep":
-            text = run_sweep(cfg, sys.stderr)
-        elif args.command == "dump-profile":
-            text = run_dump_profile(cfg)
-        elif args.command == "validate":
-            text, code = run_validate(cfg, args.against)
-        else:
-            text = run_current(cfg, args.mu_left, args.mu_right, args.temp, sys.stderr)
-        # only now, after the command succeeded, is --out opened
+        code, notes = 0, []
+        with warnings.catch_warnings(record=True) as caught:
+            if args.command == "sweep":
+                text, notes = run_sweep(cfg)
+            elif args.command == "dump-profile":
+                text = run_dump_profile(cfg)
+            elif args.command == "validate":
+                text, code = run_validate(cfg, args.against)
+            else:
+                text, notes = run_current(cfg, args.mu_left, args.mu_right, args.temp)
+        # only now, after the command succeeded: its notes, one line per warning, its output
+        for line in notes + [f"warning: {warning.message}" for warning in caught]:
+            print(line, file=sys.stderr)
         if getattr(args, "out", None):
             with open(args.out, "w", encoding="utf-8") as out:
                 out.write(text)

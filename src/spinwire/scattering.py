@@ -333,10 +333,10 @@ def transmission_probabilities(result: ScatterResult) -> dict[str, float]:
 
 def fermi_occupation(energy, mu: float, temperature: float):
     energy = np.asarray(energy, dtype=float)
-    if np.isnan(mu):
-        raise ValueError("chemical potential must not be NaN")
-    if not temperature >= 0.0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
+    if not np.isfinite(mu):
+        raise ValueError(f"chemical potential must be finite, not NaN or infinite, got {mu}")
+    if not (np.isfinite(temperature) and temperature >= 0.0):
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
     if temperature == 0.0:
         return (energy < mu).astype(float)
     x = np.clip((energy - mu) / temperature, -700.0, 700.0)
@@ -356,16 +356,26 @@ def landauer_current(
     G_E is read from `solve_scattering_sweep` on the sorted grid, so it
     comes from the sweep's interpolant or from its direct fallback, and the
     grid and count are refused as a batch refuses them.  The grid must cover
-    the window where the occupations differ; a warning is emitted when the
-    conductance jumps by more than 10% between neighbours.  Zero bias runs
-    the same solve as a bias and integrates G_E * 0 to 0.0, so it refuses
-    the same grids and counts, and a coarse grid can warn there too.
+    the window where the occupations differ: after the solve, a bias
+    (mu_left != mu_right) is refused with ValueError when a chemical
+    potential above E = -1, where channels open, lies outside [min E, max E].
+    At T > 0 the occupation tails past the grid are not checked.  A warning
+    is emitted when the conductance jumps by more than 10% between
+    neighbours.  Zero bias runs the same solve as a bias and integrates
+    G_E * 0 to 0.0, so it refuses the same grids and counts, and a coarse
+    grid can warn there too.  A non-finite mu or T is refused.
     """
     energies = np.sort(energy_batch(energies))
     occ = fermi_occupation(energies, mu_left, temperature) - fermi_occupation(
         energies, mu_right, temperature
     )
     g = np.array([res.conductance for res in solve_scattering_sweep(field, energies, n_segments)])
+    for mu in (mu_left, mu_right):
+        if mu_left != mu_right and mu > -1.0 and not energies[0] <= mu <= energies[-1]:
+            raise ValueError(
+                f"chemical potential {mu} lies outside the grid [{energies[0]}, {energies[-1]}]; "
+                "extend the grid over the bias window"
+            )
     steps = np.abs(np.diff(g))
     scale = np.maximum(np.maximum(np.abs(g[:-1]), np.abs(g[1:])), 1e-12)
     if np.any(steps > 0.1 * scale):

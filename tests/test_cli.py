@@ -4,6 +4,7 @@ import itertools
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -219,6 +220,8 @@ def test_closed_window_rejected(capsys):
         code, out, err = run_cli(command + window, capsys)
         assert (code, out) == (1, "")
         assert "E=-3.0 is below both bands" in err
+        # the grid's nudged point 2 gets no note: only the gate's error is printed
+        assert err == "error: E=-3.0 is below both bands; nothing scatters\n"
 
 
 def test_bad_config_value_is_an_error_with_line_number(tmp_path, capsys):
@@ -278,6 +281,21 @@ def test_nan_defect_is_flagged(monkeypatch, capsys):
     assert flags == ["1"] + ["0"] * (len(flags) - 1)
 
 
+def test_a_library_warning_is_one_plain_line(monkeypatch, capsys):
+    solve = cli.solve_scattering_sweep
+
+    def warning_solve(*args):
+        warnings.warn("the sweep saw something odd", UserWarning)
+        return solve(*args)
+
+    _, expected, _ = run_cli(SWEEP_ARGS, capsys)
+    monkeypatch.setattr(cli, "solve_scattering_sweep", warning_solve)
+    code, out, err = run_cli(SWEEP_ARGS, capsys)
+    assert (code, out) == (0, expected)
+    assert "warning: the sweep saw something odd\n" in err
+    assert "UserWarning" not in err and ".py" not in err
+
+
 def physical_block(res, m):
     """The entries of m that carry current: all four with two open channels, else (0, 0)."""
     return m if res.channel.regime is spinwire.Regime.TWO_CHANNEL else m[:1, :1]
@@ -304,7 +322,7 @@ def sweep_rows_reference(field, energies, segments, solve=spinwire.solve_scatter
 
 
 def sweep_csv_reference(cfg):
-    grid = cli.energy_grid(cfg, io.StringIO())
+    grid = cli.energy_grid(cfg)[0]
     out = io.StringIO()
     columns = cfg.csv_columns()
     print(",".join(columns), file=out)
@@ -346,7 +364,7 @@ def test_sweep_csv_equals_the_per_energy_reference(field_args, capsys):
 def test_sweep_numbers_equal_the_per_energy_reference(field_args):
     # bit for bit, below the 12 digits the CSV shows
     cfg = cli.build_config(cli.make_parser().parse_args(["sweep", *field_args, "--points", "601"]))
-    field, grid = cli.build_field(cfg), cli.energy_grid(cfg, io.StringIO())
+    field, grid = cli.build_field(cfg), cli.energy_grid(cfg)[0]
     numbers = cli._sweep_numbers(field, spinwire.solve_scattering_batch(field, grid, 256))
     rows = sweep_rows_reference(field, grid, 256)
     assert {"regime"} == set(rows[0]) - set(numbers)
@@ -363,7 +381,7 @@ def test_single_channel_distances_take_the_lower_entries_only(field_args):
     # below E = 1 only t00 and r00 carry current; the other entries are
     # evanescent admixtures whose last digits depend on rounding
     cfg = cli.build_config(cli.make_parser().parse_args(["sweep", *field_args, "--points", "601"]))
-    field, grid = cli.build_field(cfg), cli.energy_grid(cfg, io.StringIO())
+    field, grid = cli.build_field(cfg), cli.energy_grid(cfg)[0]
     results = spinwire.solve_scattering_batch(field, grid, 256)
     numbers = cli._sweep_numbers(field, results)
     single = grid < 1.0
@@ -619,6 +637,31 @@ def test_current_rejects_nan(flag, capsys):
     assert code == 1
     assert "nan" in err.lower()
     assert out == ""
+
+
+def test_current_refuses_a_bias_window_past_the_grid(capsys):
+    # the grid covers a tenth of the window: integrating only that part is refused
+    code, out, err = run_cli(
+        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2", "--segments", "64",
+         "--E-min", "4.9", "--E-max", "5.1", "--points", "81", "--mu-left", "6", "--mu-right", "4"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error: chemical potential") and "lies outside the grid" in err
+
+
+@pytest.mark.parametrize("flag", ["--mu-left", "--mu-right", "--temp"])
+def test_current_rejects_inf(flag, capsys):
+    values = {"--mu-left": "5.05", "--mu-right": "4.95", "--temp": "0"}
+    values[flag] = "inf"
+    code, out, err = run_cli(
+        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2",
+         "--E-min", "4.9", "--E-max", "5.1", "--points", "21", "--segments", "64"]
+        + [tok for item in values.items() for tok in item],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert "must be" in err and "finite" in err
 
 
 def test_console_entry_point_runs():

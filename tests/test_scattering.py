@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import os
 
 import numpy as np
@@ -32,6 +31,7 @@ from spinwire.scattering import (
     ScatterResult,
     build_result,
     build_results,
+    fermi_occupation,
     landauer_current,
     solve_scattering,
     solve_scattering_batch,
@@ -214,17 +214,39 @@ class TestLandauer:
             landauer_current(u, mu_left, mu_right, temperature, np.linspace(4.9, 5.1, 21), 64)
 
     def test_a_large_grid_reads_the_interpolated_conductance(self, monkeypatch):
-        # the bias window covers the whole grid, so the integrand is G itself;
-        # the tunnelling resonances near E = -0.16 are too narrow for 600 points
+        # the bias window is the whole grid; the tunnelling resonances near
+        # E = -0.16 are too narrow for 600 points
         field, grid = scheme1_field(1, 1, 6.0), np.linspace(-0.9, 3.0, 600)
         sizes = record_products(monkeypatch)
         with pytest.warns(GridCoarseWarning):
-            current = landauer_current(field, 3.5, -1.0, 0.0, grid, 256)
+            current = landauer_current(field, 3.0, -1.0, 0.0, grid, 256)
         assert sizes == [25]
-        swept = [res.conductance for res in solve_scattering_sweep(field, grid, 256)]
-        assert current == float(np.trapezoid(swept, grid) / (2.0 * np.pi))
-        direct = [res.conductance for res in solve_scattering_batch(field, grid, 256)]
-        assert current == pytest.approx(np.trapezoid(direct, grid) / (2.0 * np.pi), rel=1e-10, abs=0)
+        occ = fermi_occupation(grid, 3.0, 0.0) - fermi_occupation(grid, -1.0, 0.0)
+        swept = np.array([res.conductance for res in solve_scattering_sweep(field, grid, 256)])
+        assert current == float(np.trapezoid(swept * occ, grid) / (2.0 * np.pi))
+        direct = np.array([res.conductance for res in solve_scattering_batch(field, grid, 256)])
+        expected = np.trapezoid(direct * occ, grid) / (2.0 * np.pi)
+        assert current == pytest.approx(expected, rel=1e-10, abs=0)
+
+    def test_a_bias_window_past_the_grid_is_refused(self):
+        u, grid = uniform_field(0.0, 2.0), np.linspace(4.9, 5.1, 21)
+        # either potential, on either side, warm or cold, and one just above E = -1
+        for window in [(6.0, 4.0, 0.0), (5.05, 4.0, 0.0), (6.0, 5.05, 0.01), (4.0, 6.0, 0.0),
+                       (5.05, -0.95, 0.0)]:
+            with pytest.raises(ValueError, match="lies outside the grid"):
+                landauer_current(u, *window, grid, 64)
+        # nothing scatters at or below E = -1, so a potential there needs no grid
+        current = landauer_current(u, 0.5, -2.0, 0.0, np.linspace(-1.0 + 1e-9, 0.9, 21), 64)
+        assert current == pytest.approx(1.5 / (2.0 * np.pi), rel=0.05)
+
+    @pytest.mark.parametrize(
+        "mu_left, mu_right, temperature",
+        [(np.inf, 4.95, 0.0), (5.05, -np.inf, 0.0), (5.05, 4.95, np.inf), (5.0, 5.0, np.inf)],
+    )
+    def test_infinite_inputs_rejected(self, mu_left, mu_right, temperature):
+        u = uniform_field(0.0, 2.0)
+        with pytest.raises(ValueError, match="finite"):
+            landauer_current(u, mu_left, mu_right, temperature, np.linspace(4.9, 5.1, 21), 64)
 
     def test_finite_temperature_smooths(self):
         u = uniform_field(0.0, 2.0)
@@ -528,7 +550,7 @@ engine_fields = pytest.mark.parametrize(
 def cli_grid_and_edges():
     """The CLI's 601-point grid with its nudged band edges, and that grid with
     the energies next to E = 1 appended."""
-    grid = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601), io.StringIO())
+    grid = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601))[0]
     return grid, np.concatenate([grid, [1.0 - 1e-12, 1.0 + 1e-13, np.nextafter(1.0, 2.0)]])
 
 
@@ -753,7 +775,7 @@ class TestProbabilityColumns:
         ids=["scheme1", "scheme2", "wall"],
     )
     def test_engine_columns_equal_the_per_result_reference(self, field):
-        grid = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601), io.StringIO())
+        grid = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=601))[0]
         assert grid[0] == -1.0 + 1e-9 and grid[200] == 1.0 + 1e-9
         results = solve_scattering_batch(field, grid, 256)
         u = spinwire.berry_operator_planar(field, 0.0, field.length)
@@ -789,7 +811,7 @@ def sweep_csv(tmp_path, argv, name):
     return code, out.read_bytes() if out.exists() else None
 
 
-SWEEP_GRID = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=600), io.StringIO())
+SWEEP_GRID = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=600))[0]
 
 
 class TestSweep:
