@@ -49,6 +49,7 @@ from .transfer import (
     segment_plan,
 )
 from .scattering import (
+    ScatterBatch,
     ScatterResult,
     landauer_current,
     solve_scattering,

@@ -13,8 +13,8 @@ sweep solves its grid by `scattering.solve_scattering_sweep`, which says when
 it interpolates the transfer product and when it solves the grid directly.
 Sweeps are deterministic: the nodes depend only on the configuration, so
 identical configuration yields byte-identical CSV, floats are rendered with
-at most 12 significant digits, and energy grids are nudged off the exact
-band edges by 1e-9 (with a note on stderr, never in the CSV).  A command
+at most 12 significant digits, and energy grids are nudged off the exact band
+edges by `core.EDGE_NUDGE` = 1e-9 (with a note on stderr, never in the CSV).  A command
 writes its notes, then each warning as one plain ``warning:`` line on stderr,
 then its output, to stdout or ``--out``, only after it has succeeded: a
 command that fails writes only its error line, and an existing ``--out``
@@ -30,13 +30,14 @@ coarse for the oracle).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from dataclasses import dataclass, fields as dataclass_fields
 
 import numpy as np
 
-from .core import Regime, hs_norm
+from .core import EDGE_NUDGE, Regime, hs_norm
 from .berry import (
     align_sign,
     berry_operator_planar,
@@ -174,34 +175,36 @@ def build_field(cfg: SweepConfig) -> PlanarField:
 
 
 def energy_grid(cfg: SweepConfig) -> tuple[np.ndarray, list[str]]:
-    """Sweep grid with exact band edges nudged off by 1e-9, and a note per nudged point."""
+    """Sweep grid with exact band edges nudged off by EDGE_NUDGE, and a note per nudged point."""
     grid = np.linspace(cfg.E_min, cfg.E_max, cfg.points)
     hits = [(i, e) for e in (-1.0, 1.0) for i in np.nonzero(np.abs(grid - e) < 1e-12)[0]]
     for i, e in hits:
-        grid[i] = e + 1e-9
-    return grid, [f"note: grid point {i} nudged off the band edge {e:+g} by 1e-9" for i, e in hits]
+        grid[i] = e + EDGE_NUDGE
+    return grid, [f"note: grid point {i} nudged off the band edge {e:+g} by {EDGE_NUDGE:g}"
+                  for i, e in hits]
+
+
+_FLOAT = "%.12g"  # how the CLI prints every float: at most 12 significant digits
 
 
 def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+    return _FLOAT % float(x)
 
 
-def _sweep_numbers(field, results) -> dict[str, np.ndarray]:
-    """Every numeric CSV column of a sweep, computed once over the batch.
+def _sweep_numbers(field, batch) -> dict[str, np.ndarray]:
+    """Every numeric CSV column of a sweep, read from its batch's arrays.
 
     A single-channel row takes its distances from the (0, 0) entries alone,
     the physical ones, as `transmission_columns` masks its P columns.
     """
-    two_channel = np.array([res.channel.regime is Regime.TWO_CHANNEL for res in results])
-    physical = np.where(two_channel[:, None, None], True, [[True, False], [False, False]])
-    t_minus_u = np.array([res.t for res in results]) - high_energy_t(field)
+    physical = np.where(batch.two_channel[:, None, None], True, [[True, False], [False, False]])
     return {
-        "E": np.array([res.channel.energy for res in results]),
-        **transmission_columns(results),
-        "hs_t_minus_U": hs_norm(np.where(physical, t_minus_u, 0.0)),
-        "hs_r": hs_norm(np.where(physical, np.array([res.r for res in results]), 0.0)),
-        "unitarity_defect": np.array([res.unitarity_defect for res in results]),
-        "conductance": np.array([res.conductance for res in results]),
+        "E": batch.energy,
+        **transmission_columns(batch),
+        "hs_t_minus_U": hs_norm(np.where(physical, batch.t - high_energy_t(field), 0.0)),
+        "hs_r": hs_norm(np.where(physical, batch.r, 0.0)),
+        "unitarity_defect": batch.unitarity_defect,
+        "conductance": batch.conductance,
     }
 
 
@@ -209,14 +212,15 @@ def run_sweep(cfg: SweepConfig) -> tuple[str, list[str]]:
     """The CSV text and the grid's notes."""
     field = build_field(cfg)
     grid, notes = energy_grid(cfg)
-    results = solve_scattering_sweep(field, grid, cfg.segments)
+    batch = solve_scattering_sweep(field, grid, cfg.segments)
     columns = cfg.csv_columns()
-    numbers = _sweep_numbers(field, results)
-    cells = {name: list(map(_fmt, numbers[name].tolist())) for name in columns if name in numbers}
-    cells["regime"] = [res.channel.regime.value for res in results]
+    cells = _sweep_numbers(field, batch)
+    regimes = Regime.TWO_CHANNEL.value, Regime.SINGLE_CHANNEL.value
+    cells["regime"] = np.where(batch.two_channel, *regimes)
     # a NaN defect is flagged too
-    cells["defect_flag"] = np.where(numbers["unitarity_defect"] <= cfg.defect_tol, "0", "1").tolist()
-    rows = map(",".join, zip(*(cells[c] for c in columns)))
+    cells["defect_flag"] = np.where(cells["unitarity_defect"] <= cfg.defect_tol, "0", "1")
+    row = ",".join("%s" if name in ("regime", "defect_flag") else _FLOAT for name in columns)
+    rows = [row % values for values in zip(*(cells[name].tolist() for name in columns))]
     return "\n".join([",".join(columns), *rows]) + "\n", notes
 
 
@@ -339,7 +343,9 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument(flag, dest=key, type=kind, help=_CONFIG_HELP.get(key))
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = _Parser(
         prog="spinwire",
         description=__doc__,

@@ -17,6 +17,9 @@ import numpy as np
 
 E_LOWER = -1.0  # band bottom of the lower spin channel in the leads
 E_UPPER = +1.0  # band bottom of the upper spin channel
+# how far a sweep grid moves an energy up off a band edge; E_LOWER + EDGE_NUDGE
+# is the lowest energy a sweep grid holds
+EDGE_NUDGE = 1e-9
 
 # Symplectic form preserved by the dynamical part of the transfer matrix;
 # its conservation is what guarantees flux unitarity of the scattering matrix.
@@ -88,12 +91,14 @@ def energy_batch(energies) -> np.ndarray:
     return energies
 
 
-def scattering_channels(energies) -> list[ChannelData]:
+def scattering_channels(energies) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lead wave vectors of a batch of energies that scatter: above E = -1 and on neither band edge.
 
     This is the one gate that decides whether an energy scatters, and in which
-    regime.  ``k_l = sqrt(E - E_l)`` with the decaying branch (Im k >= 0).
-    The band-edge test is exact: next to an edge a float64 energy still has
+    regime.  It returns the batch as float64 energies (n,), wave vectors
+    ``k`` (n, 2) with ``k_l = sqrt(E - E_l)`` on the decaying branch
+    (Im k >= 0), and the mask (n,) of the two-channel energies.  The
+    band-edge test is exact: next to an edge a float64 energy still has
     |k| >= 1.05e-8, so only k == 0 itself is refused.  A batch with an energy
     that does not scatter is refused with the error of its first such energy,
     in batch order.
@@ -101,10 +106,10 @@ def scattering_channels(energies) -> list[ChannelData]:
     energies = energy_batch(energies)
     finite = np.isfinite(energies)
     safe = np.where(finite, energies, 0.0)
-    k0, k1 = wavenumber(safe - E_LOWER), wavenumber(safe - E_UPPER)
+    k = wavenumber(safe[:, None] - np.array([E_LOWER, E_UPPER]))
     # band-edge ties belong to the lower regime: E = +1 has one open channel, E = -1 none
-    closed, two_channel = safe <= E_LOWER, safe > E_UPPER
-    refused = ~finite | closed | (k1 == 0)
+    closed = safe <= E_LOWER
+    refused = ~finite | closed | (k[:, 1] == 0)
     if refused.any():
         i = int(refused.argmax())
         energy = float(energies[i])
@@ -113,15 +118,19 @@ def scattering_channels(energies) -> list[ChannelData]:
         if closed[i]:
             raise RegimeError(f"E={energy} is below both bands; nothing scatters")
         raise ThresholdError(f"E={energy} sits on a band edge; nudge the energy off the threshold")
-    return [
-        ChannelData(e, a, b, Regime.TWO_CHANNEL if two else Regime.SINGLE_CHANNEL)
-        for e, a, b, two in zip(energies.tolist(), k0.tolist(), k1.tolist(), two_channel.tolist())
-    ]
+    return energies, k, safe > E_UPPER
+
+
+def channel_at(channels, i: int) -> ChannelData:
+    """The ChannelData of energy i of a batch's `scattering_channels` arrays."""
+    energies, k, two_channel = channels
+    regime = Regime.TWO_CHANNEL if two_channel[i] else Regime.SINGLE_CHANNEL
+    return ChannelData(float(energies[i]), complex(k[i, 0]), complex(k[i, 1]), regime)
 
 
 def scattering_channel(energy: float) -> ChannelData:
     """Lead wave vectors of one energy that scatters; see `scattering_channels`."""
-    return scattering_channels([float(energy)])[0]
+    return channel_at(scattering_channels([float(energy)]), 0)
 
 
 def hs_norm(a: np.ndarray) -> np.floating | np.ndarray:

@@ -22,7 +22,7 @@ from spinwire.berry import (
 from spinwire.fields import magnetic_wall_field, scheme1_field, scheme2_field
 from spinwire.analytic import WallConfig, delta_wall_scattering, magnetic_wall_scattering
 from spinwire.lattice import fd_scattering
-from spinwire.scattering import solve_scattering, solve_scattering_batch
+from spinwire.scattering import ScatterBatch, solve_scattering, solve_scattering_batch
 
 TOL_UNITARITY = 1e-8
 TOL_SINGLE_CHANNEL = 1e-8
@@ -378,7 +378,7 @@ def test_criterion_09_symplectic_invariant(
     for results in single_channel_sweeps.values():
         collected.extend(results)
     for value in focus_results.values():
-        collected.extend(value if isinstance(value, list) else [value])
+        collected.extend(value if isinstance(value, ScatterBatch) else [value])
     collected.extend(wall_comparison[1])
     collected.extend(engine for engine, _ in oracle_comparison.values())
     reference, ladder = convergence_study

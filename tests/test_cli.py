@@ -90,6 +90,14 @@ def test_workers_flag_is_a_usage_error(tmp_path, capsys):
     assert out == "" and not out_path.exists()
 
 
+def test_a_usage_error_leaves_the_next_sweep_unchanged(tmp_path, capsys):
+    # the parser is built once per process and shared by every main call
+    assert cli.make_parser() is cli.make_parser()
+    before = run_cli(SWEEP_ARGS, capsys)
+    assert run_cli(SWEEP_ARGS + ["--workers", "2"], capsys)[0] == 1
+    assert run_cli(SWEEP_ARGS, capsys) == before and before[0] == 0
+
+
 # commands that fail after parsing: a config error, a missing profile file and
 # the evanescent-growth guard
 FAILING_COMMANDS = {
@@ -271,8 +279,10 @@ def test_nan_defect_is_flagged(monkeypatch, capsys):
     solve = cli.solve_scattering_sweep
 
     def first_defect_nan(*args):
-        results = solve(*args)
-        return [dataclasses.replace(results[0], unitarity_defect=float("nan")), *results[1:]]
+        batch = solve(*args)
+        defects = batch.unitarity_defect.copy()
+        defects[0] = float("nan")
+        return dataclasses.replace(batch, unitarity_defect=defects)
 
     monkeypatch.setattr(cli, "solve_scattering_sweep", first_defect_nan)
     code, out, _ = run_cli(SWEEP_ARGS, capsys)
@@ -640,14 +650,31 @@ def test_current_rejects_nan(flag, capsys):
 
 
 def test_current_refuses_a_bias_window_past_the_grid(capsys):
-    # the grid covers a tenth of the window: integrating only that part is refused
-    code, out, err = run_cli(
+    # the grid covers a tenth of the window, or a 40th of a window down to the
+    # lower band edge: integrating only that part is refused
+    for mu_left, mu_right in (("6", "4"), ("5.05", "-1")):
+        code, out, err = run_cli(
+            ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2", "--segments", "64",
+             "--E-min", "4.9", "--E-max", "5.1", "--points", "81",
+             "--mu-left", mu_left, "--mu-right", mu_right],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: chemical potential") and "lies outside the grid" in err
+
+
+def test_current_from_the_lower_band_edge(capsys):
+    # the grid's nudged first point, -1 + 1e-9, covers a potential at E = -1:
+    # G = 1 on (-1, 1) and 2 on (1, 5.05) in the transparent wire
+    code, out, _ = run_cli(
         ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2", "--segments", "64",
-         "--E-min", "4.9", "--E-max", "5.1", "--points", "81", "--mu-left", "6", "--mu-right", "4"],
+         "--E-min", "-1", "--E-max", "5.1", "--points", "81",
+         "--mu-left", "5.05", "--mu-right", "-1"],
         capsys,
     )
-    assert (code, out) == (1, "")
-    assert err.startswith("error: chemical potential") and "lies outside the grid" in err
+    assert code == 0
+    value = float(out.split("current = ")[1].split()[0])
+    assert value == pytest.approx((2.0 + 2.0 * 4.05) / (2.0 * np.pi), rel=0.02)
 
 
 @pytest.mark.parametrize("flag", ["--mu-left", "--mu-right", "--temp"])

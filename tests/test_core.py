@@ -10,6 +10,7 @@ from spinwire.core import (
     Regime,
     RegimeError,
     ThresholdError,
+    channel_at,
     hs_distance,
     planar_spinors,
     scattering_channel,
@@ -67,8 +68,11 @@ def test_scattering_channels_equal_the_one_energy_gate():
     ulp_off = [np.nextafter(-1.0, 0.0), np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)]
     grid = np.concatenate([grid, ulp_off, [1.0 - 1e-9, 1e300]])
     batch = scattering_channels(grid)
-    assert len(batch) == grid.size
-    for got, e in zip(batch, grid):
+    energies, k, two_channel = batch
+    assert energies.tobytes() == grid.tobytes()
+    assert k.shape == (grid.size, 2) and two_channel.shape == grid.shape
+    for i, e in enumerate(grid):
+        got = channel_at(batch, i)
         for want in (scattering_channel(e), one_energy_channel(float(e))):
             assert type(got.energy) is float and got.energy == want.energy
             for name in ("k0", "k1"):

@@ -15,6 +15,7 @@ from spinwire.core import (
     RegimeError,
     SingularSystemError,
     ThresholdError,
+    channel_at,
     scattering_channel,
 )
 from spinwire.analytic import WallConfig, magnetic_wall_scattering
@@ -28,6 +29,7 @@ from spinwire.fields import (
 )
 from spinwire.scattering import (
     DEFAULT_SEGMENTS,
+    ScatterBatch,
     ScatterResult,
     build_result,
     build_results,
@@ -79,13 +81,33 @@ class TestSolve:
             assert abs(res.probabilities[1, 0] - res.probabilities[0, 1]) < 1e-8
 
     def test_batch_matches_scalar(self):
+        # the CLI's 120-point grid on [-1, 5]: its nudged lower edge, single-channel
+        # energies, where the upper channel is closed, and two-channel ones
         f = scheme2_field(0, 0, 6.0)
-        energies = [0.4, 2.0, 8.0]
+        energies = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=120))[0]
         batch = solve_scattering_batch(f, energies, 512)
-        for res, energy in zip(batch, energies):
-            single = solve_scattering(f, energy, 512)
-            assert np.max(np.abs(res.t - single.t)) < 1e-12
-            assert np.max(np.abs(res.r - single.r)) < 1e-12
+        assert energies[0] == -1.0 + 1e-9 and set(batch.two_channel.tolist()) == {False, True}
+        # every row equals its lone solve bit for bit
+        assert_results_equal_reference(batch, [solve_scattering(f, e, 512) for e in energies])
+
+    def test_a_batch_is_a_sequence_of_results(self):
+        f = scheme1_field(1, 1, 3.0)
+        energies = [-0.5, 0.5, 2.0]
+        for solve in (solve_scattering_batch, solve_scattering_sweep):
+            batch = solve(f, energies, 64)
+            assert type(batch) is ScatterBatch and len(batch) == 3 and batch.n_segments == 64
+            results = list(batch)
+            assert [type(res) for res in results] == [ScatterResult] * 3
+            assert [res.channel.energy for res in results] == energies
+            assert [res.n_segments for res in results] == [64] * 3
+            assert batch[-1].t.tobytes() == results[2].t.tobytes() == batch.t[2].tobytes()
+            with pytest.raises(IndexError):
+                batch[3]
+        # a result indexed out is a dataclass of its own: replacing a field leaves the batch alone
+        t = batch.t[2].copy()
+        flipped = dataclasses.replace(batch[2], t=-batch[2].t)
+        assert type(flipped) is ScatterResult and flipped.t.tobytes() == (-t).tobytes()
+        assert flipped.channel == batch[2].channel and batch.t[2].tobytes() == t.tobytes()
 
     @pytest.mark.parametrize(
         "energies",
@@ -219,9 +241,9 @@ class TestLandauer:
         field, grid = scheme1_field(1, 1, 6.0), np.linspace(-0.9, 3.0, 600)
         sizes = record_products(monkeypatch)
         with pytest.warns(GridCoarseWarning):
-            current = landauer_current(field, 3.0, -1.0, 0.0, grid, 256)
+            current = landauer_current(field, 3.0, -0.9, 0.0, grid, 256)
         assert sizes == [25]
-        occ = fermi_occupation(grid, 3.0, 0.0) - fermi_occupation(grid, -1.0, 0.0)
+        occ = fermi_occupation(grid, 3.0, 0.0) - fermi_occupation(grid, -0.9, 0.0)
         swept = np.array([res.conductance for res in solve_scattering_sweep(field, grid, 256)])
         assert current == float(np.trapezoid(swept * occ, grid) / (2.0 * np.pi))
         direct = np.array([res.conductance for res in solve_scattering_batch(field, grid, 256)])
@@ -231,11 +253,12 @@ class TestLandauer:
     def test_a_bias_window_past_the_grid_is_refused(self):
         u, grid = uniform_field(0.0, 2.0), np.linspace(4.9, 5.1, 21)
         # either potential, on either side, warm or cold, and one just above E = -1
+        # a potential at or below E = -1 counts as the lowest grid energy, -1 + 1e-9
         for window in [(6.0, 4.0, 0.0), (5.05, 4.0, 0.0), (6.0, 5.05, 0.01), (4.0, 6.0, 0.0),
-                       (5.05, -0.95, 0.0)]:
+                       (5.05, -0.95, 0.0), (5.05, -1.0, 0.0), (-3.0, 5.05, 0.0)]:
             with pytest.raises(ValueError, match="lies outside the grid"):
                 landauer_current(u, *window, grid, 64)
-        # nothing scatters at or below E = -1, so a potential there needs no grid
+        # nothing scatters at or below E = -1, so a grid from -1 + 1e-9 covers a potential there
         current = landauer_current(u, 0.5, -2.0, 0.0, np.linspace(-1.0 + 1e-9, 0.9, 21), 64)
         assert current == pytest.approx(1.5 / (2.0 * np.pi), rel=0.05)
 
@@ -510,6 +533,7 @@ def assert_results_equal_reference(got, want):
     was a numpy float64 (a float subclass of equal value) and is now a float.
     """
     assert len(got) == len(want)
+    got = list(got)  # index a batch's results out once
     for name in ("t", "r", "probabilities"):
         a = np.stack([getattr(res, name) for res in got])
         b = np.stack([getattr(res, name) for res in want])
@@ -561,20 +585,22 @@ class TestBatchAssembly:
         t, r = random_amplitudes(rng, n)
         # both regimes, shuffled
         channels = spinwire.scattering_channels(rng.uniform(-0.999, 5.0, size=n))
-        assert {ch.regime for ch in channels} == {Regime.SINGLE_CHANNEL, Regime.TWO_CHANNEL}
+        assert set(channels[2].tolist()) == {False, True}
         flow = rng.random(n)
-        got = build_results(t, r, channels, 64, flow)
+        batch = build_results(t, r, channels, 64, flow)
+        # each result indexed out of the batch equals the reference of its energy
         want = [
-            build_result_reference(t[i], r[i], ch, 64, flow[i]) for i, ch in enumerate(channels)
+            build_result_reference(t[i], r[i], channel_at(channels, i), 64, flow[i])
+            for i in range(n)
         ]
-        assert_results_equal_reference(got, want)
+        assert_results_equal_reference(batch, want)
 
     def test_build_result_is_the_batch_of_one(self):
         rng = np.random.default_rng(13)
         t, r = random_amplitudes(rng, 200)
         channels = spinwire.scattering_channels(np.linspace(-0.9, 3.0, 200))
-        got = [build_result(t[i], r[i], ch) for i, ch in enumerate(channels)]
-        want = [build_result_reference(t[i], r[i], ch) for i, ch in enumerate(channels)]
+        got = [build_result(t[i], r[i], channel_at(channels, i)) for i in range(200)]
+        want = [build_result_reference(t[i], r[i], channel_at(channels, i)) for i in range(200)]
         assert_results_equal_reference(got, want)
 
     @engine_fields
@@ -605,11 +631,10 @@ def berry_matching_reference(field, energies, plan):
     took the real product and matched through S-matrices: on gamma_tilde, with
     the Berry factor U multiplied back and the lead wave vectors K in every
     term, U (X11 K + i X10) + K U (X00 - i X01 K) and so on."""
-    channels = spinwire.scattering_channels(energies)
     _, gamma_tilde, berry = gamma_piecewise_batch(field, energies, plan.n_segments, plan=plan)
     x00, x01 = gamma_tilde[:, :2, :2], gamma_tilde[:, :2, 2:]
     x10, x11 = gamma_tilde[:, 2:, :2], gamma_tilde[:, 2:, 2:]
-    k = np.array([[ch.k0, ch.k1] for ch in channels], dtype=complex)
+    k = spinwire.scattering_channels(energies)[1]
     w = np.stack([np.ones_like(k[:, 0]), np.sqrt(k[:, 1] / k[:, 0])], axis=-1)
     winv = 1.0 / w[:, None, :]
     fr_dag = np.exp(-1j * k * field.length)
@@ -680,7 +705,13 @@ def lead_waves(k):
 
 
 def random_s_matrices(rng, n=50):
-    return tuple(rng.normal(size=(n, 2, 2)) + 1j * rng.normal(size=(n, 2, 2)) for _ in range(4))
+    """Four random (2, 2, n) stacks: the matching's layout, matrix axes first."""
+    return tuple(rng.normal(size=(2, 2, n)) + 1j * rng.normal(size=(2, 2, n)) for _ in range(4))
+
+
+def stacked(blocks):
+    """(2, 2, n) stacks of the matching as (n, 2, 2) stacks."""
+    return tuple(np.moveaxis(block, -1, 0) for block in blocks)
 
 
 class TestSMatrixMatching:
@@ -691,7 +722,7 @@ class TestSMatrixMatching:
         a, b = block[:, :2, :2], block[:, :2, 2:]
         assert np.max(np.abs(block[:, 2:, :2] - np.conj(b))) < 1e-14
         assert np.max(np.abs(block[:, 2:, 2:] - np.conj(a))) < 1e-14
-        for got, want in zip(scattering._wire_block(gamma), s_matrix_reference(block)):
+        for got, want in zip(stacked(scattering._wire_block(gamma)), s_matrix_reference(block)):
             assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-12
 
     @pytest.mark.parametrize("k", [0.3, 1.0, 2.7, 0.4j, 3.1j], ids=str)
@@ -709,7 +740,7 @@ class TestSMatrixMatching:
         star = scattering._star
         for got, want in zip(star(star(a, b), c), star(a, star(b, c))):
             assert np.max(np.abs(got - want) / (1.0 + np.abs(want))) < 1e-10
-        zero, eye = np.zeros((50, 2, 2)), np.broadcast_to(np.eye(2), (50, 2, 2))
+        zero, eye = np.zeros((2, 2, 50)), np.broadcast_to(scattering._EYE, (2, 2, 50))
         identity = (zero, eye, zero, eye)
         for got, want in zip(star(identity, a) + star(a, identity), a + a):
             assert np.max(np.abs(got - want)) < 1e-14
@@ -718,15 +749,18 @@ class TestSMatrixMatching:
         rng = np.random.default_rng(23)
         k = np.array([[1.3, 0.2], [0.8, 0.5j]], dtype=complex)
         gamma = rng.normal(size=(2, 4, 4))
-        rho, tau = (d[:, :, None] * np.eye(2) for d in scattering._lead_step(k))
+        rho, tau = (d * scattering._EYE for d in scattering._lead_step(k.T))
         left = scattering._star((rho, tau, -rho, tau), scattering._wire_block(gamma))
-        got = scattering._star(left, (-rho, tau, rho, tau))
+        got = stacked(scattering._star(left, (-rho, tau, rho, tau)))
         want = s_matrix_reference(np.linalg.inv(lead_waves(k)) @ gamma @ lead_waves(k))
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w) / (1.0 + np.abs(w))) < 1e-12
+        # given only the right step's r and t, the star gives the same r and t
+        for g, w in zip(stacked(scattering._star(left, (-rho, tau))), got):
+            assert g.tobytes() == w.tobytes()
 
     def test_an_exactly_singular_step_raises(self):
-        eye = np.eye(2)[None].astype(complex)
+        eye = np.eye(2)[:, :, None].astype(complex)
         step = (eye, eye, eye, eye)
         with pytest.raises(SingularSystemError, match="exactly singular"):
             scattering._star(step, step)  # I - r'_a r_b = 0
@@ -765,7 +799,7 @@ class TestProbabilityColumns:
         energies = rng.uniform(-0.999, 5.0, size=n)
         energies[:2] = (-1.0 + 1e-9, 1.0 + 1e-9)
         channels = spinwire.scattering_channels(energies)
-        assert [ch.regime for ch in channels[:2]] == [Regime.SINGLE_CHANNEL, Regime.TWO_CHANNEL]
+        assert channels[2][:2].tolist() == [False, True]
         results = build_results(t, r, channels, 64, np.zeros(n))
         assert_columns_equal_reference(results, planar_rotation(0.7))
 
