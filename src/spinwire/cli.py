@@ -2,7 +2,7 @@
 
 Commands:
   sweep         solve the configured profile on an energy grid, emit CSV
-  validate      compare the engine against an independent reference
+  validate      compare the engine with one mode's references in VALIDATE_CHECKS
   dump-profile  emit the field profile as a y/b1/b3/theta/|B| table
   current       Landauer current for a bias window on the configured grid,
                 its conductances solved as a sweep's are
@@ -33,7 +33,7 @@ import argparse
 import functools
 import sys
 import warnings
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
@@ -249,86 +249,90 @@ def run_current(
     ), notes
 
 
-def _report(lines, verdict) -> str:
-    return "".join(
-        f"  {name}: max deviation {value:.3e} (tol {tol:.1e}) at E={_fmt(energy)} "
-        f"[{'ok' if value <= tol else 'EXCEEDED'}]\n"
-        for name, value, tol, energy in lines
-    ) + f"verdict: {verdict}\n"
-
-
-def _deviation(a, b) -> float:
+def _deviation(ref, eng) -> float:
     """Largest entrywise |delta t| or |delta r| between two scattering results."""
-    return max(float(np.max(np.abs(a.t - b.t))), float(np.max(np.abs(a.r - b.r))))
+    return max(float(np.max(np.abs(ref.t - eng.t))), float(np.max(np.abs(ref.r - eng.r))))
+
+
+def _engine_check(label, tol, energies, reference, deviation, field, segments, *,
+                  solved=lambda field: field, refusal=lambda field: None) -> tuple:
+    """One report line: the engine solves `solved(field)` once at `energies`, and the line
+    gives the largest `deviation(reference(solved field, e), engine at e)` and its energy.
+    A field for which `refusal` returns a message is refused with it."""
+    if message := refusal(field):
+        raise ValueError(message)
+    field = solved(field)
+    engine = solve_scattering_batch(field, energies, segments)
+    devs = [deviation(reference(field, e), x) for e, x in zip(energies, engine)]
+    worst = int(np.argmax(devs))
+    return label, devs[worst], tol, energies[worst]
+
+
+def _berry_check(field: PlanarField, segments: int) -> tuple:
+    if field.zero_field_interior:
+        raise ValueError("validate --against berry needs a continuous profile")
+    segmented = berry_operator_segmented(field_directions(field, segments))
+    planar = berry_operator_planar(field, 0.0, field.length)
+    dev = float(np.max(np.abs(align_sign(segmented, planar) - planar)))
+    return "segmented vs planar transport (sign-aligned)", dev, 1e-8, float("nan")
+
+
+def _convergence_check(field: PlanarField, segments: int) -> tuple:
+    if field.constant_interior:
+        # the plan is exact, so the errors it would divide are rounding
+        raise ValueError("validate --against convergence needs a non-constant profile")
+    if segments < 4:
+        raise ValueError("validate --against convergence needs segments >= 4")
+    energy = 3.0
+    probs = [solve_scattering_batch(field, [energy], n)[0].probabilities
+             for n in (segments // 4, segments // 2, segments, 4 * segments)]
+    errors = [float(np.max(np.abs(p - probs[-1]))) for p in probs[:-1]]  # coarsest first
+    ratio = max(fine / coarse if coarse > 0 else 0.0 for coarse, fine in zip(errors, errors[1:]))
+    # error ratio bound: each halving of the step must gain >= 2x
+    return f"error ratio per halving at E={_fmt(energy)}", ratio, 0.5, energy
+
+
+# the checks of each `validate --against` mode, one report line each, in report order
+VALIDATE_CHECKS = {
+    "oracle": tuple(functools.partial(
+        _engine_check, "probability rel. error (a=L/8192)", 1e-4, (energy,),
+        lambda field, e: fd_scattering(field, e, field.length / 8192),
+        # relative where the engine's probability is nonzero, absolute where it is 0
+        lambda ref, eng: float(np.max(np.abs(ref.probabilities - eng.probabilities)
+                                      / np.where(eng.probabilities > 0, eng.probabilities, 1.0))),
+    ) for energy in (2.0, 5.0)),
+    "wall": (functools.partial(
+        _engine_check, "entrywise engine vs wall matching", 1e-10, np.linspace(1.01, 100.0, 50),
+        lambda wall, e: magnetic_wall_scattering(
+            WallConfig(wall.theta_left, wall.theta_right, wall.length, e)),
+        _deviation,
+        refusal=lambda field: None if field.zero_field_interior else (
+            "validate --against wall needs scheme = wall"),
+    ),),
+    "delta": (functools.partial(
+        _engine_check, "delta closed form vs wall at L=1e-6", 1e-4, (1.5, 2.0, 5.0, 20.0),
+        lambda wall, e: delta_wall_scattering(
+            planar_direction(wall.theta_left), planar_direction(wall.theta_right), e),
+        # t is linear in the closed form's U, whose overlap gauge fixes it only up to
+        # the double-cover sign (see `berry`); r does not carry that sign
+        lambda ref, eng: _deviation(replace(ref, t=align_sign(ref.t, eng.t)), eng),
+        solved=lambda field: magnetic_wall_field(field.theta_left, field.theta_right, 1e-6),
+    ),),
+    "berry": (_berry_check,),
+    "convergence": (_convergence_check,),
+}
 
 
 def run_validate(cfg: SweepConfig, against: str) -> tuple[str, int]:
     """The report text and the exit code: 0 on PASS, 2 on FAIL."""
     field = build_field(cfg)
-    lines = []
-    if against == "oracle":
-        spacing = field.length / 8192
-        tol = 1e-4
-        energies = (2.0, 5.0)
-        for energy, eng in zip(energies, solve_scattering_batch(field, energies, cfg.segments)):
-            gap = np.abs(fd_scattering(field, energy, spacing).probabilities - eng.probabilities)
-            # relative where the engine's probability is nonzero, absolute where it is 0
-            rel = np.divide(gap, eng.probabilities, out=gap.copy(), where=eng.probabilities > 0)
-            lines.append(("probability rel. error (a=L/8192)", float(np.max(rel)), tol, energy))
-    elif against == "wall":
-        if not field.zero_field_interior:
-            raise ValueError("validate --against wall needs scheme = wall")
-        tol = 1e-10
-        energies = np.linspace(1.01, 100.0, 50)
-        engine = solve_scattering_batch(field, energies, cfg.segments)
-        devs = [
-            _deviation(eng, magnetic_wall_scattering(WallConfig(cfg.thetaL, cfg.thetaR, cfg.L, e)))
-            for e, eng in zip(energies, engine)
-        ]
-        worst = int(np.argmax(devs))
-        lines.append(("entrywise engine vs wall matching", devs[worst], tol, energies[worst]))
-    elif against == "delta":
-        tol = 1e-4
-        n_l = planar_direction(field.theta_left)
-        n_r = planar_direction(field.theta_right)
-        energies = (1.5, 2.0, 5.0, 20.0)
-        devs = [
-            _deviation(
-                delta_wall_scattering(n_l, n_r, e),
-                magnetic_wall_scattering(WallConfig(field.theta_left, field.theta_right, 1e-6, e)),
-            )
-            for e in energies
-        ]
-        worst = int(np.argmax(devs))
-        lines.append(("delta closed form vs wall at L=1e-6", devs[worst], tol, energies[worst]))
-    elif against == "berry":
-        if field.zero_field_interior:
-            raise ValueError("validate --against berry needs a continuous profile")
-        tol = 1e-8
-        segmented = berry_operator_segmented(field_directions(field, cfg.segments))
-        planar = berry_operator_planar(field, 0.0, field.length)
-        dev = float(np.max(np.abs(align_sign(segmented, planar) - planar)))
-        lines.append(("segmented vs planar transport (sign-aligned)", dev, tol, float("nan")))
-    elif against == "convergence":
-        if field.constant_interior:
-            # the plan is exact, so the errors it would divide are rounding
-            raise ValueError("validate --against convergence needs a non-constant profile")
-        if cfg.segments < 4:
-            raise ValueError("validate --against convergence needs segments >= 4")
-        tol = 0.5  # error ratio bound: each halving of the step must gain >= 2x
-        energy = 3.0
-        reference = solve_scattering_batch(field, [energy], 4 * cfg.segments)[0].probabilities
-        errors = []
-        n = cfg.segments
-        for _ in range(3):
-            probs = solve_scattering_batch(field, [energy], n)[0].probabilities
-            errors.append(float(np.max(np.abs(probs - reference))))
-            n //= 2
-        errors = errors[::-1]  # coarsest first
-        ratio = max(errors[i + 1] / errors[i] if errors[i] > 0 else 0.0 for i in range(2))
-        lines.append((f"error ratio per halving at E={_fmt(energy)}", ratio, tol, energy))
+    lines = [check(field, cfg.segments) for check in VALIDATE_CHECKS[against]]
     ok = all(value <= tol for _, value, tol, _ in lines)
-    return _report(lines, "PASS" if ok else "FAIL"), 0 if ok else 2
+    return "".join(
+        f"  {name}: max deviation {value:.3e} (tol {tol:.1e}) at E={_fmt(energy)} "
+        f"[{'ok' if value <= tol else 'EXCEEDED'}]\n"
+        for name, value, tol, energy in lines
+    ) + f"verdict: {'PASS' if ok else 'FAIL'}\n", 0 if ok else 2
 
 
 class _Parser(argparse.ArgumentParser):
@@ -372,11 +376,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     validate = sub.add_parser("validate", help="cross-check the engine against a reference")
     _add_config_flags(validate)
-    validate.add_argument(
-        "--against",
-        required=True,
-        choices=("oracle", "wall", "delta", "berry", "convergence"),
-    )
+    validate.add_argument("--against", required=True, choices=tuple(VALIDATE_CHECKS))
 
     dump = sub.add_parser("dump-profile", help="emit 'y b1 b3 theta |B|' profile table")
     _add_config_flags(dump)

@@ -2,6 +2,7 @@ import dataclasses
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -455,13 +456,22 @@ def test_exit_code_follows_the_exception_type(args, expected, message, tmp_path,
          "--against", "berry"],
         ["validate", "--scheme", "wall", "--thetaL", "0", "--thetaR", "1.2", "--L", "2",
          "--against", "delta"],
+        # lead angles past +-pi: the closed form's U carries the other double-cover sign
+        ["validate", "--scheme", "scheme1", "--q2", "1", "--L", "3", "--against", "delta"],
+        ["validate", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
+         "--against", "delta"],
+        ["validate", "--scheme", "wall", "--thetaL", "0", "--thetaR", "7", "--L", "3",
+         "--against", "delta"],
         ["validate", "--scheme", "scheme1", "--L", "3", "--segments", "512",
          "--against", "convergence"],
+        ["validate", "--scheme", "scheme1", "--q1", "1", "--L", "3", "--against", "convergence"],
+        ["validate", "--scheme", "scheme1", "--L", "3", "--against", "oracle"],
         # P01 and P10 of a uniform field are exactly 0: checked absolutely
         ["validate", "--scheme", "uniform", "--thetaL", "0.7", "--L", "3",
          "--against", "oracle"],
     ],
-    ids=["wall", "berry", "delta", "convergence", "oracle_uniform"],
+    ids=["wall", "berry", "delta", "delta_scheme1_3pi", "delta_scheme2_5pi_2", "delta_wall_7",
+         "convergence", "convergence_winding", "oracle", "oracle_uniform"],
 )
 def test_validate_modes_pass(args, capsys):
     code, out, _ = run_cli(args, capsys)
@@ -469,13 +479,49 @@ def test_validate_modes_pass(args, capsys):
     assert "verdict: PASS" in out
 
 
-def test_validate_oracle_passes(capsys):
-    code, out, _ = run_cli(
-        ["validate", "--scheme", "scheme1", "--L", "3", "--against", "oracle"],
-        capsys,
-    )
-    assert code == 0
-    assert "verdict: PASS" in out
+# each mode's report on its field of the console-script smoke test, the deviation masked as D
+SMOKE_REPORTS = {
+    "wall": (["--scheme", "wall", "--thetaL", "0.3", "--thetaR", "2.0", "--L", "3"],
+             ["entrywise engine vs wall matching: max deviation D (tol 1.0e-10) at E={worst} [ok]"]),
+    "berry": (["--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6"],
+              ["segmented vs planar transport (sign-aligned): max deviation D (tol 1.0e-08) "
+               "at E=nan [ok]"]),
+    "delta": (["--scheme", "wall", "--thetaL", "0.3", "--thetaR", "2.0", "--L", "3"],
+              ["delta closed form vs wall at L=1e-6: max deviation D (tol 1.0e-04) at E=1.5 [ok]"]),
+    "convergence": (["--scheme", "scheme1", "--L", "3"],
+                    ["error ratio per halving at E=3: max deviation D (tol 5.0e-01) at E=3 [ok]"]),
+    "oracle": (["--scheme", "scheme1", "--L", "3"],
+               [f"probability rel. error (a=L/8192): max deviation D (tol 1.0e-04) at E={e} [ok]"
+                for e in (2, 5)]),
+}
+
+
+@pytest.mark.parametrize("mode", SMOKE_REPORTS)
+def test_validate_report_lines(mode, capsys):
+    field_args, lines = SMOKE_REPORTS[mode]
+    code, out, err = run_cli(["validate", *field_args, "--against", mode], capsys)
+    masked = re.sub(r"max deviation \d\.\d{3}e[+-]\d{2} ", "max deviation D ", out)
+    # the wall's worst energy is where rounding peaks, so any of its 50 energies will do
+    worst = re.search(r"at E=(\S+) \[", out).group(1)
+    if mode == "wall":
+        assert worst in {cli._fmt(e) for e in np.linspace(1.01, 100.0, 50)}
+    expected = "".join(f"  {line.format(worst=worst)}\n" for line in lines) + "verdict: PASS\n"
+    assert (code, masked, err) == (0, expected, "")
+
+
+@pytest.mark.parametrize("mode", ["oracle", "wall", "delta"])
+def test_validate_engine_rows_check_the_engine(mode, monkeypatch, capsys):
+    # an engine off by 1e-3 in t, r and the stored probabilities must fail each engine row
+    real = cli.solve_scattering_batch
+
+    def off(*args):
+        batch = real(*args)
+        return dataclasses.replace(batch, t=batch.t + 1e-3, r=batch.r + 1e-3,
+                                   probabilities=batch.probabilities + 1e-3)
+
+    monkeypatch.setattr(cli, "solve_scattering_batch", off)
+    code, out, _ = run_cli(["validate", *SMOKE_REPORTS[mode][0], "--against", mode], capsys)
+    assert (code, out.splitlines()[-1]) == (2, "verdict: FAIL"), out
 
 
 def test_validate_fail_exit_code(monkeypatch, capsys):
@@ -523,15 +569,6 @@ def test_validate_convergence_refuses_exact_plans(field_args, capsys):
     code, out, err = run_cli(["validate", *field_args, "--against", "convergence"], capsys)
     assert (code, out) == (1, "")
     assert "needs a non-constant profile" in err
-
-
-def test_validate_convergence_passes_on_a_winding_profile(capsys):
-    code, out, _ = run_cli(
-        ["validate", "--scheme", "scheme1", "--q1", "1", "--L", "3", "--against", "convergence"],
-        capsys,
-    )
-    assert code == 0
-    assert "verdict: PASS" in out
 
 
 def test_dump_profile_roundtrips_through_loader(tmp_path, capsys):
