@@ -107,6 +107,7 @@ class SweepConfig:
 
 
 _CONFIG_TYPES = {f.name: type(f.default) for f in dataclass_fields(SweepConfig)}
+_FIELD_KEYS = ("scheme", "q1", "q2", "L", "thetaL", "thetaR")
 
 _CONFIG_HELP = {
     "scheme": "scheme1 | scheme2 | wall | uniform | tabulated:PATH",
@@ -340,11 +341,12 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
+def _add_config_flags(parser: argparse.ArgumentParser, keys=tuple(_CONFIG_TYPES)) -> None:
+    """The flags of the config keys a command reads; a config file may set any key."""
     parser.add_argument("--config", help="flat key = value config file")
-    for key, kind in _CONFIG_TYPES.items():
+    for key in keys:
         flag = "--" + key.replace("_", "-")
-        parser.add_argument(flag, dest=key, type=kind, help=_CONFIG_HELP.get(key))
+        parser.add_argument(flag, dest=key, type=_CONFIG_TYPES[key], help=_CONFIG_HELP.get(key))
 
 
 @functools.cache
@@ -375,15 +377,15 @@ def make_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
 
     validate = sub.add_parser("validate", help="cross-check the engine against a reference")
-    _add_config_flags(validate)
+    _add_config_flags(validate, _FIELD_KEYS + ("segments",))
     validate.add_argument("--against", required=True, choices=tuple(VALIDATE_CHECKS))
 
     dump = sub.add_parser("dump-profile", help="emit 'y b1 b3 theta |B|' profile table")
-    _add_config_flags(dump)
+    _add_config_flags(dump, _FIELD_KEYS + ("points",))
     dump.add_argument("--out", help="output path (default: stdout)")
 
     current = sub.add_parser("current", help="Landauer current over the configured grid")
-    _add_config_flags(current)
+    _add_config_flags(current, _FIELD_KEYS + ("E_min", "E_max", "points", "segments"))
     current.add_argument("--mu-left", type=float, required=True)
     current.add_argument("--mu-right", type=float, required=True)
     current.add_argument("--temp", type=float, default=0.0)

@@ -44,6 +44,10 @@ class PlanarField:
     # field constant on (0, L), so a piecewise-constant plan is exact at any
     # segment count (see `solve_scattering_batch`)
     constant_interior = False
+    # |B|(L - y) = |B|(y) and theta(L - y) = theta_left + theta_right - theta(y), so a
+    # plan of even segment count is a palindrome whose product `transfer` builds from its
+    # first half; TabulatedField does not claim it, as its samples need not obey it
+    mirror_symmetric = False
 
     def magnitude(self, y):
         raise NotImplementedError
@@ -103,6 +107,7 @@ class WindingField(PlanarField):
     q2: int
     length: float
     scheme: int
+    mirror_symmetric = True
 
     def __post_init__(self):
         if self.scheme not in (1, 2):

@@ -42,6 +42,14 @@ g alone picks how the energy's product is grouped.
   per-segment multiplication calls.  Its rounding relative to the largest
   entry, about eps * e^g, stays under 1e-11, so the grouping moves a result
   by no more than that.
+* On a plan of even N whose field is `mirror_symmetric`, those energies
+  run the tree over the first N/2 segments, to H, which ends with the middle
+  jump R_m.  The plan is a palindrome to rounding (2e-14 on the schemes with
+  q1 <= 10, q2 <= 1), and K F K = F^-1 for each jump and propagator, with
+  K = diag(1, -1, -1, 1), so gamma = K H^-1 K R_m^-1 H.  H^-1 = -J H^T J
+  makes K H^-1 K an exact signed block transpose, and only R_m^-1 H and one
+  4x4 product round.  H is symplectic to about eps * |H|^2 <= eps * e^g,
+  the tree's budget above.
 * Any other energy has a granule of one segment: it multiplies its factors
   one at a time, as a plain per-segment loop does.  On the unstabilised
   product regrouping a large growth moves which energies fail: a pairwise
@@ -79,7 +87,7 @@ _BLOCK_ROWS = 256
 # pairwise tree before the granule product joins the chain (see the module
 # docstring).  A 4096-segment scheme2 (1, 0, L = 4) plan, open energies on
 # [1, 5], medians of five rounds (the per-segment chain: 3.06 ms, 11.2 ms
-# and 143 ms):
+# and 143 ms; full-plan figures, from before the mirror half tree):
 #   granule                       16        32        64
 #   solve_scattering, E = 2.5     1.40 ms   1.37 ms   1.36 ms
 #   product, 20 energies          7.89 ms   7.76 ms   7.71 ms
@@ -94,6 +102,8 @@ _GRANULE = 32
 # pick u's flat entry and the piece row of each of the 16 entries in turn.
 _ROTATION_INDEX = np.array([2 * i + j for a, i, b, j in np.ndindex(2, 2, 2, 2)])
 _PIECE_INDEX = np.array([2 * ((0, 1), (2, 0))[a][b] + j for a, i, b, j in np.ndindex(2, 2, 2, 2)])
+# K J, so that K H^-1 K = -K J H^T J K = _MIRROR H^T _MIRROR for a symplectic H
+_MIRROR = np.kron([[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -1.0]))
 
 
 def _propagator_entries(q, length: float):
@@ -139,6 +149,7 @@ class SegmentPlan:
     seg_length: float
     magnitudes: np.ndarray  # (N,) field magnitude at segment midpoints
     jumps: np.ndarray  # (N+1, 2, 2) real eigenbasis rotations at the crossings
+    mirror_symmetric: bool = False  # a `mirror_symmetric` field's plan of even N
 
 
 def segment_count(n_segments) -> int:
@@ -175,7 +186,8 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
         jumps = planar_rotation(angles).real
         magnitudes.flags.writeable = jumps.flags.writeable = False
         # threads that race on a first build all return the plan stored first
-        plan = plans.setdefault(n_segments, SegmentPlan(n_segments, h, magnitudes, jumps))
+        mirror = field.mirror_symmetric and n_segments % 2 == 0
+        plan = plans.setdefault(n_segments, SegmentPlan(n_segments, h, magnitudes, jumps, mirror))
     return plan
 
 
@@ -200,9 +212,9 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     Each energy's `evanescent_growth` is taken once (open energies have
     none).  The batch is refused if one of them exceeds GROWTH_GUARD, before
     any factor is built.  Otherwise the energies within REGROUP_GROWTH_LIMIT
-    run the granule tree and the rest chain segment by segment (see the
-    module docstring), so an energy's product depends only on the plan and
-    on that energy.
+    run the granule tree, on a mirror-symmetric plan over its first half,
+    and the rest chain segment by segment (see the module docstring), so an
+    energy's product depends only on the plan and on that energy.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     growth = np.zeros(energies.shape[0])
@@ -216,8 +228,18 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     tree = growth <= REGROUP_GROWTH_LIMIT
     for rows, granule in ((tree, _GRANULE), (~tree, 1)):
         if rows.any():
-            gamma[rows] = _granule_chain(plan, energies[rows], granule)
+            build = _mirror_product if plan.mirror_symmetric and granule > 1 else _granule_chain
+            gamma[rows] = build(plan, energies[rows], granule)
     return gamma
+
+
+def _mirror_product(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
+    """K H^-1 K R_m^-1 H, H the granule chain of the plan's first half (module docstring)."""
+    m = plan.n_segments // 2
+    first = SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
+    half = _granule_chain(first, energies, granule)
+    mirrored = _MIRROR @ half.swapaxes(1, 2) @ _MIRROR  # K H^-1 K, exact
+    return mirrored @ (np.kron(np.eye(2), plan.jumps[m].T) @ half)
 
 
 def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:

@@ -223,6 +223,35 @@ def test_unknown_flag_is_usage_error(capsys):
     assert code == 1
 
 
+FIELD_KEYS = {"scheme", "q1", "q2", "L", "thetaL", "thetaR"}
+# each command with its own required arguments, and the config keys it reads
+COMMAND_KEYS = {
+    "sweep": ([], set(CONFIG_KEYS)),
+    "validate": (["--against", "berry"], FIELD_KEYS | {"segments"}),
+    "dump-profile": ([], FIELD_KEYS | {"points"}),
+    "current": (["--mu-left", "0.55", "--mu-right", "0.45"],
+                FIELD_KEYS | {"E_min", "E_max", "points", "segments"}),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_KEYS)
+def test_a_command_takes_the_flags_of_the_keys_it_reads(command, tmp_path, capsys):
+    required, keys = COMMAND_KEYS[command]
+    parser = cli.make_parser()
+    for key, (flag, raw) in CONFIG_KEYS.items():
+        argv = [command, *required, flag, raw]
+        if key in keys:
+            assert getattr(parser.parse_args(argv), key) == type(getattr(cli.SweepConfig(), key))(raw)
+        else:
+            # a flag the command would ignore is a usage error, not a silent no-op
+            assert run_cli(argv, capsys) == (1, "", f"error: unrecognized arguments: {flag} {raw}\n")
+    # a config file may still set every key, so one file serves every command
+    path = tmp_path / "all.cfg"
+    path.write_text("".join(f"{key} = {raw}\n" for key, (_, raw) in CONFIG_KEYS.items()))
+    from_file = cli.build_config(parser.parse_args([command, *required, "--config", str(path)]))
+    assert from_file == cli.build_config(parser.parse_args(["sweep", "--config", str(path)]))
+
+
 def test_closed_window_rejected(capsys):
     window = ["--scheme", "scheme1", "--E-min", "-3", "--E-max", "0", "--points", "4"]
     for command in (["sweep"], ["current", "--mu-left", "0", "--mu-right", "-0.5"]):

@@ -1,6 +1,7 @@
 import concurrent.futures
 import dataclasses
 import gc
+import itertools
 import sys
 import threading
 import tracemalloc
@@ -256,16 +257,40 @@ def tree_product_reference(plan, energies, granule=transfer._GRANULE):
     return gamma
 
 
+# K = diag(1, -1, -1, 1): K F K = F^-1 for every jump and propagator the engine builds
+K4 = np.diag([1.0, -1.0, -1.0, 1.0])
+
+
+def mirror_product_reference(plan, energies):
+    """Complex128 tree product of a mirror-symmetric plan from its first half.
+
+    H is the tree product of the first N/2 segments, ending with the middle
+    jump R_m; the second half is the first traversed backwards, so the
+    product is K H^-1 K R_m^-1 H, with H^-1 = -J H^T J.
+    """
+    m = plan.n_segments // 2
+    half = dataclasses.replace(
+        plan, n_segments=m, magnitudes=plan.magnitudes[:m], jumps=plan.jumps[: m + 1],
+        mirror_symmetric=False,
+    )
+    h = tree_product_reference(half, energies)
+    mirrored = K4 @ (-J4 @ h.swapaxes(1, 2) @ J4) @ K4
+    r_inv = np.kron(np.eye(2), plan.jumps[m].T).astype(complex)  # diag(u^T, u^T)
+    return mirrored @ (r_inv @ h)
+
+
 def product_reference(plan, energies):
     """Row by row: the tree where the evanescent growth is within the regrouping
-    limit (open energies have none), the loop where it is over."""
+    limit (open energies have none), from the first half on a mirror-symmetric
+    plan, and the loop where it is over."""
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     tree = transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT
     want = np.empty((energies.shape[0], 4, 4), dtype=complex)
     if not tree.all():
         want[~tree] = ordered_product_reference(plan, energies[~tree])
     if tree.any():
-        want[tree] = tree_product_reference(plan, energies[tree])
+        tree_reference = mirror_product_reference if plan.mirror_symmetric else tree_product_reference
+        want[tree] = tree_reference(plan, energies[tree])
     return want
 
 
@@ -457,7 +482,7 @@ class TestOpenTree:
         energies = np.concatenate([np.linspace(edge - 1.5, edge + 3.0, 598), [edge, below]])
         whole = ordered_product(plan, energies)
         # the edge itself runs the tree, the float just below it the loop
-        assert np.array_equal(whole[-2], tree_product_reference(plan, [edge])[0])
+        assert np.array_equal(whole[-2], product_reference(plan, [edge])[0])
         assert np.array_equal(whole[-1], ordered_product_reference(plan, [below])[0])
         assert not np.array_equal(whole[-2], ordered_product_reference(plan, [edge])[0])
         singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
@@ -499,6 +524,89 @@ class TestOpenTree:
         singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
         assert np.array_equal(singles, got)
         assert np.array_equal(np.signbit(singles), np.signbit(got))
+
+
+# the winding wires a 600-point sweep is measured on: both schemes, q1 in
+# (0, 1, 10), q2 in (0, 1) and L in (3, 6)
+SWEEP_WIRES = {
+    f"{scheme.__name__[:7]}-{q1}-{q2}-{length:g}": (scheme, q1, q2, length)
+    for scheme, q1, q2, length in itertools.product(
+        (scheme1_field, scheme2_field), (0, 1, 10), (0, 1), (3.0, 6.0)
+    )
+}
+
+
+class TestMirrorProduct:
+    """A mirror-symmetric plan of even count builds its tree rows from its first half."""
+
+    def test_k_inverts_every_jump_and_propagator(self):
+        # the second half of a mirror plan is the first traversed backwards because
+        # K F K = F^-1 for each jump R (exactly) and each propagator D of a factor R D
+        plan = segment_plan(scheme2_field(1, 1, 6.0), 64)
+        for u in plan.jumps:
+            rotation = np.kron(np.eye(2), u)
+            assert np.array_equal(K4 @ rotation @ K4, rotation.T)
+        for energy, mag in itertools.product((-0.9, 0.3, 2.5, 8.0), plan.magnitudes):
+            d = propagator([energy + mag, energy - mag], plan.seg_length)
+            assert np.abs(K4 @ d @ K4 @ d - np.eye(4)).max() < 1e-14 * max(1.0, np.abs(d).max() ** 2)
+
+    def test_sweep_plans_are_palindromes(self):
+        # |B|(L - y) = |B|(y) and theta(L - y) = theta_L + theta_R - theta(y); the
+        # largest deviation is 1.9e-14, on the jumps of q1 = 10, q2 = 1
+        for scheme, q1, q2, length in SWEEP_WIRES.values():
+            field = scheme(q1, q2, length)
+            assert field.mirror_symmetric
+            plan = segment_plan(field, 4096)
+            assert plan.mirror_symmetric and not segment_plan(field, 4095).mirror_symmetric
+            assert np.abs(plan.magnitudes - plan.magnitudes[::-1]).max() < 5e-14
+            assert np.abs(plan.jumps - plan.jumps[::-1]).max() < 5e-14
+
+    @pytest.mark.parametrize("wire", SWEEP_WIRES)
+    def test_half_tree_within_roundoff_of_the_full_tree_and_the_loop(self, wire):
+        scheme, q1, q2, length = SWEEP_WIRES[wire]
+        plan = segment_plan(scheme(q1, q2, length), 4096)
+        energies = np.linspace(-1.0, 5.0, 41)
+        got = ordered_product(plan, energies)
+        tree = transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT
+        loop = transfer._granule_chain(plan, energies, 1)
+        assert np.array_equal(got[~tree], loop[~tree])
+        for want in (transfer._granule_chain(plan, energies, transfer._GRANULE), loop):
+            scale = np.abs(want).max(axis=(1, 2))
+            assert np.all(np.abs(got - want).max(axis=(1, 2))[tree] <= 1e-12 * scale[tree])
+
+    def test_odd_counts_and_tabulated_fields_keep_the_full_tree(self):
+        energies = np.array([-0.5, 0.3, 2.5])
+        assert not TabulatedField.mirror_symmetric
+        for field, n_segments in ((scheme1_field(1, 0, 3.0), 63),
+                                  (scheme2_field(0, 1, 6.0), 129),
+                                  (tabulated_field(), 128)):
+            plan = segment_plan(field, n_segments)
+            assert not plan.mirror_symmetric
+            assert np.array_equal(ordered_product(plan, energies), product_reference(plan, energies))
+            assert np.array_equal(
+                ordered_product(plan, energies), tree_product_reference(plan, energies)
+            )
+        # an even count of the same winding field takes the half tree, whose bits differ
+        plan = segment_plan(scheme1_field(1, 0, 3.0), 64)
+        got = ordered_product(plan, energies)
+        assert np.array_equal(got, product_reference(plan, energies))
+        assert not np.array_equal(got, tree_product_reference(plan, energies))
+
+    def test_batch_chunks_singles_and_blocks_agree_on_a_mirror_field(self, monkeypatch):
+        # the growth crosses the regrouping limit inside the window, so the batch
+        # holds half-tree and loop rows alike
+        plan = segment_plan(scheme1_field(0, 0, 10.0), 4096)
+        energies = np.linspace(-0.95, 3.0, 90)
+        tree = transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT
+        assert plan.mirror_symmetric and tree.any() and not tree.all()
+        whole = ordered_product(plan, energies)
+        singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
+        chunks = np.concatenate([ordered_product(plan, p) for p in np.array_split(energies, 7)])
+        assert np.array_equal(singles, whole)
+        assert np.array_equal(chunks, whole)
+        # blocks of one granule, so block boundaries fall all through the half
+        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
+        assert np.array_equal(ordered_product(plan, energies), whole)
 
 
 MEMO_FIELDS = {**PRODUCT_FIELDS, "uniform": lambda: uniform_field(0.8, 2.0)}
