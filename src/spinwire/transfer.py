@@ -15,18 +15,35 @@ matrices downstream flux-unitary.
 
 For real energies every factor is real (cos(sqrt(q) L) and
 sin(sqrt(q) L)/sqrt(q) are entire in q, and the rotations are real), so the
-product is accumulated in float64.  The propagator entries keep every bit of
-the complex128 evaluation (Im >= 0 branch of sqrt(q)) they replaced.  With
-y = sqrt(|q|) and x = y L, an open channel (q >= 0) is evaluated in real
-arithmetic: cos(x), and sin(x) multiplied by 1/y, since numpy's complex
-division by a number with a zero imaginary part multiplies by its reciprocal.
-A closed channel (q < 0) keeps the complex cos and sin of i x, evaluated on
-the closed entries only: numpy's real cosh and sinh each differ from them
-in the last bit on about a quarter of the closed entries of a sweep.  The
-naive real build (cos/cosh, sin/sinh and a true division) is not used.  Its
-bits differ, and on the unstabilised product that rounding matters: with it
-a scheme2 wire of length 20 at E = -0.35 (4096 segments) failed flux
-unitarity where the complex evaluation passes.
+product is accumulated in float64.
+
+The rows that run the granule tree (below) take their propagator pieces
+from one Taylor series in w = -q h^2 (`_series_entries`): c = sum of
+w^k / (2k)! and s = h * sum of w^k / (2k + 1)!, _SERIES_TERMS terms each
+by Horner, for open and closed channels alike, with no square root, no
+complex function and no division.  An entry with |w| > W_MAX, where the
+first omitted term would pass eps / 2, takes the trig pieces below instead.
+The choice is made entry by entry, so an energy's product still depends
+only on the plan and on that energy.  At 4096 segments every entry of a
+sweep's nodes on [-1, 5] is within W_MAX on a wire of length up to 6.
+Against exact sums, c is within 1.5 ulp (near W_MAX the truncation is one
+ulp of a cosine just below 1), s within 0.64 ulp and -q s within 1.23 ulp,
+against 0.5, 2.8 and 3.0 ulp for the trig pieces; on those sweep nodes,
+|w| <= 1.3e-5, within 0.52, 0.50 and 1.02 ulp.
+
+The chain rows, and the tree rows' entries beyond W_MAX, keep every bit of
+the complex128 evaluation (Im >= 0 branch of sqrt(q)) they replaced
+(`_propagator_entries`).  With y = sqrt(|q|) and x = y L, an open channel
+(q >= 0) is evaluated in real arithmetic: cos(x), and sin(x) multiplied by
+1/y, since numpy's complex division by a number with a zero imaginary part
+multiplies by its reciprocal.  A closed channel (q < 0) keeps the complex
+cos and sin of i x, evaluated on the closed entries only: numpy's real cosh
+and sinh each differ from them in the last bit on about a quarter of the
+closed entries of a sweep.  The naive real build (cos/cosh, sin/sinh and a
+true division) is not used.  Its bits differ, and on the unstabilised
+product that rounding matters: with it a scheme2 wire of length 20 at
+E = -0.35 (4096 segments) failed flux unitarity where the complex
+evaluation passes.
 
 The association of the product depends only on the plan and on the energy,
 never on the batch or the block size, and a product runs in one thread.
@@ -60,6 +77,7 @@ g alone picks how the energy's product is grouped.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,15 +104,22 @@ _BLOCK_ROWS = 256
 # Consecutive segments an energy within REGROUP_GROWTH_LIMIT reduces by a
 # pairwise tree before the granule product joins the chain (see the module
 # docstring).  A 4096-segment scheme2 (1, 0, L = 4) plan, open energies on
-# [1, 5], medians of five rounds (the per-segment chain: 3.06 ms, 11.2 ms
-# and 143 ms; full-plan figures, from before the mirror half tree):
+# [1, 5], medians of nine rounds on a shared 2-vCPU VM, with the half tree
+# and the series pieces (the per-segment chain's products: 5.67 ms for one
+# energy, 16.3 ms and 197 ms):
 #   granule                       16        32        64
-#   solve_scattering, E = 2.5     1.40 ms   1.37 ms   1.36 ms
-#   product, 20 energies          7.89 ms   7.76 ms   7.71 ms
-#   product, 400 energies         148 ms    147 ms    156 ms
+#   solve_scattering, E = 2.5     0.97 ms   0.86 ms   0.88 ms
+#   product, 20 energies          5.57 ms   4.02 ms   4.09 ms
+#   product, 400 energies         81.2 ms   77.1 ms   82.3 ms
 # 64 rounds a large batch's block up past _BLOCK_BYTES; 32 keeps most of its
 # gain on small batches.
 _GRANULE = 32
+# Terms of the tree rows' Taylor series in w = -q h^2 (`_series_entries`).
+# W_MAX is the largest |w| at which the first omitted term of the cosine's
+# series, w^n / (2n)! for n terms, is within eps / 2, to the rounding of the
+# root; the sine's, w^n / (2n + 1)!, is smaller.
+_SERIES_TERMS = 3
+W_MAX = float((np.finfo(float).eps / 2 * math.factorial(2 * _SERIES_TERMS)) ** (1 / _SERIES_TERMS))
 
 # A factor's entry [2a + i, 2b + j] is u[i, j] * P[a][b][j], with u the
 # eigenbasis rotation, P = [[c, s], [ms, c]] the propagator pieces and j the
@@ -108,6 +133,12 @@ _MIRROR = np.kron([[0.0, 1.0], [1.0, 0.0]], np.diag([1.0, -1.0]))
 
 def _propagator_entries(q, length: float):
     """Real scalar pieces (cos, sin/sqrt, -q*sin/sqrt) of D for real eigenvalue(s) q.
+
+    These are the chain rows' pieces, and the tree rows' beyond W_MAX (see
+    `_series_entries`).  On a 256-segment block of a sweep's 25 nodes on
+    `scheme1` (1, 1, L = 6) they take 490-550 us, a third of it in the
+    complex functions of the closed quarter of the entries, against 54-57 us
+    for the series (best of 7 x 200, shared 2-vCPU VM).
 
     With y = sqrt(|q|) and x = y * length, open channels (q >= 0) take cos(x)
     and sin(x) in real arithmetic, and closed channels (q < 0) take
@@ -135,6 +166,32 @@ def _propagator_entries(q, length: float):
         x2 = np.where(closed[small], -(xs * xs), xs * xs)
         s[small] = length * (1.0 - x2 * (1.0 / 6.0) + x2 * x2 * (1.0 / 120.0))
     return c, s, -q * s
+
+
+def _series_entries(q, length: float) -> np.ndarray:
+    """The pieces (c, s, -q s) of the tree rows' factors, stacked: (3, *q.shape).
+
+    With w = q * -(length * length), c = sum of w^k / (2k)! and s = sum of
+    w^k * length / (2k + 1)!, over k < _SERIES_TERMS, each by Horner in w
+    with every coefficient a correctly rounded quotient.  One formula serves
+    open and closed channels.  An entry with |w| > W_MAX keeps the bits of
+    `_propagator_entries`, so each entry depends on its own q and length only.
+    """
+    q = np.asarray(q, dtype=float)
+    w = q * -(length * length)
+    pieces = np.empty((3, *w.shape))
+    c, s, ms = pieces
+    top = _SERIES_TERMS - 1
+    for out, scale, odd in ((c, 1.0, 0), (s, length, 1)):
+        out.fill(scale / math.factorial(2 * top + odd))
+        for k in reversed(range(top)):
+            out *= w
+            out += scale / math.factorial(2 * k + odd)
+    np.negative(np.multiply(q, s, out=ms), out=ms)  # the bits of -q * s
+    far = np.abs(w) > W_MAX
+    if far.any():
+        c[far], s[far], ms[far] = _propagator_entries(q[far], length)
+    return pieces
 
 
 @dataclass(frozen=True)
@@ -212,9 +269,10 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     Each energy's `evanescent_growth` is taken once (open energies have
     none).  The batch is refused if one of them exceeds GROWTH_GUARD, before
     any factor is built.  Otherwise the energies within REGROUP_GROWTH_LIMIT
-    run the granule tree, on a mirror-symmetric plan over its first half,
-    and the rest chain segment by segment (see the module docstring), so an
-    energy's product depends only on the plan and on that energy.
+    run the granule tree with the series pieces, on a mirror-symmetric plan
+    over its first half, and the rest chain segment by segment (see the
+    module docstring), so an energy's product depends only on the plan and
+    on that energy.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     growth = np.zeros(energies.shape[0])
@@ -258,13 +316,14 @@ def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
 def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
     """Chain the granule products of a batch of energies that share one granule.
 
-    A granule of _GRANULE segments is reduced by a pairwise tree, and a
-    granule of 1 is the per-segment chain.  The factors of each block of
-    segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES, but always
-    whole granules) are built in one vectorised pass into a buffer reused
-    across blocks; only the left multiplication of each granule product runs
-    per step.  The association depends on the granule alone, so the result
-    does not depend on the block size.
+    A granule of _GRANULE segments is reduced by a pairwise tree, its
+    factors built from the series pieces, and a granule of 1 is the
+    per-segment chain, built from the trig pieces.  The factors of each
+    block of segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES, but
+    always whole granules) are built in one vectorised pass into a buffer
+    reused across blocks; only the left multiplication of each granule
+    product runs per step.  The association depends on the granule alone,
+    so the result does not depend on the block size.
     """
     n_e = energies.shape[0]
     gamma = np.zeros((n_e, 4, 4))
@@ -274,12 +333,13 @@ def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (n_e * 16 * 8)))
     block = min(max(granule, rows - rows % granule), plan.n_segments)
     factors = np.empty((block, n_e, 16))
+    entries = _series_entries if granule > 1 else _propagator_entries
     for j0 in range(0, plan.n_segments, block):
         j1 = min(j0 + block, plan.n_segments)
         nb = j1 - j0
         mags = plan.magnitudes[j0:j1, None]
         q = np.stack([energies + mags, energies - mags])  # (channel, segment, energy)
-        pieces = np.stack(_propagator_entries(q, plan.seg_length)).reshape(6, nb, n_e)
+        pieces = np.asarray(entries(q, plan.seg_length)).reshape(6, nb, n_e)
         u = plan.jumps[j0 + 1 : j1 + 1].reshape(nb, 1, 4)
         np.multiply(
             pieces[_PIECE_INDEX].transpose(1, 2, 0), u[..., _ROTATION_INDEX], out=factors[:nb]

@@ -2,10 +2,12 @@ import concurrent.futures
 import dataclasses
 import gc
 import itertools
+import math
 import sys
 import threading
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,8 +30,10 @@ from spinwire.fields import (
 from spinwire.scattering import solve_scattering, solve_scattering_batch
 from spinwire.transfer import (
     GROWTH_GUARD,
+    W_MAX,
     ordered_product,
     _propagator_entries,
+    _series_entries,
     flow_defect,
     gamma_piecewise,
     gamma_piecewise_batch,
@@ -202,6 +206,26 @@ def propagator_entries_reference(q, length):
     return c, s, -q * s, np.abs(zl.imag)
 
 
+def series_entries_reference(q, length):
+    """The tree rows' pieces (c, s, -q s, growth) in complex128.
+
+    Where |w| <= W_MAX, w = q * -(length * length), c and s are Horner sums
+    over k < _SERIES_TERMS of w^k / (2k)! and w^k * length / (2k + 1)!;
+    beyond it they are `propagator_entries_reference`'s.
+    """
+    c, s, ms, growth = propagator_entries_reference(q, length)
+    q = np.asarray(q, dtype=complex)
+    w = q * -(length * length)
+    cos_sum = np.zeros_like(w)
+    sin_sum = np.zeros_like(w)
+    for k in reversed(range(transfer._SERIES_TERMS)):
+        cos_sum = cos_sum * w + 1.0 / math.factorial(2 * k)
+        sin_sum = sin_sum * w + length / math.factorial(2 * k + 1)
+    near = np.abs(w) <= W_MAX
+    c, s = np.where(near, cos_sum, c), np.where(near, sin_sum, s)
+    return c, s, np.where(near, -q * s, ms), growth
+
+
 def initial_reference(plan, n_e):
     """The lead-side rotation every product starts from, as a complex stack."""
     gamma = np.zeros((n_e, 4, 4), dtype=complex)
@@ -210,14 +234,14 @@ def initial_reference(plan, n_e):
     return gamma
 
 
-def segment_factors_reference(plan, energies):
+def segment_factors_reference(plan, energies, entries=propagator_entries_reference):
     """Each segment's complex128 factor stack in segment order, under the growth guard."""
     n_e = energies.shape[0]
     growth = np.zeros(n_e)
     for j in range(plan.n_segments):
         mag = plan.magnitudes[j]
         q = np.stack([energies + mag, energies - mag], axis=-1)
-        c, s, ms, kappa = propagator_entries_reference(q, plan.seg_length)
+        c, s, ms, kappa = entries(q, plan.seg_length)
         growth += kappa.max(axis=-1)
         if growth.max() > GROWTH_GUARD:
             raise EvanescentOverflowError("evanescent growth")
@@ -244,10 +268,11 @@ def tree_product_reference(plan, energies, granule=transfer._GRANULE):
 
     Each granule is reduced pair by pair, the later factor on the left and an
     odd factor carried up unchanged; the granule products are then chained.
+    The factors take the tree rows' pieces, `series_entries_reference`.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     gamma = initial_reference(plan, energies.shape[0])
-    factors = segment_factors_reference(plan, energies)
+    factors = segment_factors_reference(plan, energies, series_entries_reference)
     for g0 in range(0, plan.n_segments, granule):
         level = [next(factors) for _ in range(min(granule, plan.n_segments - g0))]
         while len(level) > 1:
@@ -312,8 +337,9 @@ PRODUCT_FIELDS = {
 class TestBlockedProduct:
     """The blocked real product reproduces its complex reference bit for bit.
 
-    The reference is the granule tree for an energy whose evanescent growth
-    is within the regrouping limit and the per-segment loop for one over it
+    The reference is the granule tree, with the series pieces, for an energy
+    whose evanescent growth is within the regrouping limit, and the
+    per-segment loop, with the trig pieces, for one over it
     (`product_reference`).
     """
 
@@ -440,6 +466,108 @@ class TestBlockedProduct:
         assert not calls
         ordered_product(plan, np.array([2.5, 0.0]))  # growth 50 at E = 0
         assert calls
+
+
+ENTRY_LENGTHS = [6 / 4096, 40 / 4096, 3 / 16384, 0.1, 2.0, 50.0]
+
+
+def ulps(got, want):
+    """|got - want| in units of the spacing of floats at |want|."""
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+class TestSeriesEntries:
+    """The tree rows' pieces: a Taylor series in w = -q h^2 within W_MAX, trig beyond."""
+
+    @pytest.mark.parametrize("length", ENTRY_LENGTHS)
+    def test_entries_are_the_reference_horner_bit_for_bit(self, length):
+        # 20k seeded eigenvalues per length (120k in all): the sweep's range,
+        # eigenvalues within twice the cut, both sides of |w| = W_MAX for
+        # either sign, signed zeros, subnormals, and an all-near and an
+        # all-far array
+        rng = np.random.default_rng(20261020)
+        q_cut = W_MAX / length**2
+        cut = q_cut * (1.0 + 1e-15 * np.arange(-40, 41))
+        near_cut = np.concatenate([cut, -cut])
+        near = np.abs(near_cut * -(length * length)) <= W_MAX
+        for sign in (near_cut > 0, near_cut < 0):
+            assert near[sign].any() and not near[sign].all()
+        special = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300])
+        sweep_range = rng.uniform(-3.0, 12.0, 9_000)
+        within_twice = rng.uniform(-2.0, 2.0, 10_000) * q_cut
+        mixed = np.concatenate([sweep_range, within_twice, near_cut, special])
+        all_near = rng.uniform(-0.99, 0.99, 500) * q_cut
+        all_far = rng.choice([-1.0, 1.0], 500) * rng.uniform(1.01, 3.0, 500) * q_cut
+        for q in (mixed, all_near, all_far):
+            got = _series_entries(q, length)
+            c, s, ms, _ = series_entries_reference(q, length)
+            assert got.shape == (3, q.size) and got.dtype == np.float64
+            for g, w in zip(got, (c, s, ms)):
+                assert np.array_equal(g, w)
+            for g, w in zip(got, (c.real, s.real, -q * s.real)):
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+        # beyond the cut the pieces are the trig ones, bit for bit
+        assert np.array_equal(
+            _series_entries(all_far, length), _propagator_entries(all_far, length)
+        )
+
+    @pytest.mark.parametrize("length", ENTRY_LENGTHS)
+    def test_within_ulps_of_the_trig_reference(self, length):
+        # the complex trig reference is itself up to 2.9 ulp off the exact
+        # s (sqrt, sin and a division each round), so s and -q s may lie 3
+        # and 4 ulp from it
+        q = np.random.default_rng(20261021).uniform(-1.0, 1.0, 20_000) * W_MAX / length**2
+        got = _series_entries(q, length)
+        want = propagator_entries_reference(q, length)
+        for g, w, bound in zip(got, want, (1, 3, 4)):
+            assert ulps(g, w.real).max() <= bound
+
+    def test_within_ulps_of_the_exact_series(self):
+        # exact rational sums of 8 terms, whose tail is below W_MAX^8 / 16! ~ 1e-48.
+        # c: half an ulp of rounding plus a truncation of at most eps / 2, which
+        # is one ulp of a cosine just below 1; s: the rounding of h plus a small
+        # correction; -q s: one more rounding
+        rng = np.random.default_rng(20261022)
+        for length in ENTRY_LENGTHS:
+            q = rng.uniform(-1.0, 1.0, 300) * W_MAX / length**2
+            got = _series_entries(q, length)
+            h = Fraction(length)
+            for j, qj in enumerate(q):
+                w = -Fraction(qj) * h * h
+                c = sum(w**k / math.factorial(2 * k) for k in range(8))
+                s = h * sum(w**k / math.factorial(2 * k + 1) for k in range(8))
+                for g, exact, bound in zip(got[:, j], (c, s, -Fraction(qj) * s), (1.5, 1.0, 1.5)):
+                    spacing = Fraction(np.spacing(abs(float(exact))))
+                    assert abs(Fraction(float(g)) - exact) <= bound * spacing
+
+    def test_cut_is_where_the_first_omitted_term_reaches_half_eps(self):
+        n = transfer._SERIES_TERMS
+        eps = np.finfo(float).eps
+        cos_term = Fraction(W_MAX) ** n / math.factorial(2 * n)
+        # to the rounding of the n-th root: a few ulp of W_MAX, n times as many of its power
+        assert abs(cos_term / (Fraction(eps) / 2) - 1) <= 4 * n * eps
+        assert Fraction(W_MAX) ** n / math.factorial(2 * n + 1) < cos_term
+        # every entry of the sweep's products at 4096 segments is within the cut
+        for scheme, q1, q2, length in SWEEP_WIRES.values():
+            plan = segment_plan(scheme(q1, q2, length), 4096)
+            assert (5.0 + plan.magnitudes.max()) * plan.seg_length**2 < W_MAX
+
+    def test_blocks_mixing_near_and_far_entries_keep_each_energy_alone(self):
+        # at 64 segments h^2 = 0.0088, so the cut falls at |q| = 0.0049 and only
+        # eleven energies of the grid have entries within it
+        plan = segment_plan(scheme2_field(1, 0, 6.0), 64)
+        energies = np.linspace(-1.0, 40.0, 600)
+        q = np.stack([energies[:, None] + plan.magnitudes, energies[:, None] - plan.magnitudes])
+        near = (np.abs(q * -(plan.seg_length**2)) <= W_MAX).any(axis=(0, 2))
+        assert near.sum() == 11
+        assert np.all(transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT)
+        whole = ordered_product(plan, energies)
+        singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
+        assert np.array_equal(singles, whole)
+        assert np.array_equal(whole, product_reference(plan, energies))
+        # the near entries move the bits of those energies' products only
+        trig = transfer._granule_chain(plan, energies, transfer._GRANULE)
+        assert not np.array_equal(whole, trig)
 
 
 # fields whose evanescent growth crosses the regrouping limit at a closed
