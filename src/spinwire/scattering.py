@@ -41,9 +41,11 @@ from .fields import PlanarField
 from .transfer import (
     REGROUP_GROWTH_LIMIT,
     SegmentPlan,
+    chain_granules,
     check_plan,
     evanescent_growth,
     flow_defect,
+    granule_products,
     ordered_product,
     segment_count,
     segment_plan,
@@ -52,6 +54,7 @@ from .transfer import (
 DEFAULT_SEGMENTS = 4096
 # the sweep's interpolation rule (see solve_scattering_sweep)
 _SWEEP_DEGREE = 24
+_GRANULE_DEGREE = 8  # the granule interpolants' first degree
 _SWEEP_TAIL = 4
 _SWEEP_TAIL_TOL = 1e-13
 
@@ -258,15 +261,24 @@ def solve_scattering_sweep(
     Every factor of gamma is entire in E, so the real product gamma(E) is
     too, and its Chebyshev interpolant on [min E, max E] converges
     geometrically (Trefethen, Approximation Theory and Approximation
-    Practice, SIAM 2013, ch. 8).  The sweep takes `ordered_product` at the
+    Practice, SIAM 2013, ch. 8).  The sweep takes gamma at the
     Chebyshev-Lobatto nodes of the window, fits the coefficients, evaluates
     gamma at every grid energy and matches each one exactly, as
     `solve_scattering_batch` does.  The nodes start at degree _SWEEP_DEGREE
     and double, keeping the products already taken, until the last
-    _SWEEP_TAIL coefficients are at most _SWEEP_TAIL_TOL of the largest.  The
-    node rule depends only on the field, the count and the window, so the
-    results do too.  Each ``flow_defect`` is that of the energy's
-    interpolated gamma.
+    _SWEEP_TAIL coefficients are at most _SWEEP_TAIL_TOL of the largest.
+
+    The node products come from granule interpolants: every
+    `transfer.granule_products` entry (a mirror-symmetric plan's first
+    half) is taken at the Lobatto nodes of degree _GRANULE_DEGREE, fitted and
+    doubled by the same tail rule, granule by granule, then evaluated and
+    chained at the wire's nodes, so a later doubling of the wire takes no
+    new product.  A granule is entire in E as the wire is, and shorter, so
+    it needs a lower degree (8 on [-1, 5] at 4096 segments, where the wire
+    needs 24).  Where a granule would need _SWEEP_DEGREE or more, as on a
+    coarse plan, the nodes take `ordered_product` directly.  The node rule
+    depends only on the field, the count and the window, so the results do
+    too.  Each ``flow_defect`` is that of the energy's interpolated gamma.
 
     The grid is solved by `solve_scattering_batch` instead, byte for byte,
     when interpolation would not pay or not be exact to rounding: a field
@@ -293,25 +305,65 @@ def solve_scattering_sweep(
 def _interpolated_products(plan: SegmentPlan, energies: np.ndarray, lo: float, hi: float):
     """gamma at each energy from its Chebyshev interpolant on [lo, hi], or None.
 
-    None once the degree + 1 nodes the tail asks for reach the grid's size.
+    The node products come from `_granule_interpolant`, or from
+    `ordered_product` where it gives none.  None once the degree + 1 nodes
+    the tail asks for reach the grid's size.
     """
-    degree = _SWEEP_DEGREE
-    values = ordered_product(plan, _lobatto_energies(degree, lo, hi)).reshape(-1, 16)
+    node_products = _granule_interpolant(plan, lo, hi) or (lambda e: ordered_product(plan, e))
+    coeffs = _fit(lambda e: node_products(e).reshape(-1, 1, 16), _SWEEP_DEGREE, energies.size - 1,
+                  lo, hi)
+    return None if coeffs is None else _chebyshev_values(coeffs, energies, lo, hi).reshape(-1, 4, 4)
+
+
+def _granule_interpolant(plan: SegmentPlan, lo: float, hi: float):
+    """A function of energies in [lo, hi] giving gamma from one interpolant per granule, or None.
+
+    Each granule of `transfer.granule_products` is fitted from degree
+    _GRANULE_DEGREE by the sweep's rule.  The function evaluates the fits
+    at its energies and chains them there (`transfer.chain_granules`), with
+    no new product.  None once the degree would reach _SWEEP_DEGREE, where
+    interpolating the granules would not pay.
+    """
+    coeffs = _fit(lambda e: granule_products(plan, e).swapaxes(0, 1).reshape(e.size, -1, 16),
+                  _GRANULE_DEGREE, _SWEEP_DEGREE, lo, hi)
+    if coeffs is None:
+        return None
+
+    def products(nodes: np.ndarray) -> np.ndarray:
+        values = _chebyshev_values(coeffs, nodes, lo, hi).reshape(nodes.size, -1, 4, 4)
+        return chain_granules(plan, np.ascontiguousarray(values.swapaxes(0, 1)))
+
+    return products
+
+
+def _fit(values_at, degree: int, stop: int, lo: float, hi: float):
+    """Chebyshev coefficients (degree + 1, m * 16) of m matrices on [lo, hi], or None.
+
+    ``values_at`` gives the (nodes, m, 16) matrices at an array of nodes.  The
+    nodes start at ``degree`` and double, keeping the values already taken,
+    until the last _SWEEP_TAIL coefficients of every matrix are at most
+    _SWEEP_TAIL_TOL of its largest; None once the degree would reach ``stop``.
+    """
+    values = values_at(_lobatto_energies(degree, lo, hi))
     while True:
-        coeffs = _chebyshev_coefficients(values)
-        if np.abs(coeffs[-_SWEEP_TAIL:]).max() <= _SWEEP_TAIL_TOL * np.abs(coeffs).max():
-            break
+        coeffs = _chebyshev_coefficients(values.reshape(degree + 1, -1))
+        size = np.abs(coeffs).reshape(values.shape)
+        if np.all(size[-_SWEEP_TAIL:].max(axis=(0, 2)) <= _SWEEP_TAIL_TOL * size.max(axis=(0, 2))):
+            return coeffs
         degree *= 2
-        if degree + 1 >= energies.size:
+        if degree >= stop:
             return None
         # the nodes of degree 2n are those of degree n and the odd-indexed ones between them
-        nested = np.empty((degree + 1, 16))
+        nested = np.empty((degree + 1, *values.shape[1:]))
         nested[::2] = values
-        nested[1::2] = ordered_product(plan, _lobatto_energies(degree, lo, hi)[1::2]).reshape(-1, 16)
+        nested[1::2] = values_at(_lobatto_energies(degree, lo, hi)[1::2])
         values = nested
+
+
+def _chebyshev_values(coeffs: np.ndarray, energies: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """sum_m c_m T_m(x) at each energy's x in [-1, 1] on [lo, hi], with T_m(x) = cos(m arccos x)."""
     x = np.clip((2.0 * energies - (lo + hi)) / (hi - lo), -1.0, 1.0)
-    chebyshev = np.cos(np.outer(np.arccos(x), np.arange(degree + 1)))  # T_m(x) = cos(m arccos x)
-    return (chebyshev @ coeffs).reshape(-1, 4, 4)
+    return np.cos(np.outer(np.arccos(x), np.arange(coeffs.shape[0]))) @ coeffs
 
 
 def _lobatto_energies(degree: int, lo: float, hi: float) -> np.ndarray:

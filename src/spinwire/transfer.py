@@ -54,7 +54,7 @@ g alone picks how the energy's product is grouped.
 
 * An energy with g <= REGROUP_GROWTH_LIMIT (every open energy, E >= max|B|,
   has g = 0) reduces each granule of _GRANULE consecutive segments, counted
-  from segment 0, by a balanced pairwise tree (`_granule_products`) and
+  from segment 0, by a balanced pairwise tree (`_pairwise_products`) and
   chains the granule products in segment order, which removes most of the
   per-segment multiplication calls.  Its rounding relative to the largest
   entry, about eps * e^g, stays under 1e-11, so the grouping moves a result
@@ -73,6 +73,13 @@ g alone picks how the energy's product is grouped.
   tree over every energy made scheme1 (0, 0), L = 40 raise
   SingularSystemError, and scheme2 (0, 0), L = 20 fail 8 of 20 energies
   instead of 7.
+
+One block loop (`_block_products`) yields each block's granule products.
+`_granule_chain` chains them as they arrive.  `granule_products` collects
+every granule's, so that a sweep (`scattering.solve_scattering_sweep`) can
+take them at a few energies, interpolate each granule in E, and chain the
+interpolants at its own nodes (`chain_granules`): its node products come
+from the granule interpolants, not from `ordered_product`.
 """
 
 from __future__ import annotations
@@ -165,7 +172,8 @@ def _propagator_entries(q, length: float):
         xs = x[small]
         x2 = np.where(closed[small], -(xs * xs), xs * xs)
         s[small] = length * (1.0 - x2 * (1.0 / 6.0) + x2 * x2 * (1.0 / 120.0))
-    return c, s, -q * s
+    ms = np.multiply(q, s)
+    return c, s, np.negative(ms, out=ms)  # the bits of -q * s
 
 
 def _series_entries(q, length: float) -> np.ndarray:
@@ -291,13 +299,46 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def _mirror_product(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
-    """K H^-1 K R_m^-1 H, H the granule chain of the plan's first half (module docstring)."""
+def _first_half(plan: SegmentPlan) -> SegmentPlan:
+    """The plan's first N/2 segments, ending with the middle jump R_m (module docstring)."""
     m = plan.n_segments // 2
-    first = SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
-    half = _granule_chain(first, energies, granule)
+    return SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
+
+
+def _mirror_step(plan: SegmentPlan, half: np.ndarray) -> np.ndarray:
+    """K H^-1 K R_m^-1 H of a stack of first-half products H (module docstring)."""
+    m = plan.n_segments // 2
     mirrored = _MIRROR @ half.swapaxes(1, 2) @ _MIRROR  # K H^-1 K, exact
     return mirrored @ (np.kron(np.eye(2), plan.jumps[m].T) @ half)
+
+
+def _mirror_product(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
+    """The mirror step of the granule chain of the plan's first half."""
+    return _mirror_step(plan, _granule_chain(_first_half(plan), energies, granule))
+
+
+def granule_products(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
+    """Every _GRANULE-segment tree product of the plan at each energy: (granules, energies, 4, 4).
+
+    These are the products `ordered_product` chains for energies within
+    REGROUP_GROWTH_LIMIT, the series pieces reduced by the pairwise tree, in
+    segment order; on a `mirror_symmetric` plan, those of its first half.
+    The growth is not checked here.  `chain_granules` turns them, or any
+    stack in their layout, into gamma.
+    """
+    part = _first_half(plan) if plan.mirror_symmetric else plan
+    return np.concatenate(list(_block_products(part, energies, _GRANULE)))
+
+
+def chain_granules(plan: SegmentPlan, products: np.ndarray) -> np.ndarray:
+    """gamma from a stack laid out as `granule_products` lays it out, at whatever energies it holds.
+
+    The products are chained in `_granule_chain`'s order, followed on a
+    `mirror_symmetric` plan by the mirror step, as `ordered_product` does.
+    """
+    part = _first_half(plan) if plan.mirror_symmetric else plan
+    gamma = _chain(part, [products], products.shape[1])
+    return _mirror_step(plan, gamma) if plan.mirror_symmetric else gamma
 
 
 def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
@@ -314,21 +355,34 @@ def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
 
 
 def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
-    """Chain the granule products of a batch of energies that share one granule.
+    """Chain the granule products of a batch of energies that share one granule, block by block."""
+    return _chain(plan, _block_products(plan, energies, granule), energies.shape[0])
 
-    A granule of _GRANULE segments is reduced by a pairwise tree, its
-    factors built from the series pieces, and a granule of 1 is the
-    per-segment chain, built from the trig pieces.  The factors of each
-    block of segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES, but
-    always whole granules) are built in one vectorised pass into a buffer
-    reused across blocks; only the left multiplication of each granule
-    product runs per step.  The association depends on the granule alone,
-    so the result does not depend on the block size.
-    """
-    n_e = energies.shape[0]
+
+def _chain(plan: SegmentPlan, blocks, n_e: int) -> np.ndarray:
+    """The plan's first jump, then each granule product of each block multiplied on the left."""
     gamma = np.zeros((n_e, 4, 4))
     gamma[:, :2, :2] = plan.jumps[0]
     gamma[:, 2:, 2:] = plan.jumps[0]
+    for products in blocks:
+        for product in products:
+            gamma = np.matmul(product, gamma)
+    return gamma
+
+
+def _block_products(plan: SegmentPlan, energies: np.ndarray, granule: int):
+    """Yield the granule products of each block of segments, (granules, energies, 4, 4), in order.
+
+    A granule of _GRANULE segments is reduced by a pairwise tree, its
+    factors built from the series pieces, and a granule of 1 is a segment's
+    own factor, built from the trig pieces.  The factors of each block of
+    segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES, but always
+    whole granules) are built in one vectorised pass into a buffer reused
+    across blocks, so a product that is a lone factor is a view that the
+    next block overwrites.  The association depends on the granule alone,
+    so the products do not depend on the block size.
+    """
+    n_e = energies.shape[0]
     # 16 float64 per factor, in whole granules; no more rows than the plan has segments
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (n_e * 16 * 8)))
     block = min(max(granule, rows - rows % granule), plan.n_segments)
@@ -344,12 +398,10 @@ def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.
         np.multiply(
             pieces[_PIECE_INDEX].transpose(1, 2, 0), u[..., _ROTATION_INDEX], out=factors[:nb]
         )
-        for product in _granule_products(factors[:nb].reshape(nb, n_e, 4, 4), granule):
-            gamma = np.matmul(product, gamma)
-    return gamma
+        yield _pairwise_products(factors[:nb].reshape(nb, n_e, 4, 4), granule)
 
 
-def _granule_products(factors: np.ndarray, granule: int) -> np.ndarray:
+def _pairwise_products(factors: np.ndarray, granule: int) -> np.ndarray:
     """Products of each run of `granule` consecutive factors, in segment order.
 
     Each run, counted from the first factor, is reduced by a balanced pairwise

@@ -242,7 +242,7 @@ class TestLandauer:
         sizes = record_products(monkeypatch)
         with pytest.warns(GridCoarseWarning):
             current = landauer_current(field, 3.0, -0.9, 0.0, grid, 256)
-        assert sizes == [25]
+        assert sizes == [9, 8]  # the granule fit's nodes, doubled once (see TestSweep)
         occ = fermi_occupation(grid, 3.0, 0.0) - fermi_occupation(grid, -0.9, 0.0)
         swept = np.array([res.conductance for res in solve_scattering_sweep(field, grid, 256)])
         assert current == float(np.trapezoid(swept * occ, grid) / (2.0 * np.pi))
@@ -826,15 +826,20 @@ class TestProbabilityColumns:
 
 
 def record_products(monkeypatch):
-    """The size of each batch `scattering.ordered_product` is called with, in call order."""
+    """The size of each batch `scattering.ordered_product` or `granule_products` is called with.
+
+    The sizes are in call order, of either function.
+    """
     sizes = []
-    product = scattering.ordered_product
 
-    def recording(plan, energies):
-        sizes.append(len(energies))
-        return product(plan, energies)
+    def recording(product):
+        def record(plan, energies):
+            sizes.append(len(energies))
+            return product(plan, energies)
+        return record
 
-    monkeypatch.setattr(scattering, "ordered_product", recording)
+    for name in ("ordered_product", "granule_products"):
+        monkeypatch.setattr(scattering, name, recording(getattr(scattering, name)))
     return sizes
 
 
@@ -846,6 +851,7 @@ def sweep_csv(tmp_path, argv, name):
 
 
 SWEEP_GRID = cli.energy_grid(cli.SweepConfig(E_min=-1.0, E_max=5.0, points=600))[0]
+SAMPLES = np.linspace(0.0, 6.0, 301)  # a tabulated copy's sample points on a wire of length 6
 
 
 class TestSweep:
@@ -857,7 +863,9 @@ class TestSweep:
     def test_interpolated_rows_agree_with_the_direct_batch(self, field, monkeypatch):
         sizes = record_products(monkeypatch)
         swept = solve_scattering_sweep(field, SWEEP_GRID, 256)
-        assert sizes == [25]  # the degree-24 nodes alone
+        # the granules' degree-8 nodes, then the 8 between them: a 32-segment
+        # granule of a 256-segment plan needs degree 16 on this window
+        assert sizes == [9, 8]
         direct = solve_scattering_batch(field, SWEEP_GRID, 256)
         got, want = transmission_columns(swept), transmission_columns(direct)
         for name in want:
@@ -871,9 +879,16 @@ class TestSweep:
     def test_a_wide_window_doubles_the_degree_on_nested_nodes(self, monkeypatch):
         field = scheme1_field(1, 1, 3.0)
         grid = np.linspace(-0.999, 200.0, 600)
-        sizes = record_products(monkeypatch)
+        sizes, nodes, chain = record_products(monkeypatch), [], scattering.chain_granules
+
+        def recording(plan, products):
+            nodes.append(products.shape[1])
+            return chain(plan, products)
+
+        monkeypatch.setattr(scattering, "chain_granules", recording)
         swept = solve_scattering_sweep(field, grid, 256)
-        assert sizes == [25, 24]  # degree 48 adds only the 24 nodes between the first 25
+        assert sizes == [9, 8]  # the granules' degree 16 adds only the 8 nodes between the first 9
+        assert nodes == [25, 24]  # the wire's degree 48 adds only the 24 between the first 25
         got, want = transmission_columns(swept), transmission_columns(solve_scattering_batch(field, grid, 256))
         for name in want:
             assert np.max(np.abs(got[name] - want[name])) <= 1e-10, name
@@ -911,7 +926,7 @@ class TestSweep:
             assert bool(growth <= transfer.REGROUP_GROWTH_LIMIT) is interpolated
             sizes = record_products(monkeypatch)
             solve_scattering_sweep(field, SWEEP_GRID[::-1], 256)  # the lowest energy, not the first
-            assert sizes == ([25] if interpolated else [600]), length
+            assert sizes == ([9, 8] if interpolated else [600]), length
 
     @pytest.mark.parametrize(
         "grid",
@@ -927,9 +942,42 @@ class TestSweep:
             solve_scattering_sweep(field, grid, 256)
         assert sizes == []
 
-    def test_the_csv_depends_only_on_the_config(self, tmp_path):
+    @pytest.mark.parametrize("segments", ["64", "256", "4096"],
+                             ids=["direct-nodes", "granule-degree-16", "granule-degree-8"])
+    def test_the_csv_depends_only_on_the_config(self, segments, tmp_path):
         argv = ["sweep", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
-                "--E-min", "-1", "--points", "600", "--segments", "256"]
+                "--E-min", "-1", "--points", "600", "--segments", segments]
         first = sweep_csv(tmp_path, argv, "first")
         assert first[0] == 0 and first[1].count(b"\n") == 601
         assert sweep_csv(tmp_path, argv, "second") == first
+
+    @pytest.mark.parametrize(
+        "field, n_segments, mirror",
+        [
+            (scheme2_field(1, 1, 6.0), 4096, True),
+            (scheme1_field(1, 1, 6.0), 4095, False),
+            (TabulatedField(SAMPLES, *scheme2_field(1, 1, 6.0).components(SAMPLES)), 4096, False),
+        ],
+        ids=["mirror", "odd-count", "tabulated"],
+    )
+    def test_granule_built_nodes_agree_with_the_ordered_product(self, field, n_segments, mirror,
+                                                                 monkeypatch):
+        plan, lo, hi = segment_plan(field, n_segments), SWEEP_GRID[0], SWEEP_GRID[-1]
+        assert plan.mirror_symmetric is mirror
+        sizes = record_products(monkeypatch)
+        interpolant = scattering._granule_interpolant(plan, lo, hi)
+        assert sizes == [9]  # a 32-segment granule of a wire of length 6 needs degree 8 on [-1, 5]
+        nodes = scattering._lobatto_energies(scattering._SWEEP_DEGREE, lo, hi)
+        got, want = interpolant(nodes), transfer.ordered_product(plan, nodes)
+        scale = np.abs(want).max(axis=(1, 2))
+        assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+    def test_a_coarse_plan_takes_the_direct_nodes_byte_for_byte(self, tmp_path, monkeypatch):
+        # at 64 segments a granule is half the wire, and its fit would need degree 32
+        argv = ["sweep", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
+                "--E-min", "-1", "--points", "600", "--segments", "64"]
+        sizes = record_products(monkeypatch)
+        swept = sweep_csv(tmp_path, argv, "swept")
+        assert sizes == [9, 8, 25]  # the granule fit gives up at degree 16; the wire's own nodes
+        monkeypatch.setattr(scattering, "_granule_interpolant", lambda plan, lo, hi: None)
+        assert sweep_csv(tmp_path, argv, "direct") == swept

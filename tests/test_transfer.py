@@ -720,6 +720,21 @@ class TestMirrorProduct:
         assert np.array_equal(got, product_reference(plan, energies))
         assert not np.array_equal(got, tree_product_reference(plan, energies))
 
+    @pytest.mark.parametrize(
+        "field, n_segments",
+        [(scheme2_field(1, 1, 6.0), 4096), (scheme1_field(1, 0, 3.0), 4097), (tabulated_field(), 300)],
+        ids=["mirror", "lone-last-segment", "tabulated-short-run"],
+    )
+    def test_collected_granules_chain_to_the_ordered_product(self, field, n_segments):
+        # the granules a sweep collects and chains are the ones the product streams, bit for bit
+        energies = np.array([-0.5, 0.3, 2.5])
+        plan = segment_plan(field, n_segments)
+        assert np.all(transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT)
+        granules = transfer.granule_products(plan, energies)
+        tree_segments = n_segments // 2 if plan.mirror_symmetric else n_segments
+        assert granules.shape == (-(-tree_segments // transfer._GRANULE), 3, 4, 4)
+        assert np.array_equal(transfer.chain_granules(plan, granules), ordered_product(plan, energies))
+
     def test_batch_chunks_singles_and_blocks_agree_on_a_mirror_field(self, monkeypatch):
         # the growth crosses the regrouping limit inside the window, so the batch
         # holds half-tree and loop rows alike
