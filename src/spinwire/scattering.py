@@ -275,15 +275,16 @@ def solve_scattering_sweep(
     chained at the wire's nodes, so a later doubling of the wire takes no
     new product.  A granule is entire in E as the wire is, and shorter, so
     it needs a lower degree (8 on [-1, 5] at 4096 segments, where the wire
-    needs 24).  Where a granule would need _SWEEP_DEGREE or more, as on a
-    coarse plan, the nodes take `ordered_product` directly.  The node rule
-    depends only on the field, the count and the window, so the results do
-    too.  Each ``flow_defect`` is that of the energy's interpolated gamma.
+    needs 24; 32 at 64 segments, where a granule is half the wire).  The
+    node rule depends only on the field, the count and the window, so the
+    results do too.  Each ``flow_defect`` is that of the energy's
+    interpolated gamma.
 
     The grid is solved by `solve_scattering_batch` instead, byte for byte,
     when interpolation would not pay or not be exact to rounding: a field
     with a constant interior, a grid of no more points than nodes (the first
-    _SWEEP_DEGREE + 1, or as many as the tail asks for), a window of zero
+    _SWEEP_DEGREE + 1, or as many as the tail asks for, of the granules or of
+    the wire), a window of zero
     width, and a window whose lowest energy has an evanescent growth g over
     REGROUP_GROWTH_LIMIT (about 10.7), since the interpolant keeps gamma only
     to rounding relative to its largest entry, about eps * e^g.  The grid is
@@ -305,33 +306,34 @@ def solve_scattering_sweep(
 def _interpolated_products(plan: SegmentPlan, energies: np.ndarray, lo: float, hi: float):
     """gamma at each energy from its Chebyshev interpolant on [lo, hi], or None.
 
-    The node products come from `_granule_interpolant`, or from
-    `ordered_product` where it gives none.  None once the degree + 1 nodes
-    the tail asks for reach the grid's size.
+    The node products come from `_granule_interpolant`.  None once the
+    degree + 1 nodes the tail asks for, of the granules or of the wire,
+    reach the grid's size.
     """
-    node_products = _granule_interpolant(plan, lo, hi) or (lambda e: ordered_product(plan, e))
-    coeffs = _fit(lambda e: node_products(e).reshape(-1, 1, 16), _SWEEP_DEGREE, energies.size - 1,
-                  lo, hi)
+    stop = energies.size - 1
+    node_products = _granule_interpolant(plan, lo, hi, stop)
+    if node_products is None:
+        return None
+    coeffs = _fit(lambda e: node_products(e).reshape(-1, 1, 16), _SWEEP_DEGREE, stop, lo, hi)
     return None if coeffs is None else _chebyshev_values(coeffs, energies, lo, hi).reshape(-1, 4, 4)
 
 
-def _granule_interpolant(plan: SegmentPlan, lo: float, hi: float):
+def _granule_interpolant(plan: SegmentPlan, lo: float, hi: float, stop: int):
     """A function of energies in [lo, hi] giving gamma from one interpolant per granule, or None.
 
     Each granule of `transfer.granule_products` is fitted from degree
     _GRANULE_DEGREE by the sweep's rule.  The function evaluates the fits
     at its energies and chains them there (`transfer.chain_granules`), with
-    no new product.  None once the degree would reach _SWEEP_DEGREE, where
-    interpolating the granules would not pay.
+    no new product.  None once the degree would reach ``stop``.
     """
     coeffs = _fit(lambda e: granule_products(plan, e).swapaxes(0, 1).reshape(e.size, -1, 16),
-                  _GRANULE_DEGREE, _SWEEP_DEGREE, lo, hi)
+                  _GRANULE_DEGREE, stop, lo, hi)
     if coeffs is None:
         return None
 
     def products(nodes: np.ndarray) -> np.ndarray:
         values = _chebyshev_values(coeffs, nodes, lo, hi).reshape(nodes.size, -1, 4, 4)
-        return chain_granules(plan, np.ascontiguousarray(values.swapaxes(0, 1)))
+        return chain_granules(plan, [np.ascontiguousarray(values.swapaxes(0, 1))], nodes.size)
 
     return products
 

@@ -75,11 +75,13 @@ g alone picks how the energy's product is grouped.
   instead of 7.
 
 One block loop (`_block_products`) yields each block's granule products.
-`_granule_chain` chains them as they arrive.  `granule_products` collects
-every granule's, so that a sweep (`scattering.solve_scattering_sweep`) can
-take them at a few energies, interpolate each granule in E, and chain the
-interpolants at its own nodes (`chain_granules`): its node products come
-from the granule interpolants, not from `ordered_product`.
+`chain_granules` chains the tree rows' blocks as they arrive and applies
+the mirror step, and `_granule_chain` the loop rows'.  `granule_products`
+collects every granule's, so that a sweep
+(`scattering.solve_scattering_sweep`) can take them at a few energies,
+interpolate each granule in E, and pass `chain_granules` the interpolants
+evaluated at its own nodes: its node products come from the granule
+interpolants, not from `ordered_product`.
 """
 
 from __future__ import annotations
@@ -292,29 +294,22 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
         )
     gamma = np.empty((energies.shape[0], 4, 4))
     tree = growth <= REGROUP_GROWTH_LIMIT
-    for rows, granule in ((tree, _GRANULE), (~tree, 1)):
-        if rows.any():
-            build = _mirror_product if plan.mirror_symmetric and granule > 1 else _granule_chain
-            gamma[rows] = build(plan, energies[rows], granule)
+    if tree.any():
+        gamma[tree] = chain_granules(plan, _tree_blocks(plan, energies[tree]), tree.sum())
+    if not tree.all():
+        gamma[~tree] = _granule_chain(plan, energies[~tree], 1)
     return gamma
 
 
-def _first_half(plan: SegmentPlan) -> SegmentPlan:
-    """The plan's first N/2 segments, ending with the middle jump R_m (module docstring)."""
-    m = plan.n_segments // 2
-    return SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
+def _tree_blocks(plan: SegmentPlan, energies: np.ndarray):
+    """`_block_products` of the granule tree, over the first N/2 segments on a mirror plan.
 
-
-def _mirror_step(plan: SegmentPlan, half: np.ndarray) -> np.ndarray:
-    """K H^-1 K R_m^-1 H of a stack of first-half products H (module docstring)."""
-    m = plan.n_segments // 2
-    mirrored = _MIRROR @ half.swapaxes(1, 2) @ _MIRROR  # K H^-1 K, exact
-    return mirrored @ (np.kron(np.eye(2), plan.jumps[m].T) @ half)
-
-
-def _mirror_product(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
-    """The mirror step of the granule chain of the plan's first half."""
-    return _mirror_step(plan, _granule_chain(_first_half(plan), energies, granule))
+    The first half ends with the middle jump R_m (module docstring).
+    """
+    if plan.mirror_symmetric:
+        m = plan.n_segments // 2
+        plan = SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
+    return _block_products(plan, energies, _GRANULE)
 
 
 def granule_products(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
@@ -326,19 +321,24 @@ def granule_products(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     The growth is not checked here.  `chain_granules` turns them, or any
     stack in their layout, into gamma.
     """
-    part = _first_half(plan) if plan.mirror_symmetric else plan
-    return np.concatenate(list(_block_products(part, energies, _GRANULE)))
+    return np.concatenate(list(_tree_blocks(plan, energies)))
 
 
-def chain_granules(plan: SegmentPlan, products: np.ndarray) -> np.ndarray:
-    """gamma from a stack laid out as `granule_products` lays it out, at whatever energies it holds.
+def chain_granules(plan: SegmentPlan, blocks, n_e: int) -> np.ndarray:
+    """gamma of n_e energies from blocks of granule products in `granule_products`' layout.
 
-    The products are chained in `_granule_chain`'s order, followed on a
-    `mirror_symmetric` plan by the mirror step, as `ordered_product` does.
+    The blocks' products are chained in segment order after the plan's first
+    jump, followed on a `mirror_symmetric` plan by the mirror step
+    K H^-1 K R_m^-1 H of the first half's product H (module docstring).  The
+    tree rows of `ordered_product` pass `_tree_blocks` as they come; a sweep
+    passes one stack it evaluated from its granule interpolants.
     """
-    part = _first_half(plan) if plan.mirror_symmetric else plan
-    gamma = _chain(part, [products], products.shape[1])
-    return _mirror_step(plan, gamma) if plan.mirror_symmetric else gamma
+    gamma = _chain(plan, blocks, n_e)  # the first half's first jump is the plan's
+    if not plan.mirror_symmetric:
+        return gamma
+    m = plan.n_segments // 2
+    mirrored = _MIRROR @ gamma.swapaxes(1, 2) @ _MIRROR  # K H^-1 K, exact
+    return mirrored @ (np.kron(np.eye(2), plan.jumps[m].T) @ gamma)
 
 
 def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:

@@ -239,10 +239,11 @@ class TestLandauer:
         # the bias window is the whole grid; the tunnelling resonances near
         # E = -0.16 are too narrow for 600 points
         field, grid = scheme1_field(1, 1, 6.0), np.linspace(-0.9, 3.0, 600)
-        sizes = record_products(monkeypatch)
+        sizes, nodes = record_products(monkeypatch), record_nodes(monkeypatch)
         with pytest.warns(GridCoarseWarning):
             current = landauer_current(field, 3.0, -0.9, 0.0, grid, 256)
         assert sizes == [9, 8]  # the granule fit's nodes, doubled once (see TestSweep)
+        assert nodes == [25]  # the wire's degree-24 nodes alone
         occ = fermi_occupation(grid, 3.0, 0.0) - fermi_occupation(grid, -0.9, 0.0)
         swept = np.array([res.conductance for res in solve_scattering_sweep(field, grid, 256)])
         assert current == float(np.trapezoid(swept * occ, grid) / (2.0 * np.pi))
@@ -843,6 +844,18 @@ def record_products(monkeypatch):
     return sizes
 
 
+def record_nodes(monkeypatch):
+    """The energy count of each `scattering.chain_granules` call (the wire's nodes), in order."""
+    counts, chain = [], scattering.chain_granules
+
+    def recording(plan, blocks, n_e):
+        counts.append(n_e)
+        return chain(plan, blocks, n_e)
+
+    monkeypatch.setattr(scattering, "chain_granules", recording)
+    return counts
+
+
 def sweep_csv(tmp_path, argv, name):
     """The exit code of a `spinwire sweep` and the bytes of the CSV it wrote with --out, if any."""
     out = tmp_path / f"{name}.csv"
@@ -856,17 +869,25 @@ SAMPLES = np.linspace(0.0, 6.0, 301)  # a tabulated copy's sample points on a wi
 
 class TestSweep:
     @pytest.mark.parametrize(
-        "field",
-        [scheme1_field(0, 0, 6.0), scheme2_field(0, 0, 6.0), scheme1_field(10, 1, 3.0)],
-        ids=["scheme1-L6", "scheme2-L6", "scheme1-q10-L3"],
+        "field, n_segments, sizes",
+        [
+            (scheme1_field(0, 0, 6.0), 256, [9, 8]),
+            (scheme2_field(0, 0, 6.0), 256, [9, 8]),
+            (scheme1_field(10, 1, 3.0), 256, [9, 8]),
+            (scheme2_field(1, 1, 6.0), 64, [9, 8, 16]),
+        ],
+        ids=["scheme1-L6", "scheme2-L6", "scheme1-q10-L3", "coarse-plan"],
     )
-    def test_interpolated_rows_agree_with_the_direct_batch(self, field, monkeypatch):
-        sizes = record_products(monkeypatch)
-        swept = solve_scattering_sweep(field, SWEEP_GRID, 256)
-        # the granules' degree-8 nodes, then the 8 between them: a 32-segment
-        # granule of a 256-segment plan needs degree 16 on this window
-        assert sizes == [9, 8]
-        direct = solve_scattering_batch(field, SWEEP_GRID, 256)
+    def test_interpolated_rows_agree_with_the_direct_batch(self, field, n_segments, sizes,
+                                                           monkeypatch):
+        # the granules' degree-8 nodes, then those between them, each doubling adding only
+        # the new ones: a 32-segment granule needs degree 16 on this window at 256 segments,
+        # and 32 at 64, where it is half the wire
+        granule_sizes, nodes = record_products(monkeypatch), record_nodes(monkeypatch)
+        swept = solve_scattering_sweep(field, SWEEP_GRID, n_segments)
+        assert granule_sizes == sizes
+        assert nodes == [25]  # the wire's degree-24 nodes alone
+        direct = solve_scattering_batch(field, SWEEP_GRID, n_segments)
         got, want = transmission_columns(swept), transmission_columns(direct)
         for name in want:
             assert np.max(np.abs(got[name] - want[name])) <= 1e-10, name
@@ -874,18 +895,12 @@ class TestSweep:
         direct_defects = np.array([res.unitarity_defect for res in direct])
         assert np.max(np.abs(swept_defects - direct_defects)) <= 1e-10
         assert np.array_equal(swept_defects <= 1e-8, direct_defects <= 1e-8)  # the CLI's defect_tol
-        assert [res.n_segments for res in swept] == [256] * 600
+        assert [res.n_segments for res in swept] == [n_segments] * 600
 
     def test_a_wide_window_doubles_the_degree_on_nested_nodes(self, monkeypatch):
         field = scheme1_field(1, 1, 3.0)
         grid = np.linspace(-0.999, 200.0, 600)
-        sizes, nodes, chain = record_products(monkeypatch), [], scattering.chain_granules
-
-        def recording(plan, products):
-            nodes.append(products.shape[1])
-            return chain(plan, products)
-
-        monkeypatch.setattr(scattering, "chain_granules", recording)
+        sizes, nodes = record_products(monkeypatch), record_nodes(monkeypatch)
         swept = solve_scattering_sweep(field, grid, 256)
         assert sizes == [9, 8]  # the granules' degree 16 adds only the 8 nodes between the first 9
         assert nodes == [25, 24]  # the wire's degree 48 adds only the 24 between the first 25
@@ -924,9 +939,16 @@ class TestSweep:
             field = scheme1_field(0, 0, length)
             growth = transfer.evanescent_growth(segment_plan(field, 256), SWEEP_GRID[:1])[0]
             assert bool(growth <= transfer.REGROUP_GROWTH_LIMIT) is interpolated
-            sizes = record_products(monkeypatch)
-            solve_scattering_sweep(field, SWEEP_GRID[::-1], 256)  # the lowest energy, not the first
+            sizes, nodes = record_products(monkeypatch), record_nodes(monkeypatch)
+            # the lowest energy, not the first
+            swept = solve_scattering_sweep(field, SWEEP_GRID[::-1], 256)
             assert sizes == ([9, 8] if interpolated else [600]), length
+            assert nodes == ([25] if interpolated else []), length
+            # just under the gate the granule-built rows still agree with the direct batch
+            got = transmission_columns(swept)
+            want = transmission_columns(solve_scattering_batch(field, SWEEP_GRID[::-1], 256))
+            for name in want:
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-10, (length, name)
 
     @pytest.mark.parametrize(
         "grid",
@@ -943,7 +965,7 @@ class TestSweep:
         assert sizes == []
 
     @pytest.mark.parametrize("segments", ["64", "256", "4096"],
-                             ids=["direct-nodes", "granule-degree-16", "granule-degree-8"])
+                             ids=["granule-degree-32", "granule-degree-16", "granule-degree-8"])
     def test_the_csv_depends_only_on_the_config(self, segments, tmp_path):
         argv = ["sweep", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
                 "--E-min", "-1", "--points", "600", "--segments", segments]
@@ -965,19 +987,9 @@ class TestSweep:
         plan, lo, hi = segment_plan(field, n_segments), SWEEP_GRID[0], SWEEP_GRID[-1]
         assert plan.mirror_symmetric is mirror
         sizes = record_products(monkeypatch)
-        interpolant = scattering._granule_interpolant(plan, lo, hi)
+        interpolant = scattering._granule_interpolant(plan, lo, hi, SWEEP_GRID.size - 1)
         assert sizes == [9]  # a 32-segment granule of a wire of length 6 needs degree 8 on [-1, 5]
         nodes = scattering._lobatto_energies(scattering._SWEEP_DEGREE, lo, hi)
         got, want = interpolant(nodes), transfer.ordered_product(plan, nodes)
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
-
-    def test_a_coarse_plan_takes_the_direct_nodes_byte_for_byte(self, tmp_path, monkeypatch):
-        # at 64 segments a granule is half the wire, and its fit would need degree 32
-        argv = ["sweep", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
-                "--E-min", "-1", "--points", "600", "--segments", "64"]
-        sizes = record_products(monkeypatch)
-        swept = sweep_csv(tmp_path, argv, "swept")
-        assert sizes == [9, 8, 25]  # the granule fit gives up at degree 16; the wire's own nodes
-        monkeypatch.setattr(scattering, "_granule_interpolant", lambda plan, lo, hi: None)
-        assert sweep_csv(tmp_path, argv, "direct") == swept

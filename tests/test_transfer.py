@@ -733,7 +733,7 @@ class TestMirrorProduct:
         granules = transfer.granule_products(plan, energies)
         tree_segments = n_segments // 2 if plan.mirror_symmetric else n_segments
         assert granules.shape == (-(-tree_segments // transfer._GRANULE), 3, 4, 4)
-        assert np.array_equal(transfer.chain_granules(plan, granules), ordered_product(plan, energies))
+        assert np.array_equal(transfer.chain_granules(plan, [granules], 3), ordered_product(plan, energies))
 
     def test_batch_chunks_singles_and_blocks_agree_on_a_mirror_field(self, monkeypatch):
         # the growth crosses the regrouping limit inside the window, so the batch
