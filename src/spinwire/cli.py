@@ -9,8 +9,9 @@ Commands:
 
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
 flags override file keys.  Unknown keys and bad values are hard errors.  A
-sweep solves its grid by `scattering.solve_scattering_sweep`, which says when
-it interpolates the transfer product and when it solves the grid directly.
+sweep solves its grid by `scattering.solve_scattering_sweep`, and
+`transfer.interpolated_product` says when it interpolates the transfer
+product and when the grid is solved directly.
 Sweeps are deterministic: the nodes depend only on the configuration, so
 identical configuration yields byte-identical CSV, floats are rendered with
 at most 12 significant digits, and energy grids are nudged off the exact band

@@ -39,24 +39,16 @@ from .core import (
 )
 from .fields import PlanarField
 from .transfer import (
-    REGROUP_GROWTH_LIMIT,
     SegmentPlan,
-    chain_granules,
     check_plan,
-    evanescent_growth,
     flow_defect,
-    granule_products,
+    interpolated_product,
     ordered_product,
     segment_count,
     segment_plan,
 )
 
 DEFAULT_SEGMENTS = 4096
-# the sweep's interpolation rule (see solve_scattering_sweep)
-_SWEEP_DEGREE = 24
-_GRANULE_DEGREE = 8  # the granule interpolants' first degree
-_SWEEP_TAIL = 4
-_SWEEP_TAIL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -258,137 +250,23 @@ def solve_scattering_sweep(
 ) -> ScatterBatch:
     """Scattering matrices of a sweep's grid, its products taken from a Chebyshev interpolant.
 
-    Every factor of gamma is entire in E, so the real product gamma(E) is
-    too, and its Chebyshev interpolant on [min E, max E] converges
-    geometrically (Trefethen, Approximation Theory and Approximation
-    Practice, SIAM 2013, ch. 8).  The sweep takes gamma at the
-    Chebyshev-Lobatto nodes of the window, fits the coefficients, evaluates
-    gamma at every grid energy and matches each one exactly, as
-    `solve_scattering_batch` does.  The nodes start at degree _SWEEP_DEGREE
-    and double, keeping the products already taken, until the last
-    _SWEEP_TAIL coefficients are at most _SWEEP_TAIL_TOL of the largest.
-
-    The node products come from granule interpolants: every
-    `transfer.granule_products` entry (a mirror-symmetric plan's first
-    half) is taken at the Lobatto nodes of degree _GRANULE_DEGREE, fitted and
-    doubled by the same tail rule, granule by granule, then evaluated and
-    chained at the wire's nodes, so a later doubling of the wire takes no
-    new product.  A granule is entire in E as the wire is, and shorter, so
-    it needs a lower degree (8 on [-1, 5] at 4096 segments, where the wire
-    needs 24; 32 at 64 segments, where a granule is half the wire).  The
-    node rule depends only on the field, the count and the window, so the
-    results do too.  Each ``flow_defect`` is that of the energy's
-    interpolated gamma.
-
-    The grid is solved by `solve_scattering_batch` instead, byte for byte,
-    when interpolation would not pay or not be exact to rounding: a field
-    with a constant interior, a grid of no more points than nodes (the first
-    _SWEEP_DEGREE + 1, or as many as the tail asks for, of the granules or of
-    the wire), a window of zero
-    width, and a window whose lowest energy has an evanescent growth g over
-    REGROUP_GROWTH_LIMIT (about 10.7), since the interpolant keeps gamma only
-    to rounding relative to its largest entry, about eps * e^g.  The grid is
+    Each grid energy is matched exactly, as `solve_scattering_batch` does,
+    on the gamma that `transfer.interpolated_product` evaluates there; that
+    function states the node rule and when it declines.  Each
+    ``flow_defect`` is that of the energy's interpolated gamma.  A field
+    with a constant interior, and any grid the interpolant declines, is
+    solved by `solve_scattering_batch` instead, byte for byte.  The grid is
     checked as a batch's is, before any product is taken.
     """
     channels = scattering_channels(energies)
     energies = channels[0]
     n_segments = segment_count(n_segments)
-    lo, hi = energies.min(), energies.max()
-    if not (field.constant_interior or energies.size <= _SWEEP_DEGREE + 1 or lo == hi):
+    if not field.constant_interior:
         plan = segment_plan(field, n_segments)
-        if evanescent_growth(plan, np.array([lo]))[0] <= REGROUP_GROWTH_LIMIT:
-            gamma = _interpolated_products(plan, energies, lo, hi)
-            if gamma is not None:
-                return _match(field, channels, gamma, plan.n_segments)
+        gamma = interpolated_product(plan, energies)
+        if gamma is not None:
+            return _match(field, channels, gamma, plan.n_segments)
     return solve_scattering_batch(field, energies, n_segments)
-
-
-def _interpolated_products(plan: SegmentPlan, energies: np.ndarray, lo: float, hi: float):
-    """gamma at each energy from its Chebyshev interpolant on [lo, hi], or None.
-
-    The node products come from `_granule_interpolant`.  None once the
-    degree + 1 nodes the tail asks for, of the granules or of the wire,
-    reach the grid's size.
-    """
-    stop = energies.size - 1
-    node_products = _granule_interpolant(plan, lo, hi, stop)
-    if node_products is None:
-        return None
-    coeffs = _fit(lambda e: node_products(e).reshape(-1, 1, 16), _SWEEP_DEGREE, stop, lo, hi)
-    return None if coeffs is None else _chebyshev_values(coeffs, energies, lo, hi).reshape(-1, 4, 4)
-
-
-def _granule_interpolant(plan: SegmentPlan, lo: float, hi: float, stop: int):
-    """A function of energies in [lo, hi] giving gamma from one interpolant per granule, or None.
-
-    Each granule of `transfer.granule_products` is fitted from degree
-    _GRANULE_DEGREE by the sweep's rule.  The function evaluates the fits
-    at its energies and chains them there (`transfer.chain_granules`), with
-    no new product.  None once the degree would reach ``stop``.
-    """
-    coeffs = _fit(lambda e: granule_products(plan, e).swapaxes(0, 1).reshape(e.size, -1, 16),
-                  _GRANULE_DEGREE, stop, lo, hi)
-    if coeffs is None:
-        return None
-
-    def products(nodes: np.ndarray) -> np.ndarray:
-        values = _chebyshev_values(coeffs, nodes, lo, hi).reshape(nodes.size, -1, 4, 4)
-        return chain_granules(plan, [np.ascontiguousarray(values.swapaxes(0, 1))], nodes.size)
-
-    return products
-
-
-def _fit(values_at, degree: int, stop: int, lo: float, hi: float):
-    """Chebyshev coefficients (degree + 1, m * 16) of m matrices on [lo, hi], or None.
-
-    ``values_at`` gives the (nodes, m, 16) matrices at an array of nodes.  The
-    nodes start at ``degree`` and double, keeping the values already taken,
-    until the last _SWEEP_TAIL coefficients of every matrix are at most
-    _SWEEP_TAIL_TOL of its largest; None once the degree would reach ``stop``.
-    """
-    values = values_at(_lobatto_energies(degree, lo, hi))
-    while True:
-        coeffs = _chebyshev_coefficients(values.reshape(degree + 1, -1))
-        size = np.abs(coeffs).reshape(values.shape)
-        if np.all(size[-_SWEEP_TAIL:].max(axis=(0, 2)) <= _SWEEP_TAIL_TOL * size.max(axis=(0, 2))):
-            return coeffs
-        degree *= 2
-        if degree >= stop:
-            return None
-        # the nodes of degree 2n are those of degree n and the odd-indexed ones between them
-        nested = np.empty((degree + 1, *values.shape[1:]))
-        nested[::2] = values
-        nested[1::2] = values_at(_lobatto_energies(degree, lo, hi)[1::2])
-        values = nested
-
-
-def _chebyshev_values(coeffs: np.ndarray, energies: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """sum_m c_m T_m(x) at each energy's x in [-1, 1] on [lo, hi], with T_m(x) = cos(m arccos x)."""
-    x = np.clip((2.0 * energies - (lo + hi)) / (hi - lo), -1.0, 1.0)
-    return np.cos(np.outer(np.arccos(x), np.arange(coeffs.shape[0]))) @ coeffs
-
-
-def _lobatto_energies(degree: int, lo: float, hi: float) -> np.ndarray:
-    """The degree + 1 Chebyshev-Lobatto points cos(pi k / degree) of [lo, hi], from hi down to lo."""
-    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(degree + 1) / degree)
-    nodes[0], nodes[-1] = hi, lo  # the grid's own end energies
-    return nodes
-
-
-def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
-    """Coefficients c_m of sum_m c_m T_m through values at the Lobatto points, by a cosine matrix.
-
-    This is the type-I discrete cosine transform, written as a matrix so that
-    no FFT module is imported; its angles pi m k / n are reduced mod 2 pi exactly.
-    """
-    n = values.shape[0] - 1
-    m = np.arange(n + 1)
-    cosines = np.cos(np.pi * (np.outer(m, m) % (2 * n)) / n)
-    ends = np.ones(n + 1)
-    ends[[0, -1]] = 0.5
-    coeffs = (2.0 / n) * (cosines @ (ends[:, None] * values))
-    coeffs[[0, -1]] *= 0.5
-    return coeffs
 
 
 def solve_scattering(

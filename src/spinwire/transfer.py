@@ -74,12 +74,13 @@ g alone picks how the energy's product is grouped.
   SingularSystemError, and scheme2 (0, 0), L = 20 fail 8 of 20 energies
   instead of 7.
 
-One block loop (`_block_products`) yields each block's granule products.
-`chain_granules` chains the tree rows' blocks as they arrive and applies
-the mirror step, and `_granule_chain` the loop rows'.  `granule_products`
-collects every granule's, so that a sweep
-(`scattering.solve_scattering_sweep`) can take them at a few energies,
-interpolate each granule in E, and pass `chain_granules` the interpolants
+One block loop (`_block_products`) yields each block's granule products,
+and `_chain` multiplies them after the plan's first jump.  One flag,
+``regroup``, selects all that a tree row does differently in the two: the
+first half of a mirror-symmetric plan, granules of _GRANULE segments built
+from the series pieces, and the final mirror step.  A sweep
+(`interpolated_product`) takes the tree rows' granule products at a few
+energies, interpolates each granule in E, and chains the interpolants
 evaluated at its own nodes: its node products come from the granule
 interpolants, not from `ordered_product`.
 """
@@ -97,7 +98,7 @@ from .fields import PlanarField
 
 GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
 # The largest evanescent growth g at which a product may be regrouped (the
-# granule tree) or interpolated (scattering.solve_scattering_sweep): rounding
+# granule tree) or interpolated (`interpolated_product`): rounding
 # relative to the largest entry, about eps * e^g, stays under 1e-11.
 REGROUP_GROWTH_LIMIT = float(np.log(1e-11 / np.finfo(float).eps))
 # A block of factors holds at most _BLOCK_BYTES (so it stays in L2 cache) and at
@@ -129,6 +130,11 @@ _GRANULE = 32
 # root; the sine's, w^n / (2n + 1)!, is smaller.
 _SERIES_TERMS = 3
 W_MAX = float((np.finfo(float).eps / 2 * math.factorial(2 * _SERIES_TERMS)) ** (1 / _SERIES_TERMS))
+# the sweep's interpolation rule (see interpolated_product)
+_SWEEP_DEGREE = 24
+_GRANULE_DEGREE = 8  # the granule interpolants' first degree
+_SWEEP_TAIL = 4
+_SWEEP_TAIL_TOL = 1e-13
 
 # A factor's entry [2a + i, 2b + j] is u[i, j] * P[a][b][j], with u the
 # eigenbasis rotation, P = [[c, s], [ms, c]] the propagator pieces and j the
@@ -294,51 +300,61 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
         )
     gamma = np.empty((energies.shape[0], 4, 4))
     tree = growth <= REGROUP_GROWTH_LIMIT
-    if tree.any():
-        gamma[tree] = chain_granules(plan, _tree_blocks(plan, energies[tree]), tree.sum())
-    if not tree.all():
-        gamma[~tree] = _granule_chain(plan, energies[~tree], 1)
+    for rows, regroup in ((tree, True), (~tree, False)):
+        if rows.any():
+            blocks = _block_products(plan, energies[rows], regroup)
+            gamma[rows] = _chain(plan, blocks, rows.sum(), regroup)
     return gamma
 
 
-def _tree_blocks(plan: SegmentPlan, energies: np.ndarray):
-    """`_block_products` of the granule tree, over the first N/2 segments on a mirror plan.
+def interpolated_product(plan: SegmentPlan, energies: np.ndarray):
+    """gamma at every energy of a sweep's grid, from Chebyshev interpolants, or None.
 
-    The first half ends with the middle jump R_m (module docstring).
+    Every factor of gamma is entire in E, so the real product gamma(E) is
+    too, and its Chebyshev interpolant on the window [lo, hi] = [min E, max E]
+    converges geometrically (Trefethen, Approximation Theory and Approximation
+    Practice, SIAM 2013, ch. 8).  gamma is taken at the Chebyshev-Lobatto
+    nodes of the window, fitted, and evaluated at every grid energy.  The
+    nodes start at degree _SWEEP_DEGREE and double, keeping the products
+    already taken, until the last _SWEEP_TAIL coefficients are at most
+    _SWEEP_TAIL_TOL of the largest.
+
+    The node products come from granule interpolants: every granule product
+    of the tree rows (`_block_products` with ``regroup``, over the first half
+    of a mirror-symmetric plan) is taken at the Lobatto nodes of degree
+    _GRANULE_DEGREE, fitted and doubled by the same tail rule, granule by
+    granule, then evaluated and chained at the wire's nodes (`_chain`, with
+    the mirror step), so a later doubling of the wire takes no new product.
+    A granule is entire in E as the wire is, and shorter, so it needs a lower
+    degree (8 on [-1, 5] at 4096 segments, where the wire needs 24; 32 at 64
+    segments, where a granule is half the wire).  The node rule depends only
+    on the plan and the window, so the result does too.
+
+    None, before any factor is built, for a grid of no more points than the
+    first nodes (_SWEEP_DEGREE + 1), for a window of zero width, and for a
+    window whose lowest energy has an evanescent growth g over
+    REGROUP_GROWTH_LIMIT (about 10.7), since the interpolant keeps gamma only
+    to rounding relative to its largest entry, about eps * e^g.  None too,
+    after the granule products are taken, once the degree + 1 nodes the tail
+    asks for, of the granules or of the wire, would reach the grid's size.
+    The energies are a checked batch (`core.scattering_channels`).
     """
-    if plan.mirror_symmetric:
-        m = plan.n_segments // 2
-        plan = SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
-    return _block_products(plan, energies, _GRANULE)
+    stop, lo, hi = energies.size - 1, energies.min(), energies.max()
+    if (stop <= _SWEEP_DEGREE or lo == hi
+            or evanescent_growth(plan, np.array([lo]))[0] > REGROUP_GROWTH_LIMIT):
+        return None
+    granules = _fit(lambda e: np.concatenate(list(_block_products(plan, e, True)))
+                    .swapaxes(0, 1).reshape(e.size, -1, 16), _GRANULE_DEGREE, stop, lo, hi)
+    if granules is None:
+        return None
 
+    def node_products(nodes: np.ndarray) -> np.ndarray:
+        values = _chebyshev_values(granules, nodes, lo, hi).reshape(nodes.size, -1, 4, 4)
+        gamma = _chain(plan, [np.ascontiguousarray(values.swapaxes(0, 1))], nodes.size, True)
+        return gamma.reshape(-1, 1, 16)
 
-def granule_products(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
-    """Every _GRANULE-segment tree product of the plan at each energy: (granules, energies, 4, 4).
-
-    These are the products `ordered_product` chains for energies within
-    REGROUP_GROWTH_LIMIT, the series pieces reduced by the pairwise tree, in
-    segment order; on a `mirror_symmetric` plan, those of its first half.
-    The growth is not checked here.  `chain_granules` turns them, or any
-    stack in their layout, into gamma.
-    """
-    return np.concatenate(list(_tree_blocks(plan, energies)))
-
-
-def chain_granules(plan: SegmentPlan, blocks, n_e: int) -> np.ndarray:
-    """gamma of n_e energies from blocks of granule products in `granule_products`' layout.
-
-    The blocks' products are chained in segment order after the plan's first
-    jump, followed on a `mirror_symmetric` plan by the mirror step
-    K H^-1 K R_m^-1 H of the first half's product H (module docstring).  The
-    tree rows of `ordered_product` pass `_tree_blocks` as they come; a sweep
-    passes one stack it evaluated from its granule interpolants.
-    """
-    gamma = _chain(plan, blocks, n_e)  # the first half's first jump is the plan's
-    if not plan.mirror_symmetric:
-        return gamma
-    m = plan.n_segments // 2
-    mirrored = _MIRROR @ gamma.swapaxes(1, 2) @ _MIRROR  # K H^-1 K, exact
-    return mirrored @ (np.kron(np.eye(2), plan.jumps[m].T) @ gamma)
+    coeffs = _fit(node_products, _SWEEP_DEGREE, stop, lo, hi)
+    return None if coeffs is None else _chebyshev_values(coeffs, energies, lo, hi).reshape(-1, 4, 4)
 
 
 def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
@@ -354,40 +370,50 @@ def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     return np.cumsum(growth, axis=1, out=growth)[:, -1]
 
 
-def _granule_chain(plan: SegmentPlan, energies: np.ndarray, granule: int) -> np.ndarray:
-    """Chain the granule products of a batch of energies that share one granule, block by block."""
-    return _chain(plan, _block_products(plan, energies, granule), energies.shape[0])
+def _chain(plan: SegmentPlan, blocks, n_e: int, regroup: bool) -> np.ndarray:
+    """The plan's first jump, then each granule product of each block multiplied on the left.
 
-
-def _chain(plan: SegmentPlan, blocks, n_e: int) -> np.ndarray:
-    """The plan's first jump, then each granule product of each block multiplied on the left."""
+    With ``regroup`` on a `mirror_symmetric` plan the blocks are those of the
+    first half, whose product H is followed by the mirror step
+    K H^-1 K R_m^-1 H (module docstring).
+    """
     gamma = np.zeros((n_e, 4, 4))
     gamma[:, :2, :2] = plan.jumps[0]
     gamma[:, 2:, 2:] = plan.jumps[0]
     for products in blocks:
         for product in products:
             gamma = np.matmul(product, gamma)
-    return gamma
+    if not (regroup and plan.mirror_symmetric):
+        return gamma
+    m = plan.n_segments // 2
+    mirrored = _MIRROR @ gamma.swapaxes(1, 2) @ _MIRROR  # K H^-1 K, exact
+    return mirrored @ (np.kron(np.eye(2), plan.jumps[m].T) @ gamma)
 
 
-def _block_products(plan: SegmentPlan, energies: np.ndarray, granule: int):
+def _block_products(plan: SegmentPlan, energies: np.ndarray, regroup: bool):
     """Yield the granule products of each block of segments, (granules, energies, 4, 4), in order.
 
-    A granule of _GRANULE segments is reduced by a pairwise tree, its
-    factors built from the series pieces, and a granule of 1 is a segment's
-    own factor, built from the trig pieces.  The factors of each block of
-    segments (at most _BLOCK_ROWS of them, within _BLOCK_BYTES, but always
-    whole granules) are built in one vectorised pass into a buffer reused
-    across blocks, so a product that is a lone factor is a view that the
-    next block overwrites.  The association depends on the granule alone,
-    so the products do not depend on the block size.
+    With ``regroup`` (the tree rows) a granule of _GRANULE segments is
+    reduced by a pairwise tree, its factors built from the series pieces,
+    over the first N/2 segments of a `mirror_symmetric` plan, which end with
+    the middle jump R_m (module docstring).  Without it a granule of 1 is a
+    segment's own factor, built from the trig pieces, over the whole plan.
+    The factors of each block of segments (at most _BLOCK_ROWS of them,
+    within _BLOCK_BYTES, but always whole granules) are built in one
+    vectorised pass into a buffer reused across blocks, so a product that is
+    a lone factor is a view that the next block overwrites.  The association
+    depends on the granule alone, so the products do not depend on the block
+    size.
     """
+    if regroup and plan.mirror_symmetric:
+        m = plan.n_segments // 2
+        plan = SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
+    granule, entries = (_GRANULE, _series_entries) if regroup else (1, _propagator_entries)
     n_e = energies.shape[0]
     # 16 float64 per factor, in whole granules; no more rows than the plan has segments
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (n_e * 16 * 8)))
     block = min(max(granule, rows - rows % granule), plan.n_segments)
     factors = np.empty((block, n_e, 16))
-    entries = _series_entries if granule > 1 else _propagator_entries
     for j0 in range(0, plan.n_segments, block):
         j1 = min(j0 + block, plan.n_segments)
         nb = j1 - j0
@@ -424,6 +450,59 @@ def _pairwise_products(factors: np.ndarray, granule: int) -> np.ndarray:
             level = np.concatenate([paired, level[:, m - 1 :]], axis=1) if m % 2 else paired
         products.append(level[:, 0])
     return products[0] if len(products) == 1 else np.concatenate(products)
+
+
+def _fit(values_at, degree: int, stop: int, lo: float, hi: float):
+    """Chebyshev coefficients (degree + 1, m * 16) of m matrices on [lo, hi], or None.
+
+    ``values_at`` gives the (nodes, m, 16) matrices at an array of nodes.  The
+    nodes start at ``degree`` and double, keeping the values already taken,
+    until the last _SWEEP_TAIL coefficients of every matrix are at most
+    _SWEEP_TAIL_TOL of its largest; None once the degree would reach ``stop``.
+    """
+    values = values_at(_lobatto_energies(degree, lo, hi))
+    while True:
+        coeffs = _chebyshev_coefficients(values.reshape(degree + 1, -1))
+        size = np.abs(coeffs).reshape(values.shape)
+        if np.all(size[-_SWEEP_TAIL:].max(axis=(0, 2)) <= _SWEEP_TAIL_TOL * size.max(axis=(0, 2))):
+            return coeffs
+        degree *= 2
+        if degree >= stop:
+            return None
+        # the nodes of degree 2n are those of degree n and the odd-indexed ones between them
+        nested = np.empty((degree + 1, *values.shape[1:]))
+        nested[::2] = values
+        nested[1::2] = values_at(_lobatto_energies(degree, lo, hi)[1::2])
+        values = nested
+
+
+def _chebyshev_values(coeffs: np.ndarray, energies: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """sum_m c_m T_m(x) at each energy's x in [-1, 1] on [lo, hi], with T_m(x) = cos(m arccos x)."""
+    x = np.clip((2.0 * energies - (lo + hi)) / (hi - lo), -1.0, 1.0)
+    return np.cos(np.outer(np.arccos(x), np.arange(coeffs.shape[0]))) @ coeffs
+
+
+def _lobatto_energies(degree: int, lo: float, hi: float) -> np.ndarray:
+    """The degree + 1 Chebyshev-Lobatto points cos(pi k / degree) of [lo, hi], from hi down to lo."""
+    nodes = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(degree + 1) / degree)
+    nodes[0], nodes[-1] = hi, lo  # the grid's own end energies
+    return nodes
+
+
+def _chebyshev_coefficients(values: np.ndarray) -> np.ndarray:
+    """Coefficients c_m of sum_m c_m T_m through values at the Lobatto points, by a cosine matrix.
+
+    This is the type-I discrete cosine transform, written as a matrix so that
+    no FFT module is imported; its angles pi m k / n are reduced mod 2 pi exactly.
+    """
+    n = values.shape[0] - 1
+    m = np.arange(n + 1)
+    cosines = np.cos(np.pi * (np.outer(m, m) % (2 * n)) / n)
+    ends = np.ones(n + 1)
+    ends[[0, -1]] = 0.5
+    coeffs = (2.0 / n) * (cosines @ (ends[:, None] * values))
+    coeffs[[0, -1]] *= 0.5
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -826,34 +826,45 @@ class TestProbabilityColumns:
             assert {type(value) for value in table.values()} == {float}
 
 
-def record_products(monkeypatch):
-    """The size of each batch `scattering.ordered_product` or `granule_products` is called with.
+def record_calls(monkeypatch, name, size, direct):
+    """``size`` of the arguments of each `transfer.<name>` call that no direct batch makes, in order.
 
-    The sizes are in call order, of either function.
+    A direct batch is a `scattering.ordered_product` call; with ``direct`` it
+    records its own batch size, once, whatever rows its product splits into.
     """
-    sizes = []
+    sizes, inside = [], []
+    function, product = getattr(transfer, name), scattering.ordered_product
 
-    def recording(product):
-        def record(plan, energies):
+    def record(*args):
+        if not inside:
+            sizes.append(size(*args))
+        return function(*args)
+
+    def direct_product(plan, energies):
+        if direct:
             sizes.append(len(energies))
+        inside.append(True)
+        try:
             return product(plan, energies)
-        return record
+        finally:
+            inside.pop()
 
-    for name in ("ordered_product", "granule_products"):
-        monkeypatch.setattr(scattering, name, recording(getattr(scattering, name)))
+    monkeypatch.setattr(transfer, name, record)
+    monkeypatch.setattr(scattering, "ordered_product", direct_product)
     return sizes
 
 
+def record_products(monkeypatch):
+    """The size of each batch whose factors are built, in call order: a direct batch's
+    (`scattering.ordered_product`), or that of each set of granule products the
+    interpolant takes (`transfer._block_products`)."""
+    return record_calls(monkeypatch, "_block_products", lambda plan, energies, regroup: len(energies),
+                        direct=True)
+
+
 def record_nodes(monkeypatch):
-    """The energy count of each `scattering.chain_granules` call (the wire's nodes), in order."""
-    counts, chain = [], scattering.chain_granules
-
-    def recording(plan, blocks, n_e):
-        counts.append(n_e)
-        return chain(plan, blocks, n_e)
-
-    monkeypatch.setattr(scattering, "chain_granules", recording)
-    return counts
+    """The energy count of each `transfer._chain` call of the interpolant (the wire's nodes), in order."""
+    return record_calls(monkeypatch, "_chain", lambda plan, blocks, n_e, regroup: n_e, direct=False)
 
 
 def sweep_csv(tmp_path, argv, name):
@@ -986,10 +997,18 @@ class TestSweep:
                                                                  monkeypatch):
         plan, lo, hi = segment_plan(field, n_segments), SWEEP_GRID[0], SWEEP_GRID[-1]
         assert plan.mirror_symmetric is mirror
-        sizes = record_products(monkeypatch)
-        interpolant = scattering._granule_interpolant(plan, lo, hi, SWEEP_GRID.size - 1)
+        sizes, chained, chain = record_products(monkeypatch), [], transfer._chain
+
+        def keep(*args):
+            chained.append(chain(*args))
+            return chained[-1]
+
+        monkeypatch.setattr(transfer, "_chain", keep)
+        assert transfer.interpolated_product(plan, SWEEP_GRID) is not None
         assert sizes == [9]  # a 32-segment granule of a wire of length 6 needs degree 8 on [-1, 5]
-        nodes = scattering._lobatto_energies(scattering._SWEEP_DEGREE, lo, hi)
-        got, want = interpolant(nodes), transfer.ordered_product(plan, nodes)
+        nodes = transfer._lobatto_energies(transfer._SWEEP_DEGREE, lo, hi)
+        got = chained[0]  # the wire's first nodes, chained from the granule interpolants
+        want = transfer.ordered_product(plan, nodes)
+        assert got.shape == want.shape
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)

@@ -566,7 +566,7 @@ class TestSeriesEntries:
         assert np.array_equal(singles, whole)
         assert np.array_equal(whole, product_reference(plan, energies))
         # the near entries move the bits of those energies' products only
-        trig = transfer._granule_chain(plan, energies, transfer._GRANULE)
+        trig = ordered_product(dataclasses.replace(plan, mirror_symmetric=False), energies)
         assert not np.array_equal(whole, trig)
 
 
@@ -696,9 +696,9 @@ class TestMirrorProduct:
         energies = np.linspace(-1.0, 5.0, 41)
         got = ordered_product(plan, energies)
         tree = transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT
-        loop = transfer._granule_chain(plan, energies, 1)
+        loop = transfer._chain(plan, transfer._block_products(plan, energies, False), energies.size, False)
         assert np.array_equal(got[~tree], loop[~tree])
-        for want in (transfer._granule_chain(plan, energies, transfer._GRANULE), loop):
+        for want in (ordered_product(dataclasses.replace(plan, mirror_symmetric=False), energies), loop):
             scale = np.abs(want).max(axis=(1, 2))
             assert np.all(np.abs(got - want).max(axis=(1, 2))[tree] <= 1e-12 * scale[tree])
 
@@ -730,10 +730,10 @@ class TestMirrorProduct:
         energies = np.array([-0.5, 0.3, 2.5])
         plan = segment_plan(field, n_segments)
         assert np.all(transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT)
-        granules = transfer.granule_products(plan, energies)
+        granules = np.concatenate(list(transfer._block_products(plan, energies, True)))
         tree_segments = n_segments // 2 if plan.mirror_symmetric else n_segments
         assert granules.shape == (-(-tree_segments // transfer._GRANULE), 3, 4, 4)
-        assert np.array_equal(transfer.chain_granules(plan, [granules], 3), ordered_product(plan, energies))
+        assert np.array_equal(transfer._chain(plan, [granules], 3, True), ordered_product(plan, energies))
 
     def test_batch_chunks_singles_and_blocks_agree_on_a_mirror_field(self, monkeypatch):
         # the growth crosses the regrouping limit inside the window, so the batch
@@ -750,6 +750,48 @@ class TestMirrorProduct:
         # blocks of one granule, so block boundaries fall all through the half
         monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
         assert np.array_equal(ordered_product(plan, energies), whole)
+
+
+def record_block_products(monkeypatch):
+    """The energy count of each `transfer._block_products` call, in order."""
+    sizes, blocks = [], transfer._block_products
+
+    def record(plan, energies, regroup):
+        sizes.append(len(energies))
+        return blocks(plan, energies, regroup)
+
+    monkeypatch.setattr(transfer, "_block_products", record)
+    return sizes
+
+
+class TestInterpolatedProduct:
+    """`interpolated_product` returns None on the grids a sweep solves directly."""
+
+    @pytest.mark.parametrize(
+        "field, energies",
+        [
+            (scheme1_field(1, 1, 3.0), np.linspace(-0.999, 5.0, 25)),
+            (scheme1_field(1, 1, 3.0), np.full(60, 2.0)),
+            (scheme1_field(0, 0, 8.0), np.linspace(-1.0 + 1e-9, 5.0, 600)),
+        ],
+        ids=["short-grid", "zero-width", "over-the-growth-gate"],
+    )
+    def test_declines_before_any_factor_is_built(self, field, energies, monkeypatch):
+        # 25 points are no more than the wire's first nodes; scheme1 (0, 0, 8)
+        # grows by e^11.1 at its lowest energy, over the regrouping limit
+        plan = segment_plan(field, 256)
+        sizes = record_block_products(monkeypatch)
+        assert transfer.interpolated_product(plan, energies) is None
+        assert sizes == []
+
+    def test_declines_once_the_tail_asks_for_the_grid_size(self, monkeypatch):
+        # the granule fits double from degree 8 to 32 on this wide window, and
+        # degree 64 would need 65 nodes, more than the grid's 60 points
+        plan = segment_plan(scheme1_field(1, 1, 3.0), 256)
+        energies = np.linspace(-1.0 + 1e-9, 2000.0, 60)
+        sizes = record_block_products(monkeypatch)
+        assert transfer.interpolated_product(plan, energies) is None
+        assert sizes == [9, 8, 16]
 
 
 MEMO_FIELDS = {**PRODUCT_FIELDS, "uniform": lambda: uniform_field(0.8, 2.0)}
