@@ -22,6 +22,7 @@ from .core import (
     scattering_channel,
     scattering_channels,
 )
+from .diagnostics import Diagnostics, Recorder
 from .fields import (
     MagneticWallField,
     PlanarField,

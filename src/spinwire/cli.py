@@ -17,9 +17,10 @@ identical configuration yields byte-identical CSV, floats are rendered with
 at most 12 significant digits, and energy grids are nudged off the exact band
 edges by `core.EDGE_NUDGE` = 1e-9 (with a note on stderr, never in the CSV).  A command
 writes its notes, then each warning as one plain ``warning:`` line on stderr,
-then its output, to stdout or ``--out``, only after it has succeeded: a
-command that fails writes only its error line, and an existing ``--out``
-file keeps its contents.
+then its output, to stdout or ``--out``, and a sweep's ``--stats`` record
+(`diagnostics.Diagnostics` as JSON) last, only after it has succeeded: a
+command that fails writes only its error line, and an existing ``--out`` or
+``--stats`` file keeps its contents.
 
 Exit codes follow the type of the exception that ended the command:
 0 success/PASS; 1 usage error or any other refused input, a bad profile
@@ -39,6 +40,7 @@ from dataclasses import dataclass, fields as dataclass_fields, replace
 import numpy as np
 
 from .core import EDGE_NUDGE, Regime, hs_norm
+from .diagnostics import Recorder, timed
 from .berry import (
     align_sign,
     berry_operator_planar,
@@ -210,20 +212,21 @@ def _sweep_numbers(field, batch) -> dict[str, np.ndarray]:
     }
 
 
-def run_sweep(cfg: SweepConfig) -> tuple[str, list[str]]:
-    """The CSV text and the grid's notes."""
+def run_sweep(cfg: SweepConfig, recorder: Recorder | None = None) -> tuple[str, list[str]]:
+    """The CSV text and the grid's notes; a ``recorder`` also times the CSV, layer "csv"."""
     field = build_field(cfg)
     grid, notes = energy_grid(cfg)
-    batch = solve_scattering_sweep(field, grid, cfg.segments)
-    columns = cfg.csv_columns()
-    cells = _sweep_numbers(field, batch)
-    regimes = Regime.TWO_CHANNEL.value, Regime.SINGLE_CHANNEL.value
-    cells["regime"] = np.where(batch.two_channel, *regimes)
-    # a NaN defect is flagged too
-    cells["defect_flag"] = np.where(cells["unitarity_defect"] <= cfg.defect_tol, "0", "1")
-    row = ",".join("%s" if name in ("regime", "defect_flag") else _FLOAT for name in columns)
-    rows = [row % values for values in zip(*(cells[name].tolist() for name in columns))]
-    return "\n".join([",".join(columns), *rows]) + "\n", notes
+    batch = solve_scattering_sweep(field, grid, cfg.segments, recorder)
+    with timed(recorder, "csv"):
+        columns = cfg.csv_columns()
+        cells = _sweep_numbers(field, batch)
+        regimes = Regime.TWO_CHANNEL.value, Regime.SINGLE_CHANNEL.value
+        cells["regime"] = np.where(batch.two_channel, *regimes)
+        # a NaN defect is flagged too
+        cells["defect_flag"] = np.where(cells["unitarity_defect"] <= cfg.defect_tol, "0", "1")
+        row = ",".join("%s" if name in ("regime", "defect_flag") else _FLOAT for name in columns)
+        rows = [row % values for values in zip(*(cells[name].tolist() for name in columns))]
+        return "\n".join([",".join(columns), *rows]) + "\n", notes
 
 
 def run_dump_profile(cfg: SweepConfig) -> str:
@@ -376,6 +379,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     _add_config_flags(sweep)
     sweep.add_argument("--out", help="output CSV path (default: stdout)")
+    sweep.add_argument("--stats", help="also write the solve's diagnostics record to this path, as JSON")
 
     validate = sub.add_parser("validate", help="cross-check the engine against a reference")
     _add_config_flags(validate, _FIELD_KEYS + ("segments",))
@@ -399,9 +403,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         cfg = build_config(args)
         code, notes = 0, []
+        recorder = Recorder() if getattr(args, "stats", None) else None
         with warnings.catch_warnings(record=True) as caught:
             if args.command == "sweep":
-                text, notes = run_sweep(cfg)
+                text, notes = run_sweep(cfg, recorder)
             elif args.command == "dump-profile":
                 text = run_dump_profile(cfg)
             elif args.command == "validate":
@@ -416,6 +421,9 @@ def main(argv=None) -> int:
                 out.write(text)
         else:
             sys.stdout.write(text)
+        if recorder is not None:
+            with open(args.stats, "w", encoding="utf-8") as out:
+                out.write(recorder.record().to_json())
         return code
     except ArithmeticError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -37,10 +38,12 @@ from .core import (
     hs_norm,
     scattering_channels,
 )
+from .diagnostics import Recorder, timed
 from .fields import PlanarField
 from .transfer import (
     SegmentPlan,
     check_plan,
+    evanescent_growth,
     flow_defect,
     interpolated_product,
     ordered_product,
@@ -80,8 +83,11 @@ class ScatterBatch:
     """The results of a batch of energies: `scattering_channels`' arrays and the
     `ScatterResult` fields of the same names, stacked in batch order.
 
-    As a sequence (``len``, iteration, indexing) it holds one `ScatterResult`
-    per energy, built with its `ChannelData` only when it is indexed out.
+    ``gamma`` is the real transfer products the batch was matched on, and
+    ``flow_defect`` is computed from them on its first read, so a caller that
+    never reads it never pays for it.  As a sequence (``len``, iteration,
+    indexing) it holds one `ScatterResult` per energy, built with its
+    `ChannelData` only when it is indexed out.
     """
 
     energy: np.ndarray  # (n,)
@@ -92,8 +98,13 @@ class ScatterBatch:
     probabilities: np.ndarray  # (n, 2, 2)
     unitarity_defect: np.ndarray  # (n,)
     conductance: np.ndarray  # (n,)
-    flow_defect: np.ndarray  # (n,)
+    gamma: np.ndarray | None  # (n, 4, 4), or None for results no transfer product gave
     n_segments: int  # the segment count of the plan the solve used
+
+    @cached_property
+    def flow_defect(self) -> np.ndarray:
+        """(n,) `transfer.flow_defect` of each energy's gamma; NaN where there is no gamma."""
+        return np.full(len(self), np.nan) if self.gamma is None else flow_defect(self.gamma)
 
     def __len__(self) -> int:
         return self.energy.size
@@ -112,8 +123,10 @@ def _abs2(z: np.ndarray) -> np.ndarray:
     return np.float_power(np.hypot(z.real, z.imag), 2)
 
 
-def build_results(t: np.ndarray, r: np.ndarray, channels, n_segments: int, flow) -> ScatterBatch:
-    """The ScatterBatch of (n, 2, 2) stacks of t and r, their `scattering_channels` and flows.
+def build_results(
+    t: np.ndarray, r: np.ndarray, channels, n_segments: int, gamma: np.ndarray | None = None
+) -> ScatterBatch:
+    """The ScatterBatch of (n, 2, 2) stacks of t and r, their `scattering_channels` and products.
 
     The unitarity defect is the flux residual: with two open channels the norm
     of r^dag r + t^dag t - 1, with one the (0, 0) entries' alone.
@@ -124,8 +137,7 @@ def build_results(t: np.ndarray, r: np.ndarray, channels, n_segments: int, flow)
     gram = np.conj(r).swapaxes(-1, -2) @ r + np.conj(t).swapaxes(-1, -2) @ t
     lower = np.abs(_abs2(r[:, 0, 0]) + _abs2(t[:, 0, 0]) - 1.0)
     defect = np.where(two_channel, hs_norm(gram - np.eye(2)), lower)
-    flow, n_segments = np.asarray(flow, dtype=float), int(n_segments)
-    return ScatterBatch(energy, k, two_channel, t, r, probs, defect, conductance, flow, n_segments)
+    return ScatterBatch(energy, k, two_channel, t, r, probs, defect, conductance, gamma, int(n_segments))
 
 
 def build_result(
@@ -134,7 +146,7 @@ def build_result(
     """The ScatterResult of one energy: `build_results` of a batch of one."""
     two_channel = np.array([channel.regime is Regime.TWO_CHANNEL])
     channels = (np.array([channel.energy]), np.array([[channel.k0, channel.k1]]), two_channel)
-    return build_results(t[None], r[None], channels, n_segments, [float("nan")])[0]
+    return build_results(t[None], r[None], channels, n_segments)[0]
 
 
 _EYE = np.eye(2)[:, :, None]  # the identity of a (2, 2, n) stack
@@ -148,23 +160,32 @@ def _mul(a, b):
     return a[:, :1] * b[0] + a[:, 1:] * b[1]
 
 
-def _inv2(m):
-    """Inverses of a (2, 2, n) stack; an exactly singular matrix raises SingularSystemError."""
+def _inv2(m, conditions=None):
+    """Inverses of a (2, 2, n) stack; an exactly singular matrix raises SingularSystemError.
+
+    Given a list ``conditions``, it appends each matrix's reciprocal 1-norm
+    condition number |det| / (|m|_1 |m|_inf): a 2x2 adjugate's 1-norm is the
+    matrix's inf-norm.
+    """
     det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
     if np.any(det == 0):
         raise SingularSystemError("a 2x2 step of the boundary matching is exactly singular")
+    if conditions is not None:
+        a = np.abs(m)
+        conditions.append(np.abs(det) / ((a[0] + a[1]).max(axis=0) * (a[:, 0] + a[:, 1]).max(axis=0)))
     return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
 
 
-def _star(a, b):
+def _star(a, b, conditions=None):
     """Redheffer star product of two S-matrices (r, t, r', t') of (2, 2, n) stacks, a on the left.
 
     r and t answer a wave incident from the left, r' and t' one from the
     right.  Given only b's r and t, it gives only the product's r and t.
+    ``conditions`` goes to its one `_inv2`.
     """
     ra, ta, rpa, tpa = a
     rb, tb, *primed = b
-    m = _inv2(_EYE - _mul(rpa, rb))  # the multiple reflections between a and b
+    m = _inv2(_EYE - _mul(rpa, rb), conditions)  # the multiple reflections between a and b
     rb_m, tb_m = _mul(rb, m), _mul(tb, m)
     r, t = ra + _mul(tpa, _mul(rb_m, ta)), _mul(tb_m, ta)
     if not primed:
@@ -173,18 +194,19 @@ def _star(a, b):
     return r, t, rpb + _mul(_mul(tb_m, rpa), tpb), _mul(tpa, _mul(_EYE + _mul(rb_m, rpa), tpb))
 
 
-def _wire_block(gamma: np.ndarray):
+def _wire_block(gamma: np.ndarray, conditions=None):
     """S-matrix of a stack of real transfer products (n, 4, 4) in the wire's unit waves.
 
     In the unit waves W0 = [[I, I], [iI, -iI]] a real gamma reads
     W0^-1 gamma W0 = [[A, B], [conj(B), conj(A)]], so one 2x2 inverse,
     that of conj(A), gives the block's S-matrix, as (2, 2, n) stacks.
+    ``conditions`` goes to that `_inv2`.
     """
     g = gamma.transpose(1, 2, 0)
     g00, g01, g10, g11 = g[:2, :2], g[:2, 2:], g[2:, :2], g[2:, 2:]
     a = 0.5 * ((g00 + g11) + 1j * (g01 - g10))
     b = 0.5 * ((g00 - g11) - 1j * (g01 + g10))
-    tp = _inv2(np.conj(a))
+    tp = _inv2(np.conj(a), conditions)
     r = -_mul(tp, np.conj(b))
     return r, a + _mul(b, r), _mul(b, tp), tp
 
@@ -205,6 +227,7 @@ def solve_scattering_batch(
     energies,
     n_segments: int = DEFAULT_SEGMENTS,
     plan: SegmentPlan | None = None,
+    recorder: Recorder | None = None,
 ) -> ScatterBatch:
     """Scattering matrices of the field for a batch of energies, as one ScatterBatch.
 
@@ -218,35 +241,55 @@ def solve_scattering_batch(
     its one-segment plan is exact, so it takes that one whatever
     ``n_segments`` says, after checking the count.  An explicit ``plan``
     follows `segment_plan`'s rule.  The batch's ``n_segments`` is the count
-    of the plan used.
+    of the plan used.  A ``recorder`` (`diagnostics.Recorder`) is filled with
+    the solve's diagnostics and its layers "plan", "product", "matching" and
+    "assembly"; the results do not depend on it.
     """
     channels = scattering_channels(energies)
     energies = channels[0]
 
-    if plan is None:
-        n_segments = segment_count(n_segments)  # checked even where the plan needs one segment
-        plan = segment_plan(field, 1 if field.constant_interior else n_segments)
-    else:
-        check_plan(field, plan)
-    return _match(field, channels, ordered_product(plan, energies), plan.n_segments)
+    with timed(recorder, "plan"):
+        if plan is None:
+            n_segments = segment_count(n_segments)  # checked even where the plan needs one segment
+            plan = segment_plan(field, 1 if field.constant_interior else n_segments)
+        else:
+            check_plan(field, plan)
+    with timed(recorder, "product"):
+        gamma = ordered_product(plan, energies)
+    return _match(field, channels, gamma, plan, recorder)
 
 
-def _match(field: PlanarField, channels, gamma: np.ndarray, n_segments: int) -> ScatterBatch:
-    """The ScatterBatch of a batch from its real transfer products: the wire between its leads."""
-    k = channels[1].T
-    rho, tau = (d * _EYE for d in _lead_step(k))
-    left = _star((rho, tau, -rho, tau), _wire_block(gamma))
-    r, t = _star(left, (-rho, tau))
-    t = np.exp(-1j * k * field.length)[:, None] * t  # the right lead's waves carry diag(exp(i k L))
-    # C-contiguous (n, 2, 2) stacks: np.matmul rounds the flux check of a strided one differently
-    r, t = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (r, t))
-    return build_results(t, r, channels, n_segments, flow_defect(gamma))
+def _match(field: PlanarField, channels, gamma: np.ndarray, plan: SegmentPlan,
+           recorder: Recorder | None) -> ScatterBatch:
+    """The ScatterBatch of a batch from its real transfer products: the wire between its leads.
+
+    With a ``recorder`` it also fills the recorder's per-energy diagnostics.
+    """
+    conditions = None if recorder is None else []
+    with timed(recorder, "matching"):
+        k = channels[1].T
+        rho, tau = (d * _EYE for d in _lead_step(k))
+        left = _star((rho, tau, -rho, tau), _wire_block(gamma, conditions), conditions)
+        r, t = _star(left, (-rho, tau), conditions)
+        t = np.exp(-1j * k * field.length)[:, None] * t  # the right lead's waves carry diag(exp(i k L))
+        # C-contiguous (n, 2, 2) stacks: np.matmul rounds the flux check of a strided one differently
+        r, t = (np.ascontiguousarray(x.transpose(2, 0, 1)) for x in (r, t))
+    with timed(recorder, "assembly"):
+        batch = build_results(t, r, channels, plan.n_segments, gamma)
+    if recorder is not None:
+        recorder.per_energy = dict(
+            energy=batch.energy, growth=evanescent_growth(plan, batch.energy),
+            rcond=np.min(conditions, axis=0), k_min=np.abs(batch.k).min(axis=1),
+            flux_defect=batch.unitarity_defect, flow_defect=batch.flow_defect,
+        )
+    return batch
 
 
 def solve_scattering_sweep(
     field: PlanarField,
     energies,
     n_segments: int = DEFAULT_SEGMENTS,
+    recorder: Recorder | None = None,
 ) -> ScatterBatch:
     """Scattering matrices of a sweep's grid, its products taken from a Chebyshev interpolant.
 
@@ -256,26 +299,31 @@ def solve_scattering_sweep(
     ``flow_defect`` is that of the energy's interpolated gamma.  A field
     with a constant interior, and any grid the interpolant declines, is
     solved by `solve_scattering_batch` instead, byte for byte.  The grid is
-    checked as a batch's is, before any product is taken.
+    checked as a batch's is, before any product is taken.  A ``recorder`` is
+    filled as a batch's is; the interpolant's granule products are timed as
+    layer "granules" and the rest of it, its gate included, as "fits".
     """
     channels = scattering_channels(energies)
     energies = channels[0]
     n_segments = segment_count(n_segments)
     if not field.constant_interior:
-        plan = segment_plan(field, n_segments)
-        gamma = interpolated_product(plan, energies)
+        with timed(recorder, "plan"):
+            plan = segment_plan(field, n_segments)
+        with timed(recorder, "fits"):
+            gamma = interpolated_product(plan, energies, recorder)
         if gamma is not None:
-            return _match(field, channels, gamma, plan.n_segments)
-    return solve_scattering_batch(field, energies, n_segments)
+            return _match(field, channels, gamma, plan, recorder)
+    return solve_scattering_batch(field, energies, n_segments, recorder=recorder)
 
 
 def solve_scattering(
     field: PlanarField,
     energy: float,
     n_segments: int = DEFAULT_SEGMENTS,
+    recorder: Recorder | None = None,
 ) -> ScatterResult:
     """Scattering matrices of the field at one energy: the first result of a batch of one."""
-    return solve_scattering_batch(field, [float(energy)], n_segments)[0]
+    return solve_scattering_batch(field, [float(energy)], n_segments, recorder=recorder)[0]
 
 
 def transmission_columns(batch: ScatterBatch | ScatterResult) -> dict[str, np.ndarray]:

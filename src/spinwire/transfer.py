@@ -93,6 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import J4, EvanescentOverflowError, energy_batch, hs_norm
+from .diagnostics import Recorder, timed
 from .berry import berry_operator_planar, planar_rotation
 from .fields import PlanarField
 
@@ -291,9 +292,7 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     on that energy.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    growth = np.zeros(energies.shape[0])
-    closed = energies < plan.magnitudes.max()
-    growth[closed] = evanescent_growth(plan, energies[closed])
+    growth = evanescent_growth(plan, energies)
     if np.any(growth > GROWTH_GUARD):
         raise EvanescentOverflowError(
             f"evanescent growth exceeds exp({GROWTH_GUARD:g}); region too long for this energy"
@@ -307,7 +306,7 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def interpolated_product(plan: SegmentPlan, energies: np.ndarray):
+def interpolated_product(plan: SegmentPlan, energies: np.ndarray, recorder: Recorder | None = None):
     """gamma at every energy of a sweep's grid, from Chebyshev interpolants, or None.
 
     Every factor of gamma is entire in E, so the real product gamma(E) is
@@ -337,14 +336,21 @@ def interpolated_product(plan: SegmentPlan, energies: np.ndarray):
     to rounding relative to its largest entry, about eps * e^g.  None too,
     after the granule products are taken, once the degree + 1 nodes the tail
     asks for, of the granules or of the wire, would reach the grid's size.
-    The energies are a checked batch (`core.scattering_channels`).
+    The energies are a checked batch (`core.scattering_channels`).  A
+    ``recorder`` (`diagnostics.Recorder`) gets each fit's degree and tail and
+    the time of the granule products, layer "granules".
     """
     stop, lo, hi = energies.size - 1, energies.min(), energies.max()
     if (stop <= _SWEEP_DEGREE or lo == hi
             or evanescent_growth(plan, np.array([lo]))[0] > REGROUP_GROWTH_LIMIT):
         return None
-    granules = _fit(lambda e: np.concatenate(list(_block_products(plan, e, True)))
-                    .swapaxes(0, 1).reshape(e.size, -1, 16), _GRANULE_DEGREE, stop, lo, hi)
+
+    def granule_products(nodes: np.ndarray) -> np.ndarray:
+        with timed(recorder, "granules"):
+            products = np.concatenate(list(_block_products(plan, nodes, True)))
+            return products.swapaxes(0, 1).reshape(nodes.size, -1, 16)
+
+    granules = _fit(granule_products, _GRANULE_DEGREE, stop, lo, hi, recorder, "granule")
     if granules is None:
         return None
 
@@ -353,7 +359,7 @@ def interpolated_product(plan: SegmentPlan, energies: np.ndarray):
         gamma = _chain(plan, [np.ascontiguousarray(values.swapaxes(0, 1))], nodes.size, True)
         return gamma.reshape(-1, 1, 16)
 
-    coeffs = _fit(node_products, _SWEEP_DEGREE, stop, lo, hi)
+    coeffs = _fit(node_products, _SWEEP_DEGREE, stop, lo, hi, recorder, "wire")
     return None if coeffs is None else _chebyshev_values(coeffs, energies, lo, hi).reshape(-1, 4, 4)
 
 
@@ -362,12 +368,16 @@ def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
 
     The growth is the sum over segments of h * sqrt(max(|B| - E, 0)): the
     upper channel's decay exponent, which bounds the lower one's.  It is
-    summed in segment order, and an open energy (E >= max|B|) has none.
+    summed in segment order; an open energy (E >= max|B|) has none and
+    takes no sum.
     """
-    growth = np.subtract(plan.magnitudes, energies[:, None])  # (energy, segment), in place below
-    np.sqrt(np.maximum(growth, 0.0, out=growth), out=growth)
-    growth *= plan.seg_length
-    return np.cumsum(growth, axis=1, out=growth)[:, -1]
+    growth = np.zeros(energies.shape[0])
+    closed = energies < plan.magnitudes.max()
+    steps = np.subtract(plan.magnitudes, energies[closed][:, None])  # (energy, segment), in place below
+    np.sqrt(np.maximum(steps, 0.0, out=steps), out=steps)
+    steps *= plan.seg_length
+    growth[closed] = np.cumsum(steps, axis=1, out=steps)[:, -1]
+    return growth
 
 
 def _chain(plan: SegmentPlan, blocks, n_e: int, regroup: bool) -> np.ndarray:
@@ -452,19 +462,24 @@ def _pairwise_products(factors: np.ndarray, granule: int) -> np.ndarray:
     return products[0] if len(products) == 1 else np.concatenate(products)
 
 
-def _fit(values_at, degree: int, stop: int, lo: float, hi: float):
+def _fit(values_at, degree: int, stop: int, lo: float, hi: float, recorder=None, name=""):
     """Chebyshev coefficients (degree + 1, m * 16) of m matrices on [lo, hi], or None.
 
     ``values_at`` gives the (nodes, m, 16) matrices at an array of nodes.  The
     nodes start at ``degree`` and double, keeping the values already taken,
     until the last _SWEEP_TAIL coefficients of every matrix are at most
     _SWEEP_TAIL_TOL of its largest; None once the degree would reach ``stop``.
+    A ``recorder`` keeps, as its fit ``name``, the last degree fitted and the
+    largest ratio of those tails to their largest coefficients.
     """
     values = values_at(_lobatto_energies(degree, lo, hi))
     while True:
         coeffs = _chebyshev_coefficients(values.reshape(degree + 1, -1))
         size = np.abs(coeffs).reshape(values.shape)
-        if np.all(size[-_SWEEP_TAIL:].max(axis=(0, 2)) <= _SWEEP_TAIL_TOL * size.max(axis=(0, 2))):
+        tail, top = size[-_SWEEP_TAIL:].max(axis=(0, 2)), size.max(axis=(0, 2))
+        if recorder is not None:
+            recorder.fits[name] = {"degree": degree, "tail": float(np.max(tail / top))}
+        if np.all(tail <= _SWEEP_TAIL_TOL * top):
             return coeffs
         degree *= 2
         if degree >= stop:

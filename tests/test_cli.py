@@ -1,10 +1,12 @@
 import dataclasses
 import io
 import itertools
+import json
 import os
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -250,6 +252,54 @@ def test_a_command_takes_the_flags_of_the_keys_it_reads(command, tmp_path, capsy
     path.write_text("".join(f"{key} = {raw}\n" for key, (_, raw) in CONFIG_KEYS.items()))
     from_file = cli.build_config(parser.parse_args([command, *required, "--config", str(path)]))
     assert from_file == cli.build_config(parser.parse_args(["sweep", "--config", str(path)]))
+
+
+STATS_SWEEPS = {
+    "tree-rows": ["--scheme", "scheme1", "--L", "6", "--E-min", "-1", "--points", "600"],
+    "gated-out": ["--scheme", "scheme1", "--q2", "1", "--L", "40", "--E-min", "-1", "--points", "600"],
+    "coarse": ["--scheme", "scheme2", "--q1", "1", "--L", "6", "--segments", "64", "--E-min", "-1",
+               "--E-max", "40", "--points", "600"],
+}
+
+
+@pytest.mark.parametrize("args", STATS_SWEEPS.values(), ids=STATS_SWEEPS.keys())
+def test_stats_leave_the_csv_byte_identical(args, tmp_path, capsys):
+    plain, recorded, stats = tmp_path / "plain.csv", tmp_path / "recorded.csv", tmp_path / "st.json"
+    without = run_cli(["sweep", *args, "--out", str(plain)], capsys)
+    start = time.perf_counter_ns()
+    with_stats = run_cli(["sweep", *args, "--out", str(recorded), "--stats", str(stats)], capsys)
+    wall = time.perf_counter_ns() - start
+    assert with_stats == without and without[0] == 0
+    assert recorded.read_bytes() == plain.read_bytes()
+    record = json.loads(stats.read_text())
+    for name in ("energy", "growth", "rcond", "k_min", "flux_defect", "flow_defect"):
+        assert len(record[name]) == 600, name
+    direct = args is STATS_SWEEPS["gated-out"]
+    assert set(record["fits"]) == (set() if direct else {"granule", "wire"})
+    # a declined grid times the interpolant's growth gate as "fits", then its direct product
+    product = {"fits", "product"} if direct else {"granules", "fits"}
+    assert set(record["layer_ns"]) == {"plan", "matching", "assembly", "csv"} | product
+    assert all(ns > 0 for ns in record["layer_ns"].values())
+    assert sum(record["layer_ns"].values()) <= wall
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing_stats", "missing_stats"])
+def test_a_failed_sweep_writes_no_stats(existing, tmp_path, capsys):
+    # an exactly singular matching step at 256 segments: exit 3
+    stats = tmp_path / "st.json"
+    if existing:
+        stats.write_bytes(b"earlier record\n")
+    argv = ["sweep", *STATS_SWEEPS["gated-out"], "--segments", "256", "--stats", str(stats)]
+    assert run_cli(argv, capsys)[:2] == (3, "")
+    assert stats.read_bytes() == b"earlier record\n" if existing else not stats.exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "dump-profile", "current"])
+def test_stats_is_a_sweep_flag(command, tmp_path, capsys):
+    stats = tmp_path / "x"
+    argv = [command, *COMMAND_KEYS[command][0], "--stats", str(stats)]
+    assert run_cli(argv, capsys) == (1, "", f"error: unrecognized arguments: --stats {stats}\n")
+    assert not stats.exists()
 
 
 def test_closed_window_rejected(capsys):

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import os
+import time
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from spinwire.core import (
     scattering_channel,
 )
 from spinwire.analytic import WallConfig, magnetic_wall_scattering
+from spinwire.diagnostics import Recorder
 from spinwire.berry import planar_rotation
 from spinwire.fields import (
     TabulatedField,
@@ -587,8 +590,9 @@ class TestBatchAssembly:
         # both regimes, shuffled
         channels = spinwire.scattering_channels(rng.uniform(-0.999, 5.0, size=n))
         assert set(channels[2].tolist()) == {False, True}
-        flow = rng.random(n)
-        batch = build_results(t, r, channels, 64, flow)
+        gamma = rng.normal(size=(n, 4, 4))
+        flow = flow_defect(gamma)
+        batch = build_results(t, r, channels, 64, gamma)
         # each result indexed out of the batch equals the reference of its energy
         want = [
             build_result_reference(t[i], r[i], channel_at(channels, i), 64, flow[i])
@@ -801,7 +805,7 @@ class TestProbabilityColumns:
         energies[:2] = (-1.0 + 1e-9, 1.0 + 1e-9)
         channels = spinwire.scattering_channels(energies)
         assert channels[2][:2].tolist() == [False, True]
-        results = build_results(t, r, channels, 64, np.zeros(n))
+        results = build_results(t, r, channels, 64)
         assert_columns_equal_reference(results, planar_rotation(0.7))
 
     @pytest.mark.parametrize(
@@ -820,7 +824,7 @@ class TestProbabilityColumns:
         rng = np.random.default_rng(16)
         t, r = random_amplitudes(rng, 200)
         channels = spinwire.scattering_channels(np.linspace(-0.9, 3.0, 200))
-        for res in build_results(t, r, channels, 64, np.zeros(200)):
+        for res in build_results(t, r, channels, 64):
             table = transmission_probabilities(res)
             assert table == probability_table_reference(res)
             assert {type(value) for value in table.values()} == {float}
@@ -1012,3 +1016,141 @@ class TestSweep:
         assert got.shape == want.shape
         scale = np.abs(want).max(axis=(1, 2))
         assert np.all(np.abs(got - want).max(axis=(1, 2)) <= 1e-12 * scale)
+
+
+# a tree-row sweep, interpolated, and the wire over the interpolant's growth gate, solved directly
+TREE_SWEEP = ["sweep", "--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "6", "--E-min", "-1",
+              "--points", "600"]
+GATED_OUT_SWEEP = ["sweep", "--scheme", "scheme1", "--q2", "1", "--L", "40", "--E-min", "-1",
+                   "--points", "600"]
+
+
+def tail_ratio(values, nodes, lo, hi):
+    """The largest ratio, over the matrices of (nodes, m, 16) values, of the last four Chebyshev
+    coefficients of their interpolant to its largest, fitted by numpy's own Chebyshev fit."""
+    x = (2.0 * nodes - (lo + hi)) / (hi - lo)
+    coeffs = np.abs(np.polynomial.chebyshev.chebfit(x, values.reshape(nodes.size, -1), nodes.size - 1))
+    coeffs = coeffs.reshape(nodes.size, *values.shape[1:])
+    return np.max(coeffs[-4:].max(axis=(0, 2)) / coeffs.max(axis=(0, 2)))
+
+
+class TestDiagnostics:
+    """The flow defect computed on first read, and the opt-in record of a solve."""
+
+    def test_a_sweep_never_computes_the_flow_defect(self, tmp_path, monkeypatch):
+        calls, real = [], scattering.flow_defect
+
+        def spy(gamma):
+            calls.append(len(gamma))
+            return real(gamma)
+
+        monkeypatch.setattr(scattering, "flow_defect", spy)
+        for argv in (TREE_SWEEP, GATED_OUT_SWEEP):
+            assert sweep_csv(tmp_path, argv, "plain")[0] == 0
+        assert calls == []
+        # the record reads it, once
+        assert cli.main(TREE_SWEEP + ["--out", str(tmp_path / "s.csv"),
+                                      "--stats", str(tmp_path / "st.json")]) == 0
+        assert calls == [600]
+
+    @pytest.mark.parametrize(
+        "field, energies, route",
+        [
+            (scheme1_field(1, 1, 6.0), SWEEP_GRID, "interpolated"),
+            (scheme1_field(0, 1, 40.0), SWEEP_GRID, "direct"),
+            (scheme2_field(1, 0, 4.0), np.array([0.7]), "one-energy"),
+        ],
+        ids=["interpolated", "direct", "one-energy"],
+    )
+    def test_flow_defect_is_that_of_the_gamma_matched_on(self, field, energies, route):
+        plan = segment_plan(field, DEFAULT_SEGMENTS)
+        interpolated = transfer.interpolated_product(plan, energies)
+        assert (interpolated is None) is (route != "interpolated")
+        gamma = transfer.ordered_product(plan, energies) if interpolated is None else interpolated
+        if route == "one-energy":
+            batch = solve_scattering_batch(field, energies)
+            results = [solve_scattering(field, energies[0])]
+        else:
+            batch = solve_scattering_sweep(field, energies)
+            results = list(batch)
+        assert batch.gamma.tobytes() == gamma.tobytes()
+        want = flow_defect(gamma)
+        assert batch.flow_defect.tobytes() == want.tobytes()
+        assert np.array([res.flow_defect for res in results]).tobytes() == want.tobytes()
+
+    def test_the_record_matches_independent_computations(self, tmp_path, monkeypatch):
+        field, n = scheme1_field(1, 1, 6.0), DEFAULT_SEGMENTS
+        plan, lo, hi = segment_plan(field, n), SWEEP_GRID[0], SWEEP_GRID[-1]
+        sizes, nodes = record_products(monkeypatch), record_nodes(monkeypatch)
+        stats = tmp_path / "st.json"
+        start = time.perf_counter_ns()
+        assert cli.main(TREE_SWEEP + ["--out", str(tmp_path / "s.csv"), "--stats", str(stats)]) == 0
+        wall = time.perf_counter_ns() - start
+        record = json.loads(stats.read_text())
+        monkeypatch.undo()
+        energies = np.array(record["energy"])
+        assert energies.tobytes() == SWEEP_GRID.tobytes()
+
+        # growth: the sum over segments of h sqrt(max(|B| - E, 0)), summed pairwise here
+        h = field.length / n
+        magnitudes = field.magnitude((np.arange(n) + 0.5) * h)
+        growth = (h * np.sqrt(np.maximum(magnitudes - energies[:, None], 0.0))).sum(axis=1)
+        assert np.allclose(record["growth"], growth, rtol=1e-12, atol=0.0)
+        assert max(record["growth"]) > 7.0 and min(record["growth"]) == 0.0
+
+        k_min = np.sqrt(np.abs(energies[:, None] - np.array([-1.0, 1.0]))).min(axis=1)
+        assert np.allclose(record["k_min"], k_min, rtol=1e-15, atol=0.0)
+
+        batch = solve_scattering_sweep(field, SWEEP_GRID, n)
+        flux = [unitarity_defect_reference(res.t, res.r, res.channel.regime) for res in batch]
+        assert np.array(record["flux_defect"]).tobytes() == np.array(flux).tobytes()
+
+        # flow: that of the direct product, within the sweep's 1e-10 agreement with it
+        direct = flow_defect(transfer.ordered_product(plan, SWEEP_GRID))
+        assert np.max(np.abs(np.array(record["flow_defect"]) - direct)) <= 1e-10
+
+        # rcond: the 2x2 inverses of the matching, rebuilt from the S-matrices of np.linalg
+        gamma = transfer.interpolated_product(plan, SWEEP_GRID)
+        k = spinwire.scattering_channels(SWEEP_GRID)[1]
+        block = np.linalg.inv(W0) @ gamma @ W0
+        left_rp = s_matrix_reference(np.linalg.inv(W0) @ lead_waves(k))[2]
+        wire_left_rp = s_matrix_reference(np.linalg.inv(W0) @ gamma @ lead_waves(k))[2]
+        right_r = s_matrix_reference(np.linalg.inv(lead_waves(k)) @ W0)[0]
+        eye = np.eye(2)
+        steps = (block[:, 2:, 2:], eye - left_rp @ s_matrix_reference(block)[0], eye - wire_left_rp @ right_r)
+        rcond = np.min([1.0 / np.linalg.cond(m, 1) for m in steps], axis=0)
+        assert np.allclose(record["rcond"], rcond, rtol=1e-8, atol=0.0)
+        assert 0.0 < min(record["rcond"]) <= max(record["rcond"]) <= 1.0
+
+        # fits: the degrees of the nodes the products were taken at, and tails within the rule
+        assert sizes == [9] and nodes == [25]
+        fits = record["fits"]
+        assert (fits["granule"]["degree"], fits["wire"]["degree"]) == (8, 24)
+        granule_nodes = transfer._lobatto_energies(8, lo, hi)
+        granules = np.concatenate(list(transfer._block_products(plan, granule_nodes, True)))
+        wire_nodes = transfer._lobatto_energies(24, lo, hi)
+        wire = transfer.ordered_product(plan, wire_nodes).reshape(25, 1, 16)
+        for name, values, at in (("granule", granules.swapaxes(0, 1).reshape(9, -1, 16), granule_nodes),
+                                 ("wire", wire, wire_nodes)):
+            assert 0.0 < fits[name]["tail"] <= transfer._SWEEP_TAIL_TOL
+            assert tail_ratio(values, at, lo, hi) <= transfer._SWEEP_TAIL_TOL
+
+        layers = record["layer_ns"]
+        assert set(layers) == {"plan", "granules", "fits", "matching", "assembly", "csv"}
+        assert all(ns > 0 for ns in layers.values())
+        assert sum(layers.values()) <= wall
+
+    def test_a_one_energy_solve_records_its_layers(self):
+        recorder = Recorder()
+        with pytest.raises(ValueError, match="no solve has filled"):
+            recorder.record()
+        field = scheme2_field(1, 0, 4.0)
+        res = solve_scattering(field, 0.7, recorder=recorder)
+        record = recorder.record()
+        assert set(record.layer_ns) == {"plan", "product", "matching", "assembly"}
+        assert record.fits == {}
+        assert record.energy.tolist() == [0.7]
+        assert record.flux_defect.tolist() == [res.unitarity_defect]
+        assert record.flow_defect.tolist() == [res.flow_defect]
+        assert record.growth[0] == transfer.evanescent_growth(segment_plan(field, DEFAULT_SEGMENTS),
+                                                              np.array([0.7]))[0] > 0.0
