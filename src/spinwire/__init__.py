@@ -12,7 +12,6 @@ from .core import (
     ChannelMismatchError,
     EvanescentOverflowError,
     FieldDirectionError,
-    GridCoarseWarning,
     Regime,
     RegimeError,
     SingularSystemError,

@@ -4,29 +4,31 @@ Commands:
   sweep         solve the configured profile on an energy grid, emit CSV
   validate      compare the engine with one mode's references in VALIDATE_CHECKS
   dump-profile  emit the field profile as a y/b1/b3/theta/|B| table
-  current       Landauer current for a bias window on the configured grid,
-                its conductances solved as a sweep's are
+  current       Landauer current for a bias window, by adaptive quadrature of
+                the conductances a sweep's solve gives
 
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
 flags override file keys.  Unknown keys and bad values are hard errors.  A
 sweep solves its grid by `scattering.solve_scattering_sweep`, and
 `transfer.interpolated_product` says when it interpolates the transfer
 product and when the grid is solved directly.
-Sweeps are deterministic: the nodes depend only on the configuration, so
-identical configuration yields byte-identical CSV, floats are rendered with
-at most 12 significant digits, and energy grids are nudged off the exact band
-edges by `core.EDGE_NUDGE` = 1e-9 (with a note on stderr, never in the CSV).  A command
-writes its notes, then each warning as one plain ``warning:`` line on stderr,
-then its output, to stdout or ``--out``, and a sweep's ``--stats`` record
-(`diagnostics.Diagnostics` as JSON) last, only after it has succeeded: a
-command that fails writes only its error line, and an existing ``--out`` or
-``--stats`` file keeps its contents.
+A `current` reads no grid: `scattering.landauer_current` places its own
+nodes over the bias window.
+Sweeps and currents are deterministic: the nodes depend only on the
+configuration, so identical configuration yields identical bytes, floats are
+rendered with at most 12 significant digits, and sweep grids are nudged off
+the exact band edges by `core.EDGE_NUDGE` = 1e-9 (with a note on stderr,
+never in the CSV).  A command writes its notes, then each warning as one
+plain ``warning:`` line on stderr, then its output, to stdout or ``--out``,
+and a sweep's ``--stats`` record (`diagnostics.Diagnostics` as JSON) last,
+only after it has succeeded: a command that fails writes only its error
+line, and an existing ``--out`` or ``--stats`` file keeps its contents.
 
 Exit codes follow the type of the exception that ended the command:
 0 success/PASS; 1 usage error or any other refused input, a bad profile
 included (ValueError, OSError); 2 validation FAIL; 3 numeric failure, any
 ArithmeticError (singular matching, evanescent overflow, a lattice spacing too
-coarse for the oracle).
+coarse for the oracle, a current that does not converge).
 """
 
 from __future__ import annotations
@@ -241,17 +243,10 @@ def run_dump_profile(cfg: SweepConfig) -> str:
     return "\n".join(["# y b1 b3 theta |B|", *(" ".join(map(_fmt, row)) for row in table)]) + "\n"
 
 
-def run_current(
-    cfg: SweepConfig, mu_left: float, mu_right: float, temperature: float
-) -> tuple[str, list[str]]:
-    field = build_field(cfg)
-    grid, notes = energy_grid(cfg)
-    current = landauer_current(field, mu_left, mu_right, temperature, grid, cfg.segments)
-    return (
-        f"current = {_fmt(current)}  (grid: {grid.size} points in "
-        f"[{_fmt(grid[0])}, {_fmt(grid[-1])}], mu_left={_fmt(mu_left)}, "
-        f"mu_right={_fmt(mu_right)}, T={_fmt(temperature)})\n"
-    ), notes
+def run_current(cfg: SweepConfig, mu_left: float, mu_right: float, temperature: float) -> str:
+    current = landauer_current(build_field(cfg), mu_left, mu_right, temperature, cfg.segments)
+    return (f"current = {_fmt(current)}  (mu_left={_fmt(mu_left)}, "
+            f"mu_right={_fmt(mu_right)}, T={_fmt(temperature)})\n")
 
 
 def _deviation(ref, eng) -> float:
@@ -389,8 +384,8 @@ def make_parser() -> argparse.ArgumentParser:
     _add_config_flags(dump, _FIELD_KEYS + ("points",))
     dump.add_argument("--out", help="output path (default: stdout)")
 
-    current = sub.add_parser("current", help="Landauer current over the configured grid")
-    _add_config_flags(current, _FIELD_KEYS + ("E_min", "E_max", "points", "segments"))
+    current = sub.add_parser("current", help="Landauer current over the bias window")
+    _add_config_flags(current, _FIELD_KEYS + ("segments",))
     current.add_argument("--mu-left", type=float, required=True)
     current.add_argument("--mu-right", type=float, required=True)
     current.add_argument("--temp", type=float, default=0.0)
@@ -412,7 +407,7 @@ def main(argv=None) -> int:
             elif args.command == "validate":
                 text, code = run_validate(cfg, args.against)
             else:
-                text, notes = run_current(cfg, args.mu_left, args.mu_right, args.temp)
+                text = run_current(cfg, args.mu_left, args.mu_right, args.temp)
         # only now, after the command succeeded: its notes, one line per warning, its output
         for line in notes + [f"warning: {warning.message}" for warning in caught]:
             print(line, file=sys.stderr)

@@ -54,10 +54,6 @@ class ChannelMismatchError(ArithmeticError):
     """
 
 
-class GridCoarseWarning(UserWarning):
-    """An energy grid is too coarse to resolve the integrand."""
-
-
 class Regime(enum.Enum):
     """Channel regime of an energy that scatters: both lead channels open, or the lower one only."""
 

@@ -20,7 +20,6 @@ the observables; a `ScatterResult` is built only when one is indexed out.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,13 +27,11 @@ import numpy as np
 
 from .core import (
     E_LOWER,
-    EDGE_NUDGE,
+    E_UPPER,
     ChannelData,
-    GridCoarseWarning,
     Regime,
     SingularSystemError,
     channel_at,
-    energy_batch,
     hs_norm,
     scattering_channels,
 )
@@ -52,6 +49,14 @@ from .transfer import (
 )
 
 DEFAULT_SEGMENTS = 4096
+# `landauer_current`'s tolerance on the window's integral, shared among its panels
+# by width: above the sweep interpolant's rounding of G, about 2e-11.  It stops at
+# CURRENT_MAX_SOLVES energies, not at a depth: where G is rounding noise every
+# panel fails, and their count doubles at each level.  Its window ends where an
+# occupation tail is under eps, _TAIL temperatures past a potential.
+CURRENT_TOL = 1e-8
+CURRENT_MAX_SOLVES = 8192
+_TAIL = float(np.log(2.0 / np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -349,16 +354,11 @@ def transmission_probabilities(result: ScatterResult) -> dict[str, float]:
     return {key: float(column) for key, column in transmission_columns(result).items()}
 
 
-def fermi_occupation(energy, mu: float, temperature: float):
-    energy = np.asarray(energy, dtype=float)
-    if not np.isfinite(mu):
-        raise ValueError(f"chemical potential must be finite, not NaN or infinite, got {mu}")
-    if not (np.isfinite(temperature) and temperature >= 0.0):
-        raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
+def fermi_occupation(energy: np.ndarray, mu: float, temperature: float) -> np.ndarray:
+    """Fermi-Dirac occupations 1 / (1 + e^((E - mu) / T)) of an energy array; a step at T = 0."""
     if temperature == 0.0:
         return (energy < mu).astype(float)
-    x = np.clip((energy - mu) / temperature, -700.0, 700.0)
-    return 1.0 / (1.0 + np.exp(x))
+    return np.exp(-np.logaddexp(0.0, (energy - mu) / temperature))
 
 
 def landauer_current(
@@ -366,44 +366,63 @@ def landauer_current(
     mu_left: float,
     mu_right: float,
     temperature: float,
-    energies,
     n_segments: int = DEFAULT_SEGMENTS,
 ) -> float:
-    """Two-terminal current I = (1/2 pi) int G_E (f_L - f_R) dE, trapezoidal.
+    """Two-terminal current I = (1/2 pi) int G_E (f_L - f_R) dE, by adaptive Gauss-Legendre.
 
-    G_E is read from `solve_scattering_sweep` on the sorted grid, so it
-    comes from the sweep's interpolant or from its direct fallback, and the
-    grid and count are refused as a batch refuses them.  The grid must cover
-    the window where the occupations differ: after the solve, a bias
-    (mu_left != mu_right) is refused with ValueError when a chemical
-    potential lies outside [min E, max E]; one below E = -1 + EDGE_NUDGE, the
-    lowest energy a sweep grid holds, is taken there, since nothing scatters
-    at or below E = -1.  At T > 0 the occupation tails past the grid are not
-    checked.  A warning is emitted when the conductance jumps by more than 10%
-    between neighbours.  Zero bias runs the same solve as a bias and integrates
-    G_E * 0 to 0.0, so it refuses the same grids and counts, and a coarse
-    grid can warn there too.  A non-finite mu or T is refused.
+    The window is [max(min mu - tau T, -1), max mu + tau T], tau = ln(2/eps),
+    past which each occupation tail is under eps; nothing scatters at or below
+    E = -1.  It is cut at both band edges, at E = 0 between them, and at both
+    potentials.  Each panel integrates in u, E = anchor +- u^2, anchored on
+    its end on a band edge, which removes G's square-root onset there, or on
+    its lower end.  Each level takes a 16-point rule on both halves of every
+    open panel (and, at the first, on the panels themselves) in one
+    `solve_scattering_sweep`, so G_E comes from the sweep's interpolant or its
+    direct fallback.  A panel is done when its halves agree with it to
+    CURRENT_TOL times its share of the window; the others are halved again.
+    A current not done within CURRENT_MAX_SOLVES energies raises ArithmeticError.
+
+    A non-finite mu or T, a negative T and a bad count are refused before any
+    solve.  Zero bias, and a window at or below E = -1, carry no current: 0.0.
     """
-    energies = np.sort(energy_batch(energies))
-    occ = fermi_occupation(energies, mu_left, temperature) - fermi_occupation(
-        energies, mu_right, temperature
-    )
-    g = solve_scattering_sweep(field, energies, n_segments).conductance
-    for mu in (mu_left, mu_right):
-        clipped = max(mu, E_LOWER + EDGE_NUDGE)
-        if mu_left != mu_right and not energies[0] <= clipped <= energies[-1]:
-            raise ValueError(
-                f"chemical potential {mu} lies outside the grid [{energies[0]}, {energies[-1]}]; "
-                "extend the grid over the bias window"
-            )
-    steps = np.abs(np.diff(g))
-    scale = np.maximum(np.maximum(np.abs(g[:-1]), np.abs(g[1:])), 1e-12)
-    if np.any(steps > 0.1 * scale):
-        warnings.warn(
-            "conductance varies by more than 10% between grid neighbours; "
-            "refine the energy grid",
-            GridCoarseWarning,
-            stacklevel=2,
-        )
-    return float(np.trapezoid(g * occ, energies) / (2.0 * np.pi))
+    if not np.isfinite([mu_left, mu_right]).all():
+        raise ValueError(f"chemical potentials must be finite, not NaN: {mu_left}, {mu_right}")
+    if not (np.isfinite(temperature) and temperature >= 0.0):
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
+    n_segments = segment_count(n_segments)
+    tail = _TAIL * temperature
+    lo, hi = max(min(mu_left, mu_right) - tail, E_LOWER), max(mu_left, mu_right) + tail
+    if mu_left == mu_right or hi <= E_LOWER:
+        return 0.0
+    from numpy.polynomial.legendre import leggauss  # here, so `import spinwire` stays lean
 
+    x, w = leggauss(16)
+    cuts = np.unique(np.clip([lo, hi, E_LOWER, 0.0, E_UPPER, mu_left, mu_right], lo, hi))
+    a, b = cuts[:-1], cuts[1:]
+    side = np.where(np.isin(b, (E_LOWER, E_UPPER)), -1.0, 1.0)
+    panels = np.column_stack([np.zeros_like(a), np.sqrt(b - a), np.where(side < 0, b, a), side])
+    current, whole, solves = 0.0, None, 0
+    while len(panels):
+        halves = np.repeat(panels, 2, axis=0)
+        halves[0::2, 1] = halves[1::2, 0] = 0.5 * (panels[:, 0] + panels[:, 1])
+        solved = halves if whole is not None else np.concatenate([panels, halves])
+        solves += x.size * len(solved)
+        if solves > CURRENT_MAX_SOLVES:
+            raise ArithmeticError(f"the current did not converge in {CURRENT_MAX_SOLVES} solves")
+        u0, u1, anchor, side = solved.T[..., None]
+        u = u0 + 0.5 * (u1 - u0) * (1.0 + x)
+        energies = anchor + side * u * u
+        # a node that rounds onto its anchor, a band edge maybe, moves one float into its panel
+        energies = np.where(energies == anchor, np.nextafter(anchor, anchor + side), energies)
+        occ = (fermi_occupation(energies, mu_left, temperature)
+               - fermi_occupation(energies, mu_right, temperature))
+        g = solve_scattering_sweep(field, energies.ravel(), n_segments).conductance
+        # dE = 2u du, times the rule's half-width (u1 - u0) / 2
+        parts = (g.reshape(u.shape) * occ * u) @ w * (u1 - u0)[:, 0]
+        whole, parts = (whole, parts) if whole is not None else np.split(parts, [len(panels)])
+        parts = parts.reshape(-1, 2)
+        share = (panels[:, 1] ** 2 - panels[:, 0] ** 2) / (hi - lo)
+        done = np.abs(parts.sum(axis=1) - whole) <= CURRENT_TOL * share
+        current += parts[done].sum()
+        panels, whole = halves.reshape(-1, 2, 4)[~done].reshape(-1, 4), parts[~done].ravel()
+    return float(current / (2.0 * np.pi))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 import spinwire
-from spinwire import cli
+from spinwire import cli, scattering
+from spinwire.scattering import solve_scattering_sweep
 from spinwire.fields import load_profile
 
 from conftest import hs_norm_reference, probability_table_reference
@@ -231,8 +232,7 @@ COMMAND_KEYS = {
     "sweep": ([], set(CONFIG_KEYS)),
     "validate": (["--against", "berry"], FIELD_KEYS | {"segments"}),
     "dump-profile": ([], FIELD_KEYS | {"points"}),
-    "current": (["--mu-left", "0.55", "--mu-right", "0.45"],
-                FIELD_KEYS | {"E_min", "E_max", "points", "segments"}),
+    "current": (["--mu-left", "0.55", "--mu-right", "0.45"], FIELD_KEYS | {"segments"}),
 }
 
 
@@ -304,12 +304,10 @@ def test_stats_is_a_sweep_flag(command, tmp_path, capsys):
 
 def test_closed_window_rejected(capsys):
     window = ["--scheme", "scheme1", "--E-min", "-3", "--E-max", "0", "--points", "4"]
-    for command in (["sweep"], ["current", "--mu-left", "0", "--mu-right", "-0.5"]):
-        code, out, err = run_cli(command + window, capsys)
-        assert (code, out) == (1, "")
-        assert "E=-3.0 is below both bands" in err
-        # the grid's nudged point 2 gets no note: only the gate's error is printed
-        assert err == "error: E=-3.0 is below both bands; nothing scatters\n"
+    code, out, err = run_cli(["sweep"] + window, capsys)
+    assert (code, out) == (1, "")
+    # the grid's nudged point 2 gets no note: only the gate's error is printed
+    assert err == "error: E=-3.0 is below both bands; nothing scatters\n"
 
 
 def test_bad_config_value_is_an_error_with_line_number(tmp_path, capsys):
@@ -727,27 +725,22 @@ def test_tabulated_profile_runs_every_engine_command(tmp_path, capsys):
         assert (code, out.splitlines()[-1]) == (0, "verdict: PASS"), out
 
 
+UNIFORM = ["--scheme", "uniform", "--thetaL", "0", "--L", "2", "--segments", "64"]
+
+
+def current_value(out: str) -> float:
+    return float(out.split("current = ")[1].split()[0])
+
+
 def test_current_zero_bias(capsys):
-    code, out, _ = run_cli(
-        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2",
-         "--E-min", "4.9", "--E-max", "5.1", "--points", "21", "--segments", "64",
-         "--mu-left", "5.0", "--mu-right", "5.0"],
-        capsys,
-    )
-    assert code == 0
-    assert "current = 0" in out
+    code, out, _ = run_cli(["current", *UNIFORM, "--mu-left", "5.0", "--mu-right", "5.0"], capsys)
+    assert (code, out) == (0, "current = 0  (mu_left=5, mu_right=5, T=0)\n")
 
 
 def test_current_transparent_wire(capsys):
-    code, out, _ = run_cli(
-        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2",
-         "--E-min", "4.9", "--E-max", "5.1", "--points", "81", "--segments", "64",
-         "--mu-left", "5.05", "--mu-right", "4.95"],
-        capsys,
-    )
+    code, out, _ = run_cli(["current", *UNIFORM, "--mu-left", "5.05", "--mu-right", "4.95"], capsys)
     assert code == 0
-    value = float(out.split("current = ")[1].split()[0])
-    assert value == pytest.approx(2.0 * 0.1 / (2.0 * np.pi), rel=0.01)
+    assert current_value(out) == pytest.approx(2.0 * 0.1 / (2.0 * np.pi), rel=1e-11)
 
 
 @pytest.mark.parametrize("flag", ["--mu-left", "--mu-right", "--temp"])
@@ -755,42 +748,41 @@ def test_current_rejects_nan(flag, capsys):
     values = {"--mu-left": "5.05", "--mu-right": "4.95", "--temp": "0"}
     values[flag] = "nan"
     code, out, err = run_cli(
-        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2",
-         "--E-min", "4.9", "--E-max", "5.1", "--points", "21", "--segments", "64"]
-        + [tok for item in values.items() for tok in item],
-        capsys,
+        ["current", *UNIFORM] + [tok for item in values.items() for tok in item], capsys
     )
     assert code == 1
     assert "nan" in err.lower()
     assert out == ""
 
 
-def test_current_refuses_a_bias_window_past_the_grid(capsys):
-    # the grid covers a tenth of the window, or a 40th of a window down to the
-    # lower band edge: integrating only that part is refused
-    for mu_left, mu_right in (("6", "4"), ("5.05", "-1")):
-        code, out, err = run_cli(
-            ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2", "--segments", "64",
-             "--E-min", "4.9", "--E-max", "5.1", "--points", "81",
-             "--mu-left", mu_left, "--mu-right", mu_right],
-            capsys,
-        )
-        assert (code, out) == (1, "")
-        assert err.startswith("error: chemical potential") and "lies outside the grid" in err
-
-
 def test_current_from_the_lower_band_edge(capsys):
-    # the grid's nudged first point, -1 + 1e-9, covers a potential at E = -1:
-    # G = 1 on (-1, 1) and 2 on (1, 5.05) in the transparent wire
-    code, out, _ = run_cli(
-        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2", "--segments", "64",
-         "--E-min", "-1", "--E-max", "5.1", "--points", "81",
-         "--mu-left", "5.05", "--mu-right", "-1"],
-        capsys,
-    )
+    # G = 1 on (-1, 1) and 2 on (1, 5.05) in the transparent wire: 10.1 / (2 pi)
+    code, out, _ = run_cli(["current", *UNIFORM, "--mu-left", "5.05", "--mu-right", "-1"], capsys)
     assert code == 0
-    value = float(out.split("current = ")[1].split()[0])
-    assert value == pytest.approx((2.0 + 2.0 * 4.05) / (2.0 * np.pi), rel=0.02)
+    assert out.startswith("current = 1.60746492523  ")
+    assert current_value(out) == pytest.approx(10.1 / (2.0 * np.pi), rel=1e-11)
+
+
+@pytest.mark.parametrize("flag", ["--E-min", "--E-max", "--points"])
+def test_current_takes_no_grid(flag, capsys):
+    argv = ["current", *UNIFORM, "--mu-left", "5.05", "--mu-right", "4.95", flag, "81"]
+    assert run_cli(argv, capsys) == (1, "", f"error: unrecognized arguments: {flag} 81\n")
+
+
+def test_current_prints_the_same_bytes_twice(capsys):
+    argv = ["current", "--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "6",
+            "--mu-left", "3", "--mu-right", "-0.9", "--temp", "0.01"]
+    first = run_cli(argv, capsys)
+    assert first[0] == 0 and first == run_cli(argv, capsys)
+
+
+def test_a_current_that_does_not_converge_is_a_numeric_failure(monkeypatch, capsys):
+    monkeypatch.setattr(scattering, "CURRENT_MAX_SOLVES", 96)
+    argv = ["current", "--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "6",
+            "--mu-left", "3", "--mu-right", "-0.9"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err == "numeric failure: the current did not converge in 96 solves\n"
 
 
 @pytest.mark.parametrize("flag", ["--mu-left", "--mu-right", "--temp"])
@@ -798,10 +790,7 @@ def test_current_rejects_inf(flag, capsys):
     values = {"--mu-left": "5.05", "--mu-right": "4.95", "--temp": "0"}
     values[flag] = "inf"
     code, out, err = run_cli(
-        ["current", "--scheme", "uniform", "--thetaL", "0", "--L", "2",
-         "--E-min", "4.9", "--E-max", "5.1", "--points", "21", "--segments", "64"]
-        + [tok for item in values.items() for tok in item],
-        capsys,
+        ["current", *UNIFORM] + [tok for item in values.items() for tok in item], capsys
     )
     assert (code, out) == (1, "")
     assert "must be" in err and "finite" in err
@@ -822,9 +811,9 @@ def test_console_entry_point_runs():
 
 
 def test_import_leaves_scipy_unloaded():
-    # scipy is imported only by the lattice oracle, and no solve imports a
-    # thread or process pool at all
-    heavy = ("scipy", "multiprocessing", "concurrent.futures")
+    # scipy is imported only by the lattice oracle, numpy.polynomial only by the
+    # current's first quadrature, and no solve imports a thread or process pool at all
+    heavy = ("scipy", "numpy.polynomial", "multiprocessing", "concurrent.futures")
     proc = subprocess.run(
         [sys.executable, "-c",
          f"import sys, spinwire, spinwire.cli; print([m for m in {heavy!r} if m in sys.modules])"],
@@ -842,14 +831,15 @@ def test_fields_solves_and_sweep_leave_scipy_unloaded(tmp_path):
     # tabulated sweep, and two lone closed energies: one within the regrouping
     # limit, which runs the granule tree, and one over it, which chains
     # segment by segment.  Neither imports scipy.  A 600-energy, 256-segment
-    # direct batch and a 600-point current start no thread: a product runs in
-    # the calling thread.
+    # direct batch and a current start no thread: a product runs in the
+    # calling thread.
     profile, sweep = tmp_path / "profile.txt", tmp_path / "sweep.csv"
     script = f"""
 import contextlib, io, sys, threading
 import numpy as np
 import spinwire, spinwire.cli
-from spinwire import cli
+from spinwire import cli, scattering
+from spinwire.scattering import solve_scattering_sweep
 
 assert cli.main(["dump-profile", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "4",
                  "--points", "200", "--out", {str(profile)!r}]) == 0
@@ -866,8 +856,7 @@ grid = np.linspace(-0.9, 4.0, 600)
 assert len(spinwire.solve_scattering_batch(spinwire.scheme2_field(1, 1, 6.0), grid, 256)) == 600
 with contextlib.redirect_stdout(io.StringIO()) as current:
     assert cli.main(["current", "--scheme", "scheme2", "--q1", "1", "--q2", "1", "--L", "6",
-                     "--E-min", "-0.9", "--E-max", "3", "--points", "600", "--segments", "256",
-                     "--mu-left", "2", "--mu-right", "0"]) == 0
+                     "--segments", "256", "--mu-left", "2", "--mu-right", "0"]) == 0
 assert current.getvalue().startswith("current = ")
 assert "concurrent.futures" not in sys.modules
 assert threading.active_count() == 1
@@ -881,16 +870,13 @@ print("scipy" in sys.modules)
     assert len(sweep.read_text().splitlines()) == 601
 
 
-def test_current_prints_grid_warning_as_plain_line():
-    proc = subprocess.run(
-        [sys.executable, "-m", "spinwire.cli", "current", "--scheme", "scheme1",
-         "--L", "3", "--E-min", "-0.9", "--E-max", "3", "--points", "9",
-         "--mu-left", "2.5", "--mu-right", "2"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        env=package_env(),
-    )
-    assert proc.returncode == 0
-    assert "warning: conductance varies" in proc.stderr
-    assert "cli.py" not in proc.stderr
+def test_current_prints_a_solve_warning_as_plain_line(monkeypatch, capsys):
+    # cli.main turns each warning the command raises, numpy's among them, into one line
+    def warning_solve(*args):
+        warnings.warn("overflow encountered in the solve", UserWarning)
+        return solve_scattering_sweep(*args)
+
+    monkeypatch.setattr(scattering, "solve_scattering_sweep", warning_solve)
+    code, out, err = run_cli(["current", *UNIFORM, "--mu-left", "2", "--mu-right", "0"], capsys)
+    assert code == 0 and out.startswith("current = ")
+    assert err == "warning: overflow encountered in the solve\n"

@@ -12,7 +12,6 @@ from spinwire.core import (
     J4,
     ChannelData,
     EvanescentOverflowError,
-    GridCoarseWarning,
     Regime,
     RegimeError,
     SingularSystemError,
@@ -36,7 +35,6 @@ from spinwire.scattering import (
     ScatterResult,
     build_result,
     build_results,
-    fermi_occupation,
     landauer_current,
     solve_scattering,
     solve_scattering_batch,
@@ -121,8 +119,6 @@ class TestSolve:
         f = scheme1_field(0, 0, 3.0)
         with pytest.raises(ValueError, match="non-empty 1-D"):
             solve_scattering_batch(f, energies, 64)
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            landauer_current(f, 0.6, 0.4, 0.0, energies, 64)
 
     @pytest.mark.parametrize(
         "field",
@@ -182,104 +178,193 @@ class TestConductance:
 
 
 SCHEME1_L3 = scheme1_field(0, 0, 3.0)
+TRANSPARENT = uniform_field(0.0, 2.0)
+
+
+def transparent_current(mu_left, mu_right, temperature):
+    """The current of `TRANSPARENT` in closed form: G = 1 on (-1, 1) and 2 above.
+
+    Each plateau [a, b] of G contributes G * int_a^b f dE, with
+    int_a^b f dE = T [ln(1 + e^((mu-a)/T)) - ln(1 + e^((mu-b)/T))] at T > 0.
+    """
+    def occupied(mu, a, b):
+        if temperature == 0.0:
+            return max(min(mu, b) - a, 0.0)
+        return temperature * (np.logaddexp(0.0, (mu - a) / temperature)
+                               - np.logaddexp(0.0, (mu - b) / temperature))
+
+    plateaus = ((1.0, -1.0, 1.0), (2.0, 1.0, np.inf))
+    return sum(g * (occupied(mu_left, a, b) - occupied(mu_right, a, b))
+               for g, a, b in plateaus) / (2.0 * np.pi)
+
+
+def record_sweeps(monkeypatch):
+    """The batch of each `solve_scattering_sweep` call the current makes, in call order."""
+    batches = []
+
+    def recording(*args):
+        batches.append(solve_scattering_sweep(*args))
+        return batches[-1]
+
+    monkeypatch.setattr(scattering, "solve_scattering_sweep", recording)
+    return batches
+
+
+def wall_reference_current(wall, mu_left, mu_right):
+    """A T = 0 current of the wall from `magnetic_wall_scattering` alone: 64 equal panels
+    of a 16-point Gauss-Legendre rule on each side of E = 1, in u = sqrt|E - 1| there."""
+    x, w = np.polynomial.legendre.leggauss(16)
+
+    def conductance(energy):
+        return magnetic_wall_scattering(
+            WallConfig(wall.theta_l, wall.theta_r, wall.length, energy)).conductance
+
+    lo, hi = sorted((mu_left, mu_right))
+    total = 0.0
+    for side, a, b in ((-1.0, max(lo, -1.0), min(hi, 1.0)), (1.0, max(lo, 1.0), hi)):
+        if a >= b:
+            continue
+        edges = np.linspace(*sorted(np.sqrt(side * (np.array([a, b]) - 1.0))), 65)
+        for a, b in zip(edges[:-1], edges[1:]):
+            u = 0.5 * (a + b) + 0.5 * (b - a) * x
+            total += 0.5 * (b - a) * sum(wi * 2.0 * ui * conductance(1.0 + side * ui * ui)
+                                         for wi, ui in zip(w, u))
+    return np.sign(mu_left - mu_right) * total / (2.0 * np.pi)
 
 
 class TestLandauer:
-    def test_zero_bias_zero_current(self):
-        u = uniform_field(0.0, 2.0)
-        grid = np.linspace(4.9, 5.1, 21)
-        assert landauer_current(u, 5.0, 5.0, 0.0, grid, 64) == 0.0
+    @pytest.mark.parametrize(
+        "mu_left, mu_right, expected",
+        [(2.0, 0.0, 3.0), (2.0, -1.0, 4.0), (5.05, -1.0, 10.1), (0.5, -2.0, 1.5),
+         (1.0, -1.0, 2.0), (0.0, 2.0, -3.0)],
+    )
+    def test_transparent_wire_at_zero_temperature(self, mu_left, mu_right, expected):
+        # the window is cut at the band edges and the potentials, and clipped at E = -1
+        current = landauer_current(TRANSPARENT, mu_left, mu_right, 0.0, 64)
+        assert abs(current - expected / (2.0 * np.pi)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "field, grid, n_segments, error",
-        [(SCHEME1_L3, [], 64, ValueError),
-         (SCHEME1_L3, [np.nan], 64, ValueError),
-         (SCHEME1_L3, [-2.0, 0.5], 64, RegimeError),
-         (SCHEME1_L3, [1.0, 0.5], 64, ThresholdError),
-         (SCHEME1_L3, [0.5], 0, ValueError),
-         (SCHEME1_L3, [0.5], 2.5, ValueError),
-         (SCHEME1_L3, [0.5], np.nan, ValueError),
-         (scheme1_field(0, 0, 60.0), [-0.5, 0.5], 4096, EvanescentOverflowError)],
-        ids=["empty", "nan", "below-both-bands", "band-edge", "no-segments",
-             "fractional-segments", "nan-segments", "evanescent-overflow"],
+        "mu_left, mu_right, temperature",
+        [(2.0, 0.0, 0.05), (2.0, -1.0, 0.1), (5.05, 4.95, 0.02), (0.5, -2.0, 0.2),
+         (1.0, -1.0, 0.3), (-1.2, -3.0, 0.1), (0.0, 2.0, 0.5)],
     )
-    def test_zero_bias_refuses_the_grids_a_bias_refuses(self, field, grid, n_segments, error):
-        refusals = []
-        for mu_right in (2.0, 2.5):  # a bias, then none
-            with pytest.raises(error) as refused:
-                landauer_current(field, 2.5, mu_right, 0.0, grid, n_segments)
-            refusals.append((type(refused.value), str(refused.value)))
-        assert refusals[0] == refusals[1] and refusals[0][0] is error
+    def test_transparent_wire_at_finite_temperature(self, mu_left, mu_right, temperature):
+        current = landauer_current(TRANSPARENT, mu_left, mu_right, temperature, 64)
+        assert abs(current - transparent_current(mu_left, mu_right, temperature)) <= 1e-12
 
     def test_transparent_wire_small_bias(self):
-        u = uniform_field(0.0, 2.0)
-        grid = np.linspace(4.9, 5.1, 81)
-        current = landauer_current(u, 5.05, 4.95, 0.0, grid, 64)
-        assert current == pytest.approx(2.0 * 0.1 / (2.0 * np.pi), rel=0.01)
+        current = landauer_current(TRANSPARENT, 5.05, 4.95, 0.0, 64)
+        assert abs(current - 2.0 * 0.1 / (2.0 * np.pi)) <= 1e-12
+
+    def test_finite_temperature_smooths(self):
+        current = landauer_current(TRANSPARENT, 5.2, 4.8, 0.05, 64)
+        assert abs(current - transparent_current(5.2, 4.8, 0.05)) <= 1e-12
+        assert current == pytest.approx(2.0 * 0.4 / (2.0 * np.pi), rel=1e-6)
+
+    def test_zero_bias_zero_current(self):
+        assert landauer_current(TRANSPARENT, 5.0, 5.0, 0.0, 64) == 0.0
+
+    def test_each_level_is_one_sweep(self, monkeypatch):
+        # cut at E = 1: two panels, each taken whole and in halves by one sweep of 96
+        # nodes, and G is flat on both, so one level settles them
+        batches = record_sweeps(monkeypatch)
+        landauer_current(TRANSPARENT, 2.0, 0.0, 0.0, 64)
+        assert [len(batch) for batch in batches] == [96]
+        # a resonance takes more levels, each one sweep of 32 nodes per open panel
+        batches.clear()
+        landauer_current(scheme1_field(1, 1, 6.0), 3.0, -0.9, 0.0, 256)
+        # cut at E = 0 and E = 1: three panels
+        assert len(batches) > 2 and len(batches[0]) == 3 * 48
+        assert all(len(batch) % 32 == 0 for batch in batches[1:])
+
+    @pytest.mark.parametrize(
+        "mu_left, mu_right, temperature",
+        [(5.0, 5.0, 0.01), (-1.0, -2.0, 0.0), (-1.0, -1.0, 0.0),
+         (-3.0, -1.5, 0.0), (-3.0, -5.0, 0.01)],
+    )
+    def test_no_window_carries_no_current(self, mu_left, mu_right, temperature, monkeypatch):
+        # zero bias, and a window wholly at or below E = -1, where nothing scatters: at
+        # T = 0.01 the tail past a potential at -3 stops 0.37 above it
+        batches = record_sweeps(monkeypatch)
+        assert landauer_current(SCHEME1_L3, mu_left, mu_right, temperature, 64) == 0.0
+        assert batches == []
+
+    @pytest.mark.parametrize(
+        "mu_left, mu_right, temperature",
+        [(1.0, -1.0, 0.0), (1.0, 0.5, 0.0), (3.0, 1.0, 0.0), (-1.0, 1.0, 0.1),
+         (1.0 + 1e-13, 0.5, 0.0)],
+    )
+    def test_a_potential_on_a_band_edge_solves(self, mu_left, mu_right, temperature, monkeypatch):
+        # no node lands on a band edge, where `scattering_channels` refuses it, even where
+        # a panel's node rounds onto it (the last case, 1e-13 above E = 1)
+        batches = record_sweeps(monkeypatch)
+        current = landauer_current(TRANSPARENT, mu_left, mu_right, temperature, 64)
+        assert abs(current - transparent_current(mu_left, mu_right, temperature)) <= 1e-12
+        nodes = np.concatenate([batch.energy for batch in batches])
+        assert nodes.min() > -1.0 and not np.any(nodes == 1.0)
+        landauer_current(scheme1_field(1, 1, 6.0), mu_left, mu_right, temperature, 256)
+
+    @pytest.mark.parametrize(
+        "mu_left, mu_right, temperature",
+        [(3.0, -0.9, 0.0), (0.0, -0.3, 0.0), (-0.1, -0.2, 0.005), (0.5, -1.0, 0.02)],
+    )
+    def test_the_sweep_and_the_batch_give_the_same_current(self, mu_left, mu_right, temperature,
+                                                           monkeypatch):
+        # the windows cross the resonance at E = -0.1455, where G reaches 0.9995 over a
+        # width of about 0.005
+        field = scheme1_field(1, 1, 6.0)
+        swept = landauer_current(field, mu_left, mu_right, temperature, 256)
+        monkeypatch.setattr(scattering, "solve_scattering_sweep", solve_scattering_batch)
+        direct = landauer_current(field, mu_left, mu_right, temperature, 256)
+        assert abs(swept - direct) <= 1e-9
+
+    @pytest.mark.parametrize("mu_left, mu_right", [(3.0, 1.2), (1.5, -0.5), (-0.2, 2.0)])
+    def test_the_wall_matches_a_quadrature_of_its_closed_form(self, mu_left, mu_right):
+        wall = magnetic_wall_field(0.3, 2.5, 2.0)
+        current = landauer_current(wall, mu_left, mu_right, 0.0)
+        assert abs(current - wall_reference_current(wall, mu_left, mu_right)) <= 1e-10
+
+    def test_a_current_that_does_not_converge_raises(self, monkeypatch):
+        # one level of nodes cannot resolve the resonance at E = -0.1455
+        monkeypatch.setattr(scattering, "CURRENT_MAX_SOLVES", 96)
+        with pytest.raises(ArithmeticError, match="did not converge in 96 solves"):
+            landauer_current(scheme1_field(1, 1, 6.0), 3.0, -0.9, 0.0, 256)
+        # a flat G converges within it
+        assert landauer_current(TRANSPARENT, 2.0, 0.0, 0.0, 64) == pytest.approx(3.0 / (2 * np.pi))
+
+    @pytest.mark.parametrize("n_segments", [0, 2.5, np.nan],
+                             ids=["no-segments", "fractional-segments", "nan-segments"])
+    def test_zero_bias_refuses_the_grids_a_bias_refuses(self, n_segments):
+        # the current takes no grid now: a bad count is all there is to refuse
+        refusals = []
+        for mu_right in (2.0, 2.5):  # a bias, then none
+            with pytest.raises(ValueError) as refused:
+                landauer_current(SCHEME1_L3, 2.5, mu_right, 0.0, n_segments)
+            refusals.append((type(refused.value), str(refused.value)))
+        assert refusals[0] == refusals[1]
 
     def test_linear_response_matches_conductance(self):
         f = scheme1_field(0, 0, 3.0)
         g = solve_scattering(f, 0.5, 1024).conductance
-        grid = np.linspace(0.49, 0.51, 101)
-        current = landauer_current(f, 0.51, 0.49, 0.0, grid, 1024)
+        current = landauer_current(f, 0.51, 0.49, 0.0, 1024)
         assert current == pytest.approx(g * 0.02 / (2.0 * np.pi), rel=0.02)
-
-    def test_warns_on_coarse_grid(self):
-        f = scheme1_field(0, 0, 3.0)
-        with pytest.warns(GridCoarseWarning):
-            landauer_current(f, 1.35, 0.65, 0.0, np.linspace(0.65, 1.35, 8), 256)
 
     @pytest.mark.parametrize(
         "mu_left, mu_right, temperature",
         [(np.nan, 4.95, 0.0), (5.05, np.nan, 0.0), (5.05, 4.95, np.nan), (5.0, 5.0, np.nan)],
     )
     def test_nan_inputs_rejected(self, mu_left, mu_right, temperature):
-        u = uniform_field(0.0, 2.0)
         with pytest.raises(ValueError, match="NaN|non-negative"):
-            landauer_current(u, mu_left, mu_right, temperature, np.linspace(4.9, 5.1, 21), 64)
-
-    def test_a_large_grid_reads_the_interpolated_conductance(self, monkeypatch):
-        # the bias window is the whole grid; the tunnelling resonances near
-        # E = -0.16 are too narrow for 600 points
-        field, grid = scheme1_field(1, 1, 6.0), np.linspace(-0.9, 3.0, 600)
-        sizes, nodes = record_products(monkeypatch), record_nodes(monkeypatch)
-        with pytest.warns(GridCoarseWarning):
-            current = landauer_current(field, 3.0, -0.9, 0.0, grid, 256)
-        assert sizes == [9, 8]  # the granule fit's nodes, doubled once (see TestSweep)
-        assert nodes == [25]  # the wire's degree-24 nodes alone
-        occ = fermi_occupation(grid, 3.0, 0.0) - fermi_occupation(grid, -0.9, 0.0)
-        swept = np.array([res.conductance for res in solve_scattering_sweep(field, grid, 256)])
-        assert current == float(np.trapezoid(swept * occ, grid) / (2.0 * np.pi))
-        direct = np.array([res.conductance for res in solve_scattering_batch(field, grid, 256)])
-        expected = np.trapezoid(direct * occ, grid) / (2.0 * np.pi)
-        assert current == pytest.approx(expected, rel=1e-10, abs=0)
-
-    def test_a_bias_window_past_the_grid_is_refused(self):
-        u, grid = uniform_field(0.0, 2.0), np.linspace(4.9, 5.1, 21)
-        # either potential, on either side, warm or cold, and one just above E = -1
-        # a potential at or below E = -1 counts as the lowest grid energy, -1 + 1e-9
-        for window in [(6.0, 4.0, 0.0), (5.05, 4.0, 0.0), (6.0, 5.05, 0.01), (4.0, 6.0, 0.0),
-                       (5.05, -0.95, 0.0), (5.05, -1.0, 0.0), (-3.0, 5.05, 0.0)]:
-            with pytest.raises(ValueError, match="lies outside the grid"):
-                landauer_current(u, *window, grid, 64)
-        # nothing scatters at or below E = -1, so a grid from -1 + 1e-9 covers a potential there
-        current = landauer_current(u, 0.5, -2.0, 0.0, np.linspace(-1.0 + 1e-9, 0.9, 21), 64)
-        assert current == pytest.approx(1.5 / (2.0 * np.pi), rel=0.05)
+            landauer_current(TRANSPARENT, mu_left, mu_right, temperature, 64)
 
     @pytest.mark.parametrize(
         "mu_left, mu_right, temperature",
-        [(np.inf, 4.95, 0.0), (5.05, -np.inf, 0.0), (5.05, 4.95, np.inf), (5.0, 5.0, np.inf)],
+        [(np.inf, 4.95, 0.0), (5.05, -np.inf, 0.0), (5.05, 4.95, np.inf), (5.0, 5.0, np.inf),
+         (5.05, 4.95, -0.1)],
     )
     def test_infinite_inputs_rejected(self, mu_left, mu_right, temperature):
-        u = uniform_field(0.0, 2.0)
         with pytest.raises(ValueError, match="finite"):
-            landauer_current(u, mu_left, mu_right, temperature, np.linspace(4.9, 5.1, 21), 64)
-
-    def test_finite_temperature_smooths(self):
-        u = uniform_field(0.0, 2.0)
-        grid = np.linspace(4.0, 6.0, 201)
-        current = landauer_current(u, 5.2, 4.8, 0.05, grid, 64)
-        assert current == pytest.approx(2.0 * 0.4 / (2.0 * np.pi), rel=0.02)
+            landauer_current(TRANSPARENT, mu_left, mu_right, temperature, 64)
 
 
 def reciprocity_gaps(field, energy, n_segments):
@@ -470,7 +555,7 @@ class TestConstantInteriorPlan:
         assert stack(one, "t").tobytes() != stack(runs[0], "t").tobytes()
 
     def test_the_product_builds_one_segment_only_for_constant_fields(self, monkeypatch):
-        plans = record_plans(monkeypatch)
+        plans, sweeps = record_plans(monkeypatch), record_sweeps(monkeypatch)
         ys = np.linspace(0.0, 4.0, 41)
         tabulated = TabulatedField(ys, np.sin(0.4 * ys), np.cos(0.4 * ys))
         for field, want in [
@@ -484,8 +569,12 @@ class TestConstantInteriorPlan:
             plans.clear()
             solve_scattering_batch(field, [0.5, 2.0], 96)
             solve_scattering(field, 2.0, 96)
-            landauer_current(field, 2.1, 2.0, 0.0, np.linspace(1.9, 2.2, 4), 96)
-            assert [plan.n_segments for plan in plans] == [want] * 3, field
+            assert [plan.n_segments for plan in plans] == [want] * 2, field
+            # the current's sweeps solve with the same plans
+            sweeps.clear()
+            landauer_current(field, 2.1, 2.0, 0.0, 96)
+            assert {plan.n_segments for plan in plans} == {want}, field
+            assert [batch.n_segments for batch in sweeps] == [want] * len(sweeps), field
         # the CLI's sweep reaches the solve with its --segments
         plans.clear()
         argv = ["sweep", "--scheme", "wall", "--thetaR", "1.2", "--L", "2", "--points", "3",
