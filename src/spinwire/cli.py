@@ -5,7 +5,7 @@ Commands:
   validate      compare the engine with one mode's references in VALIDATE_CHECKS
   dump-profile  emit the field profile as a y/b1/b3/theta/|B| table
   current       Landauer current for a bias window, by adaptive quadrature of
-                the conductances a sweep's solve gives
+                the conductances matched on one interpolant of the window
 
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
 flags override file keys.  Unknown keys and bad values are hard errors.  A
@@ -28,7 +28,8 @@ Exit codes follow the type of the exception that ended the command:
 0 success/PASS; 1 usage error or any other refused input, a bad profile
 included (ValueError, OSError); 2 validation FAIL; 3 numeric failure, any
 ArithmeticError (singular matching, evanescent overflow, a lattice spacing too
-coarse for the oracle, a current that does not converge).
+coarse for the oracle, a current that does not converge or whose nodes miss
+the flux identity).
 """
 
 from __future__ import annotations

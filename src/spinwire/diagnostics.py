@@ -30,7 +30,7 @@ class Diagnostics:
     like the square root of the distance to the nearest band edge; and the
     batch's ``unitarity_defect`` and ``flow_defect``, as ``flux_defect`` and
     ``flow_defect``.  ``fits`` holds, per Chebyshev fit of a sweep's
-    interpolant (`transfer.interpolated_product`: "granule" and "wire"), the
+    interpolant (`transfer.product_interpolant`: "granule" and "wire"), the
     degree it stopped at and its largest tail over its matrices; it is empty
     when no fit ran.  ``layer_ns`` holds the `time.perf_counter_ns` spent
     in each layer, less the layers timed inside it, so its values sum to no

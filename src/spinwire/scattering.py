@@ -44,16 +44,18 @@ from .transfer import (
     flow_defect,
     interpolated_product,
     ordered_product,
+    product_interpolant,
     segment_count,
     segment_plan,
 )
 
 DEFAULT_SEGMENTS = 4096
 # `landauer_current`'s tolerance on the window's integral, shared among its panels
-# by width: above the sweep interpolant's rounding of G, about 2e-11.  It stops at
-# CURRENT_MAX_SOLVES energies, not at a depth: where G is rounding noise every
-# panel fails, and their count doubles at each level.  Its window ends where an
-# occupation tail is under eps, _TAIL temperatures past a potential.
+# by width: above the sweep interpolant's rounding of G, about 2e-11.  It also
+# bounds each level's flux defects, weighted as the rule weights its nodes' G.
+# It stops at CURRENT_MAX_SOLVES energies, not at a depth: where G is rounding
+# noise every panel fails, and their count doubles at each level.  Its window
+# ends where an occupation tail is under eps, _TAIL temperatures past a potential.
 CURRENT_TOL = 1e-8
 CURRENT_MAX_SOLVES = 8192
 _TAIL = float(np.log(2.0 / np.finfo(float).eps))
@@ -376,11 +378,20 @@ def landauer_current(
     potentials.  Each panel integrates in u, E = anchor +- u^2, anchored on
     its end on a band edge, which removes G's square-root onset there, or on
     its lower end.  Each level takes a 16-point rule on both halves of every
-    open panel (and, at the first, on the panels themselves) in one
-    `solve_scattering_sweep`, so G_E comes from the sweep's interpolant or its
-    direct fallback.  A panel is done when its halves agree with it to
-    CURRENT_TOL times its share of the window; the others are halved again.
-    A current not done within CURRENT_MAX_SOLVES energies raises ArithmeticError.
+    open panel (and, at the first, on the panels themselves) in one batch.
+    A panel is done when its halves agree with it to CURRENT_TOL times its
+    share of the window; the others are halved again.
+
+    G_E is matched at every node, on gamma from one `transfer.product_interpolant`
+    of the whole window, fitted before the first level with fewer nodes than
+    that level solves; where it declines, and on a field with a constant
+    interior, each level is a direct `solve_scattering_batch`.  Where the flux
+    identity fails, G is known no better than the flux defect, so a level
+    whose defects, each weighted as the rule weights that node's G (occupation
+    included), sum past CURRENT_TOL (or to NaN) raises ArithmeticError at
+    once, naming the worst node; so does a current not done within
+    CURRENT_MAX_SOLVES energies.  A node within rounding of a band edge, where
+    the flux defect grows like eps / k, weighs about k and passes.
 
     A non-finite mu or T, a negative T and a bad count are refused before any
     solve.  Zero bias, and a window at or below E = -1, carry no current: 0.0.
@@ -401,6 +412,10 @@ def landauer_current(
     a, b = cuts[:-1], cuts[1:]
     side = np.where(np.isin(b, (E_LOWER, E_UPPER)), -1.0, 1.0)
     panels = np.column_stack([np.zeros_like(a), np.sqrt(b - a), np.where(side < 0, b, a), side])
+    plan = interpolant = None
+    if not field.constant_interior:
+        plan = segment_plan(field, n_segments)
+        interpolant = product_interpolant(plan, lo, hi, 3 * x.size * len(panels) - 1)
     current, whole, solves = 0.0, None, 0
     while len(panels):
         halves = np.repeat(panels, 2, axis=0)
@@ -416,9 +431,18 @@ def landauer_current(
         energies = np.where(energies == anchor, np.nextafter(anchor, anchor + side), energies)
         occ = (fermi_occupation(energies, mu_left, temperature)
                - fermi_occupation(energies, mu_right, temperature))
-        g = solve_scattering_sweep(field, energies.ravel(), n_segments).conductance
+        batch = _level_batch(field, energies.ravel(), n_segments, plan, interpolant)
+        # how far each node's G may be off, its flux defect, can move the integral
+        risk = batch.unitarity_defect * np.abs(occ * u * w * (u1 - u0)).ravel()
+        if not risk.sum() <= CURRENT_TOL:  # a NaN defect fails too
+            worst = int(np.argmax(risk))
+            raise ArithmeticError(
+                f"the flux defect at E = {batch.energy[worst]:.12g} is "
+                f"{batch.unitarity_defect[worst]:.3g}: the level's defects could move the "
+                f"current past its tolerance {CURRENT_TOL:g}"
+            )
         # dE = 2u du, times the rule's half-width (u1 - u0) / 2
-        parts = (g.reshape(u.shape) * occ * u) @ w * (u1 - u0)[:, 0]
+        parts = (batch.conductance.reshape(u.shape) * occ * u) @ w * (u1 - u0)[:, 0]
         whole, parts = (whole, parts) if whole is not None else np.split(parts, [len(panels)])
         parts = parts.reshape(-1, 2)
         share = (panels[:, 1] ** 2 - panels[:, 0] ** 2) / (hi - lo)
@@ -426,3 +450,13 @@ def landauer_current(
         current += parts[done].sum()
         panels, whole = halves.reshape(-1, 2, 4)[~done].reshape(-1, 4), parts[~done].ravel()
     return float(current / (2.0 * np.pi))
+
+
+def _level_batch(field: PlanarField, energies: np.ndarray, n_segments: int,
+                 plan: SegmentPlan | None, interpolant) -> ScatterBatch:
+    """One level of `landauer_current`: its nodes matched on the window's interpolant,
+    or, without one, solved by `solve_scattering_batch`."""
+    if interpolant is None:
+        return solve_scattering_batch(field, energies, n_segments)
+    channels = scattering_channels(energies)
+    return _match(field, channels, interpolant(channels[0]), plan, None)

@@ -78,8 +78,8 @@ One block loop (`_block_products`) yields each block's granule products,
 and `_chain` multiplies them after the plan's first jump.  One flag,
 ``regroup``, selects all that a tree row does differently in the two: the
 first half of a mirror-symmetric plan, granules of _GRANULE segments built
-from the series pieces, and the final mirror step.  A sweep
-(`interpolated_product`) takes the tree rows' granule products at a few
+from the series pieces, and the final mirror step.  A sweep or a current
+(`product_interpolant`) takes the tree rows' granule products at a few
 energies, interpolates each granule in E, and chains the interpolants
 evaluated at its own nodes: its node products come from the granule
 interpolants, not from `ordered_product`.
@@ -110,6 +110,11 @@ REGROUP_GROWTH_LIMIT = float(np.log(1e-11 / np.finfo(float).eps))
 # than in one 4096-row block.  Larger batches keep the byte budget (27 rows at
 # 300 energies).  The tree's rows round a block down to whole granules, but
 # never below one (_GRANULE rows: 2.4 MB at 600 energies).
+# The propagator pieces are taken over a span of whole blocks whose pieces fit
+# in _BLOCK_BYTES // 8 (128 KiB, glibc's default mmap threshold), so no
+# temporary of a call grows past it either: a span holds more than one block
+# only for batches of at most 5 energies (10 blocks, 2560 rows, for one), and
+# a one-energy solve then takes its pieces in one or two passes, not 8 or 16.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ROWS = 256
 # Consecutive segments an energy within REGROUP_GROWTH_LIMIT reduces by a
@@ -217,12 +222,18 @@ class SegmentPlan:
 
     This is the geometric half of a solve: it depends on the field and the
     segment count only.  Plans are shared and read-only; see `segment_plan`.
+    ``rotations`` holds each factor's geometric half, ``jumps[1:]`` spread
+    over the factor's 16 entries (`_ROTATION_INDEX`), so a product multiplies
+    it by the energy's propagator pieces and gathers nothing per energy.  At
+    4096 segments a plan's ``magnitudes`` and ``jumps`` take 160 KB, and its
+    ``rotations`` 512 KB more.
     """
 
     n_segments: int
     seg_length: float
     magnitudes: np.ndarray  # (N,) field magnitude at segment midpoints
     jumps: np.ndarray  # (N+1, 2, 2) real eigenbasis rotations at the crossings
+    rotations: np.ndarray  # (N, 16) each factor's rotation entries, jumps[1:] by _ROTATION_INDEX
     mirror_symmetric: bool = False  # a `mirror_symmetric` field's plan of even N
 
 
@@ -242,11 +253,11 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
 
     A field's plan is built once per segment count: it is kept on the field
     object itself, lives as long as the field, and every later call with
-    that count returns the same plan.  Its ``magnitudes`` and ``jumps`` are
-    therefore read-only.  This rests on a field not changing after
-    construction (see `PlanarField`).  A plan handed to a solve as ``plan=``
-    is used as given and wins over the ``n_segments`` passed with it; it
-    must be the field's own (`check_plan`, ValueError).
+    that count returns the same plan.  Its ``magnitudes``, ``jumps`` and
+    ``rotations`` are therefore read-only.  This rests on a field not
+    changing after construction (see `PlanarField`).  A plan handed to a
+    solve as ``plan=`` is used as given and wins over the ``n_segments``
+    passed with it; it must be the field's own (`check_plan`, ValueError).
     """
     n_segments = segment_count(n_segments)
     plans = vars(field).setdefault("_plans", {})
@@ -258,10 +269,13 @@ def segment_plan(field: PlanarField, n_segments: int) -> SegmentPlan:
         angles = np.diff(th, prepend=field.theta_left, append=field.theta_right)
         magnitudes = np.asarray(field.magnitude(mids), dtype=float)
         jumps = planar_rotation(angles).real
-        magnitudes.flags.writeable = jumps.flags.writeable = False
+        rotations = jumps[1:].reshape(n_segments, 4)[:, _ROTATION_INDEX]
+        magnitudes.flags.writeable = jumps.flags.writeable = rotations.flags.writeable = False
         # threads that race on a first build all return the plan stored first
         mirror = field.mirror_symmetric and n_segments % 2 == 0
-        plan = plans.setdefault(n_segments, SegmentPlan(n_segments, h, magnitudes, jumps, mirror))
+        plan = plans.setdefault(
+            n_segments, SegmentPlan(n_segments, h, magnitudes, jumps, rotations, mirror)
+        )
     return plan
 
 
@@ -309,14 +323,29 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
 def interpolated_product(plan: SegmentPlan, energies: np.ndarray, recorder: Recorder | None = None):
     """gamma at every energy of a sweep's grid, from Chebyshev interpolants, or None.
 
+    The grid's `product_interpolant` on its window [min E, max E], with the
+    grid's own size as the bound on its nodes, evaluated at every grid
+    energy.  None, before any factor is built, for a grid of no more points
+    than the first nodes (_SWEEP_DEGREE + 1), and wherever that function
+    declines.  The energies are a checked batch (`core.scattering_channels`).
+    """
+    if energies.size - 1 <= _SWEEP_DEGREE:
+        return None
+    interpolant = product_interpolant(plan, energies.min(), energies.max(), energies.size - 1, recorder)
+    return None if interpolant is None else interpolant(energies)
+
+
+def product_interpolant(plan: SegmentPlan, lo: float, hi: float, stop: int,
+                        recorder: Recorder | None = None):
+    """A function giving gamma, (n, 4, 4), at an array of energies in [lo, hi], or None.
+
     Every factor of gamma is entire in E, so the real product gamma(E) is
-    too, and its Chebyshev interpolant on the window [lo, hi] = [min E, max E]
-    converges geometrically (Trefethen, Approximation Theory and Approximation
+    too, and its Chebyshev interpolant on the window [lo, hi] converges
+    geometrically (Trefethen, Approximation Theory and Approximation
     Practice, SIAM 2013, ch. 8).  gamma is taken at the Chebyshev-Lobatto
-    nodes of the window, fitted, and evaluated at every grid energy.  The
-    nodes start at degree _SWEEP_DEGREE and double, keeping the products
-    already taken, until the last _SWEEP_TAIL coefficients are at most
-    _SWEEP_TAIL_TOL of the largest.
+    nodes of the window and fitted.  The nodes start at degree _SWEEP_DEGREE
+    and double, keeping the products already taken, until the last
+    _SWEEP_TAIL coefficients are at most _SWEEP_TAIL_TOL of the largest.
 
     The node products come from granule interpolants: every granule product
     of the tree rows (`_block_products` with ``regroup``, over the first half
@@ -327,22 +356,19 @@ def interpolated_product(plan: SegmentPlan, energies: np.ndarray, recorder: Reco
     A granule is entire in E as the wire is, and shorter, so it needs a lower
     degree (8 on [-1, 5] at 4096 segments, where the wire needs 24; 32 at 64
     segments, where a granule is half the wire).  The node rule depends only
-    on the plan and the window, so the result does too.
+    on the plan and the window, so the interpolant does too.
 
-    None, before any factor is built, for a grid of no more points than the
-    first nodes (_SWEEP_DEGREE + 1), for a window of zero width, and for a
+    None, before any factor is built, for a window of zero width and for a
     window whose lowest energy has an evanescent growth g over
     REGROUP_GROWTH_LIMIT (about 10.7), since the interpolant keeps gamma only
     to rounding relative to its largest entry, about eps * e^g.  None too,
-    after the granule products are taken, once the degree + 1 nodes the tail
-    asks for, of the granules or of the wire, would reach the grid's size.
-    The energies are a checked batch (`core.scattering_channels`).  A
-    ``recorder`` (`diagnostics.Recorder`) gets each fit's degree and tail and
-    the time of the granule products, layer "granules".
+    after the granule products are taken, once the degree the tail asks for,
+    of the granules or of the wire, would reach ``stop``: a caller that would
+    otherwise solve stop + 1 energies directly takes no more products here.
+    A ``recorder`` (`diagnostics.Recorder`) gets each fit's degree and tail
+    and the time of the granule products, layer "granules".
     """
-    stop, lo, hi = energies.size - 1, energies.min(), energies.max()
-    if (stop <= _SWEEP_DEGREE or lo == hi
-            or evanescent_growth(plan, np.array([lo]))[0] > REGROUP_GROWTH_LIMIT):
+    if lo == hi or evanescent_growth(plan, np.array([lo]))[0] > REGROUP_GROWTH_LIMIT:
         return None
 
     def granule_products(nodes: np.ndarray) -> np.ndarray:
@@ -360,7 +386,9 @@ def interpolated_product(plan: SegmentPlan, energies: np.ndarray, recorder: Reco
         return gamma.reshape(-1, 1, 16)
 
     coeffs = _fit(node_products, _SWEEP_DEGREE, stop, lo, hi, recorder, "wire")
-    return None if coeffs is None else _chebyshev_values(coeffs, energies, lo, hi).reshape(-1, 4, 4)
+    if coeffs is None:
+        return None
+    return lambda energies: _chebyshev_values(coeffs, energies, lo, hi).reshape(-1, 4, 4)
 
 
 def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
@@ -408,33 +436,36 @@ def _block_products(plan: SegmentPlan, energies: np.ndarray, regroup: bool):
     over the first N/2 segments of a `mirror_symmetric` plan, which end with
     the middle jump R_m (module docstring).  Without it a granule of 1 is a
     segment's own factor, built from the trig pieces, over the whole plan.
+    The pieces are taken once per span of whole blocks (see _BLOCK_BYTES).
     The factors of each block of segments (at most _BLOCK_ROWS of them,
-    within _BLOCK_BYTES, but always whole granules) are built in one
-    vectorised pass into a buffer reused across blocks, so a product that is
-    a lone factor is a view that the next block overwrites.  The association
-    depends on the granule alone, so the products do not depend on the block
-    size.
+    within _BLOCK_BYTES, but always whole granules) are then its slice of the
+    span's pieces times the plan's ``rotations``, built in one vectorised pass
+    into a buffer reused across blocks, so a product that is a lone factor is
+    a view that the next block overwrites.  Every piece and factor entry is
+    computed elementwise, and the association depends on the granule alone,
+    so the products depend on neither the block nor the span.
     """
     if regroup and plan.mirror_symmetric:
         m = plan.n_segments // 2
-        plan = SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1])
+        plan = SegmentPlan(m, plan.seg_length, plan.magnitudes[:m], plan.jumps[: m + 1],
+                           plan.rotations[:m])
     granule, entries = (_GRANULE, _series_entries) if regroup else (1, _propagator_entries)
     n_e = energies.shape[0]
     # 16 float64 per factor, in whole granules; no more rows than the plan has segments
     rows = min(_BLOCK_ROWS, max(1, _BLOCK_BYTES // (n_e * 16 * 8)))
     block = min(max(granule, rows - rows % granule), plan.n_segments)
+    # 6 float64 pieces per segment and energy, in whole blocks
+    span = block * max(1, _BLOCK_BYTES // 8 // (n_e * 6 * 8 * block))
     factors = np.empty((block, n_e, 16))
-    for j0 in range(0, plan.n_segments, block):
-        j1 = min(j0 + block, plan.n_segments)
-        nb = j1 - j0
-        mags = plan.magnitudes[j0:j1, None]
+    for s0 in range(0, plan.n_segments, span):
+        mags = plan.magnitudes[s0 : s0 + span, None]
         q = np.stack([energies + mags, energies - mags])  # (channel, segment, energy)
-        pieces = np.asarray(entries(q, plan.seg_length)).reshape(6, nb, n_e)
-        u = plan.jumps[j0 + 1 : j1 + 1].reshape(nb, 1, 4)
-        np.multiply(
-            pieces[_PIECE_INDEX].transpose(1, 2, 0), u[..., _ROTATION_INDEX], out=factors[:nb]
-        )
-        yield _pairwise_products(factors[:nb].reshape(nb, n_e, 4, 4), granule)
+        pieces = np.asarray(entries(q, plan.seg_length)).reshape(6, -1, n_e)
+        for j0 in range(0, pieces.shape[1], block):
+            nb = min(block, pieces.shape[1] - j0)
+            u = plan.rotations[s0 + j0 : s0 + j0 + nb, None]
+            np.multiply(pieces[_PIECE_INDEX, j0 : j0 + nb].transpose(1, 2, 0), u, out=factors[:nb])
+            yield _pairwise_products(factors[:nb].reshape(nb, n_e, 4, 4), granule)
 
 
 def _pairwise_products(factors: np.ndarray, granule: int) -> np.ndarray:

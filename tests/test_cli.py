@@ -14,7 +14,6 @@ import pytest
 
 import spinwire
 from spinwire import cli, scattering
-from spinwire.scattering import solve_scattering_sweep
 from spinwire.fields import load_profile
 
 from conftest import hs_norm_reference, probability_table_reference
@@ -785,6 +784,14 @@ def test_a_current_that_does_not_converge_is_a_numeric_failure(monkeypatch, caps
     assert err == "numeric failure: the current did not converge in 96 solves\n"
 
 
+def test_a_current_whose_nodes_miss_the_flux_identity_is_a_numeric_failure(capsys):
+    argv = ["current", "--scheme", "scheme1", "--q1", "1", "--q2", "1", "--L", "20",
+            "--mu-left", "3", "--mu-right", "-0.9"]
+    code, out, err = run_cli(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("numeric failure: the flux defect at E = ")
+
+
 @pytest.mark.parametrize("flag", ["--mu-left", "--mu-right", "--temp"])
 def test_current_rejects_inf(flag, capsys):
     values = {"--mu-left": "5.05", "--mu-right": "4.95", "--temp": "0"}
@@ -872,11 +879,14 @@ print("scipy" in sys.modules)
 
 def test_current_prints_a_solve_warning_as_plain_line(monkeypatch, capsys):
     # cli.main turns each warning the command raises, numpy's among them, into one line
+    solve = scattering.solve_scattering_batch
+
     def warning_solve(*args):
         warnings.warn("overflow encountered in the solve", UserWarning)
-        return solve_scattering_sweep(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(scattering, "solve_scattering_sweep", warning_solve)
+    # the uniform field's levels are direct batches
+    monkeypatch.setattr(scattering, "solve_scattering_batch", warning_solve)
     code, out, err = run_cli(["current", *UNIFORM, "--mu-left", "2", "--mu-right", "0"], capsys)
     assert code == 0 and out.startswith("current = ")
     assert err == "warning: overflow encountered in the solve\n"

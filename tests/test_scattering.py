@@ -199,14 +199,14 @@ def transparent_current(mu_left, mu_right, temperature):
 
 
 def record_sweeps(monkeypatch):
-    """The batch of each `solve_scattering_sweep` call the current makes, in call order."""
-    batches = []
+    """The batch of each level the current solves (`scattering._level_batch`), in call order."""
+    batches, level = [], scattering._level_batch
 
     def recording(*args):
-        batches.append(solve_scattering_sweep(*args))
+        batches.append(level(*args))
         return batches[-1]
 
-    monkeypatch.setattr(scattering, "solve_scattering_sweep", recording)
+    monkeypatch.setattr(scattering, "_level_batch", recording)
     return batches
 
 
@@ -313,10 +313,32 @@ class TestLandauer:
         # the windows cross the resonance at E = -0.1455, where G reaches 0.9995 over a
         # width of about 0.005
         field = scheme1_field(1, 1, 6.0)
+        plans = record_plans(monkeypatch)
         swept = landauer_current(field, mu_left, mu_right, temperature, 256)
-        monkeypatch.setattr(scattering, "solve_scattering_sweep", solve_scattering_batch)
+        assert plans == []  # every level matched on the interpolant: no direct product
+        monkeypatch.setattr(scattering, "product_interpolant", lambda *args: None)
         direct = landauer_current(field, mu_left, mu_right, temperature, 256)
+        assert plans  # every level a direct batch
         assert abs(swept - direct) <= 1e-9
+
+    def test_one_fit_serves_every_level(self, monkeypatch):
+        # the window's granule products are taken once, at the degree-8 nodes and the
+        # 8 between them, and its wire interpolant fitted once at 25 nodes; each of
+        # the nine levels is matched on it
+        granules, nodes = record_products(monkeypatch), record_nodes(monkeypatch)
+        batches = record_sweeps(monkeypatch)
+        landauer_current(scheme1_field(1, 1, 6.0), 3.0, -0.9, 0.0, 256)
+        assert [len(batch) for batch in batches] == [144, 192, 128] + [64] * 6
+        assert granules == [9, 8]
+        assert nodes == [25]
+
+    def test_a_current_whose_nodes_miss_the_flux_identity_raises(self, monkeypatch):
+        # past the interpolant's growth gate the levels are direct batches, and the
+        # unstabilised product's flux defects reach 0.76 below E = -0.6 on the first
+        batches = record_sweeps(monkeypatch)
+        with pytest.raises(ArithmeticError, match=r"the flux defect at E = -0\.\d+ is "):
+            landauer_current(scheme1_field(1, 1, 20.0), 3.0, -0.9, 0.0)
+        assert [len(batch) for batch in batches] == [144]
 
     @pytest.mark.parametrize("mu_left, mu_right", [(3.0, 1.2), (1.5, -0.5), (-0.2, 2.0)])
     def test_the_wall_matches_a_quadrature_of_its_closed_form(self, mu_left, mu_right):

@@ -304,6 +304,26 @@ def mirror_product_reference(plan, energies):
     return mirrored @ (r_inv @ h)
 
 
+def block_products_reference(plan, energies, regroup):
+    """`transfer._block_products` of the whole plan at once: every piece in one pass,
+    each factor's rotation entries read from its jump, granules reduced by the
+    engine's pairwise tree."""
+    if regroup and plan.mirror_symmetric:
+        m = plan.n_segments // 2
+        plan = dataclasses.replace(plan, n_segments=m, magnitudes=plan.magnitudes[:m],
+                                   jumps=plan.jumps[: m + 1], mirror_symmetric=False)
+    granule, entries = ((transfer._GRANULE, transfer._series_entries) if regroup
+                        else (1, transfer._propagator_entries))
+    mags = plan.magnitudes[:, None]
+    c, s, ms = entries(np.stack([energies + mags, energies - mags]), plan.seg_length)
+    u = plan.jumps[1:, None]  # (segment, 1, 2, 2)
+    factors = np.empty((plan.n_segments, energies.size, 4, 4))
+    for a, b, piece in ((0, 0, c), (0, 1, s), (1, 0, ms), (1, 1, c)):
+        # entry [2a + i, 2b + j] is u[i, j] times the piece of channel j
+        factors[:, :, 2 * a : 2 * a + 2, 2 * b : 2 * b + 2] = u * piece.transpose(1, 2, 0)[:, :, None, :]
+    return transfer._pairwise_products(factors, granule)
+
+
 def product_reference(plan, energies):
     """Row by row: the tree where the evanescent growth is within the regrouping
     limit (open energies have none), from the first half on a mirror-symmetric
@@ -407,6 +427,50 @@ class TestBlockedProduct:
             monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * batch.size)
             want = product_reference(plan, batch)
             assert np.array_equal(ordered_product(plan, batch), want)
+
+    @pytest.mark.parametrize(
+        "field, n_segments",
+        [(scheme2_field(0, 1, 6.0), 4096), (scheme2_field(0, 1, 6.0), 4095),
+         (scheme1_field(1, 0, 3.0), 150), (tabulated_field(), 64)],
+        ids=["mirror-half", "whole-odd", "mirror-short-granule", "whole-coarse"],
+    )
+    @pytest.mark.parametrize("regroup", [True, False], ids=["tree", "chain"])
+    @pytest.mark.parametrize("budget", ["default", "rows-32", "bytes-5-rows"])
+    def test_spans_and_blocks_give_the_same_granule_products(self, field, n_segments, regroup,
+                                                              budget, monkeypatch):
+        # the pieces are taken once per span of whole blocks: one span of 2560 rows
+        # and a last one of 1536 for a lone energy on 4096 segments, the whole
+        # 2048-row half in one, 512 rows for 5 energies, one block for 9 and 20;
+        # 32-row blocks put several in a span at 20 energies, and a budget of 5
+        # factor rows one block in each.  30 is past W_MAX at 64 segments.
+        plan = segment_plan(field, n_segments)
+        for energies in ([-0.5], [30.0], np.linspace(-0.9, 4.0, 5), np.linspace(-0.9, 30.0, 9),
+                         np.linspace(-0.95, 30.0, 20)):
+            energies = np.asarray(energies)
+            if budget == "rows-32":
+                monkeypatch.setattr(transfer, "_BLOCK_ROWS", 32)
+            elif budget == "bytes-5-rows":
+                monkeypatch.setattr(transfer, "_BLOCK_BYTES", 5 * 16 * 8 * energies.size)
+            # a lone factor is a view of the block buffer: copy it before the next block
+            got = np.concatenate([p.copy() for p in transfer._block_products(plan, energies, regroup)])
+            assert np.array_equal(got, block_products_reference(plan, energies, regroup))
+
+    @pytest.mark.parametrize(
+        "n_e, regroup, spans",
+        [(1, True, [2048]), (1, False, [2560, 1536]), (5, False, [512] * 8), (6, False, [256] * 16),
+         (9, True, [256] * 8), (20, False, [256] * 16)],
+    )
+    def test_pieces_are_taken_once_per_span(self, n_e, regroup, spans, monkeypatch):
+        # a span holds the whole blocks whose pieces fit in _BLOCK_BYTES // 8: more
+        # than one block only up to 5 energies, and the tree rows of a mirror plan
+        # run over its first 2048 segments
+        name = "_series_entries" if regroup else "_propagator_entries"
+        rows, entries = [], getattr(transfer, name)
+        monkeypatch.setattr(transfer, name, lambda q, length: rows.append(q.shape[1]) or entries(q, length))
+        plan = segment_plan(scheme2_field(0, 1, 6.0), 4096)
+        for _ in transfer._block_products(plan, np.linspace(0.5, 3.0, n_e), regroup):
+            pass
+        assert rows == spans
 
     def test_one_energy_product_peak_allocation(self):
         # row-capped blocks keep a one-energy call's temporaries small (2.3 MiB
@@ -836,6 +900,16 @@ class TestPlanMemo:
             plan.magnitudes[0] = 2.0
         with pytest.raises(ValueError):
             plan.jumps[1] *= 2.0
+        with pytest.raises(ValueError):
+            plan.rotations[0, 0] = 2.0
+
+    @pytest.mark.parametrize("n_segments", [1, 64, 4095])
+    def test_rotation_entries_are_each_factors_jump(self, n_segments):
+        # a factor's entry [2a + i, 2b + j] carries u[i, j] of its segment's jump
+        plan = segment_plan(scheme2_field(0, 1, 6.0), n_segments)
+        spread = plan.rotations.reshape(n_segments, 2, 2, 2, 2)
+        want = np.broadcast_to(plan.jumps[1:, None, :, None, :], spread.shape)
+        assert np.array_equal(spread, want)
 
     def test_threads_racing_on_a_first_build_share_one_plan(self):
         field = scheme2_field(1, 0, 4.0)
