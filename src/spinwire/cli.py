@@ -10,7 +10,7 @@ Commands:
 Configs are flat ``key = value`` text files with ``#`` comments; command-line
 flags override file keys.  Unknown keys and bad values are hard errors.  A
 sweep solves its grid by `scattering.solve_scattering_sweep`, and
-`transfer.interpolated_product` says when it interpolates the transfer
+`transfer.product_interpolant` says when it interpolates the transfer
 product and when the grid is solved directly.
 A `current` reads no grid: `scattering.landauer_current` places its own
 nodes over the bias window.
@@ -62,6 +62,7 @@ from .fields import (
 from .scattering import (
     DEFAULT_SEGMENTS,
     landauer_current,
+    physical_mask,
     solve_scattering_batch,
     solve_scattering_sweep,
     transmission_columns,
@@ -204,7 +205,7 @@ def _sweep_numbers(field, batch) -> dict[str, np.ndarray]:
     A single-channel row takes its distances from the (0, 0) entries alone,
     the physical ones, as `transmission_columns` masks its P columns.
     """
-    physical = np.where(batch.two_channel[:, None, None], True, [[True, False], [False, False]])
+    physical = physical_mask(batch.two_channel)
     return {
         "E": batch.energy,
         **transmission_columns(batch),

@@ -42,7 +42,6 @@ from .transfer import (
     check_plan,
     evanescent_growth,
     flow_defect,
-    interpolated_product,
     ordered_product,
     product_interpolant,
     segment_count,
@@ -253,25 +252,40 @@ def solve_scattering_batch(
     "assembly"; the results do not depend on it.
     """
     channels = scattering_channels(energies)
-    energies = channels[0]
+    return _match(field, channels, _plan(field, n_segments, recorder, plan), None, recorder)
 
+
+def _plan(field: PlanarField, n_segments, recorder: Recorder | None,
+          plan: SegmentPlan | None = None) -> SegmentPlan:
+    """The plan a solve takes, layer "plan": an explicit ``plan``, checked; else, once the
+    count is checked, a constant interior's exact one-segment plan or the count's own."""
     with timed(recorder, "plan"):
-        if plan is None:
-            n_segments = segment_count(n_segments)  # checked even where the plan needs one segment
-            plan = segment_plan(field, 1 if field.constant_interior else n_segments)
-        else:
+        if plan is not None:
             check_plan(field, plan)
-    with timed(recorder, "product"):
-        gamma = ordered_product(plan, energies)
-    return _match(field, channels, gamma, plan, recorder)
+            return plan
+        n_segments = segment_count(n_segments)  # checked even where the plan needs one segment
+        return segment_plan(field, 1 if field.constant_interior else n_segments)
 
 
-def _match(field: PlanarField, channels, gamma: np.ndarray, plan: SegmentPlan,
+def _window(field: PlanarField, n_segments, lo: float, hi: float, stop: int,
+            recorder: Recorder | None = None):
+    """A function that matches checked channels in [lo, hi] on the field's `_plan`, and,
+    unless the interior is constant, on one `transfer.product_interpolant` of the window
+    (layer "fits", declined or not) with ``stop``."""
+    plan, interpolant = _plan(field, n_segments, recorder), None
+    if not field.constant_interior:
+        with timed(recorder, "fits"):
+            interpolant = product_interpolant(plan, lo, hi, stop, recorder)
+    return lambda channels: _match(field, channels, plan, interpolant, recorder)
+
+
+def _match(field: PlanarField, channels, plan: SegmentPlan, interpolant,
            recorder: Recorder | None) -> ScatterBatch:
-    """The ScatterBatch of a batch from its real transfer products: the wire between its leads.
-
-    With a ``recorder`` it also fills the recorder's per-energy diagnostics.
-    """
+    """The ScatterBatch of checked channels on the ``interpolant``'s gamma (layer "fits"), or
+    without one on the `ordered_product` ("product"); a ``recorder`` gets its diagnostics."""
+    energies = channels[0]
+    with timed(recorder, "product" if interpolant is None else "fits"):
+        gamma = ordered_product(plan, energies) if interpolant is None else interpolant(energies)
     conditions = None if recorder is None else []
     with timed(recorder, "matching"):
         k = channels[1].T
@@ -300,27 +314,17 @@ def solve_scattering_sweep(
 ) -> ScatterBatch:
     """Scattering matrices of a sweep's grid, its products taken from a Chebyshev interpolant.
 
-    Each grid energy is matched exactly, as `solve_scattering_batch` does,
-    on the gamma that `transfer.interpolated_product` evaluates there; that
-    function states the node rule and when it declines.  Each
-    ``flow_defect`` is that of the energy's interpolated gamma.  A field
-    with a constant interior, and any grid the interpolant declines, is
-    solved by `solve_scattering_batch` instead, byte for byte.  The grid is
-    checked as a batch's is, before any product is taken.  A ``recorder`` is
-    filled as a batch's is; the interpolant's granule products are timed as
-    layer "granules" and the rest of it, its gate included, as "fits".
+    The grid is matched exactly, as a batch is, on the gamma of one
+    `transfer.product_interpolant` of its window [min E, max E] with fewer
+    nodes than the grid has energies; that function states the node rule and
+    when it declines.  A field with a constant interior, and a grid the
+    interpolant declines, is solved byte for byte as `solve_scattering_batch`
+    would.  A ``recorder`` is filled as a batch's is, and also times the
+    interpolant's granule products, layer "granules", and the rest of it, "fits".
     """
     channels = scattering_channels(energies)
-    energies = channels[0]
-    n_segments = segment_count(n_segments)
-    if not field.constant_interior:
-        with timed(recorder, "plan"):
-            plan = segment_plan(field, n_segments)
-        with timed(recorder, "fits"):
-            gamma = interpolated_product(plan, energies, recorder)
-        if gamma is not None:
-            return _match(field, channels, gamma, plan, recorder)
-    return solve_scattering_batch(field, energies, n_segments, recorder=recorder)
+    grid = channels[0]
+    return _window(field, n_segments, grid.min(), grid.max(), grid.size - 1, recorder)(channels)
 
 
 def solve_scattering(
@@ -333,6 +337,12 @@ def solve_scattering(
     return solve_scattering_batch(field, [float(energy)], n_segments, recorder=recorder)[0]
 
 
+def physical_mask(two_channel) -> np.ndarray:
+    """The (..., 2, 2) mask of the physical entries of t, r and P for a `two_channel` flag
+    or array: all four with both lead channels open, else the (0, 0) entry alone."""
+    return np.where(np.asarray(two_channel)[..., None, None], True, [[True, False], [False, False]])
+
+
 def transmission_columns(batch: ScatterBatch | ScatterResult) -> dict[str, np.ndarray]:
     """Labeled probability columns of a batch, keyed by matrix indices.
 
@@ -340,11 +350,11 @@ def transmission_columns(batch: ScatterBatch | ScatterResult) -> dict[str, np.nd
     channel l; R00sq is the lower-channel reflection probability.  For
     antiparallel leads P00 is the spin-flip transmission; for orthogonal leads
     it feeds the balanced-mixing channel.  Single-channel energies mask every
-    entry except the lower-to-lower ones, which carry all the current.  A
-    lone ScatterResult gives 0-d columns.
+    entry except the lower-to-lower ones, which carry all the current
+    (`physical_mask`).  A lone ScatterResult gives 0-d columns.
     """
     p = batch.probabilities
-    masked = np.where(np.asarray(batch.two_channel)[..., None, None], p, 0.0)
+    masked = np.where(physical_mask(batch.two_channel), p, 0.0)
     return {
         "P00": p[..., 0, 0], "P01": masked[..., 0, 1], "P10": masked[..., 1, 0],
         "P11": masked[..., 1, 1], "R00sq": _abs2(batch.r[..., 0, 0]),
@@ -385,7 +395,8 @@ def landauer_current(
     G_E is matched at every node, on gamma from one `transfer.product_interpolant`
     of the whole window, fitted before the first level with fewer nodes than
     that level solves; where it declines, and on a field with a constant
-    interior, each level is a direct `solve_scattering_batch`.  Where the flux
+    interior, each level is matched on its `ordered_product`, as a batch is
+    (`solve_scattering_sweep` shares this route).  Where the flux
     identity fails, G is known no better than the flux defect, so a level
     whose defects, each weighted as the rule weights that node's G (occupation
     included), sum past CURRENT_TOL (or to NaN) raises ArithmeticError at
@@ -412,10 +423,8 @@ def landauer_current(
     a, b = cuts[:-1], cuts[1:]
     side = np.where(np.isin(b, (E_LOWER, E_UPPER)), -1.0, 1.0)
     panels = np.column_stack([np.zeros_like(a), np.sqrt(b - a), np.where(side < 0, b, a), side])
-    plan = interpolant = None
-    if not field.constant_interior:
-        plan = segment_plan(field, n_segments)
-        interpolant = product_interpolant(plan, lo, hi, 3 * x.size * len(panels) - 1)
+    # the first level solves 3 x.size nodes per panel; the fit takes fewer
+    solve = _window(field, n_segments, lo, hi, 3 * x.size * len(panels) - 1)
     current, whole, solves = 0.0, None, 0
     while len(panels):
         halves = np.repeat(panels, 2, axis=0)
@@ -431,7 +440,7 @@ def landauer_current(
         energies = np.where(energies == anchor, np.nextafter(anchor, anchor + side), energies)
         occ = (fermi_occupation(energies, mu_left, temperature)
                - fermi_occupation(energies, mu_right, temperature))
-        batch = _level_batch(field, energies.ravel(), n_segments, plan, interpolant)
+        batch = solve(scattering_channels(energies.ravel()))
         # how far each node's G may be off, its flux defect, can move the integral
         risk = batch.unitarity_defect * np.abs(occ * u * w * (u1 - u0)).ravel()
         if not risk.sum() <= CURRENT_TOL:  # a NaN defect fails too
@@ -450,13 +459,3 @@ def landauer_current(
         current += parts[done].sum()
         panels, whole = halves.reshape(-1, 2, 4)[~done].reshape(-1, 4), parts[~done].ravel()
     return float(current / (2.0 * np.pi))
-
-
-def _level_batch(field: PlanarField, energies: np.ndarray, n_segments: int,
-                 plan: SegmentPlan | None, interpolant) -> ScatterBatch:
-    """One level of `landauer_current`: its nodes matched on the window's interpolant,
-    or, without one, solved by `solve_scattering_batch`."""
-    if interpolant is None:
-        return solve_scattering_batch(field, energies, n_segments)
-    channels = scattering_channels(energies)
-    return _match(field, channels, interpolant(channels[0]), plan, None)

@@ -99,7 +99,7 @@ from .fields import PlanarField
 
 GROWTH_GUARD = 60.0  # refuse builds whose evanescent growth exceeds exp(60)
 # The largest evanescent growth g at which a product may be regrouped (the
-# granule tree) or interpolated (`interpolated_product`): rounding
+# granule tree) or interpolated (`product_interpolant`): rounding
 # relative to the largest entry, about eps * e^g, stays under 1e-11.
 REGROUP_GROWTH_LIMIT = float(np.log(1e-11 / np.finfo(float).eps))
 # A block of factors holds at most _BLOCK_BYTES (so it stays in L2 cache) and at
@@ -136,7 +136,7 @@ _GRANULE = 32
 # root; the sine's, w^n / (2n + 1)!, is smaller.
 _SERIES_TERMS = 3
 W_MAX = float((np.finfo(float).eps / 2 * math.factorial(2 * _SERIES_TERMS)) ** (1 / _SERIES_TERMS))
-# the sweep's interpolation rule (see interpolated_product)
+# the interpolation rule of a sweep or a current (see product_interpolant)
 _SWEEP_DEGREE = 24
 _GRANULE_DEGREE = 8  # the granule interpolants' first degree
 _SWEEP_TAIL = 4
@@ -320,21 +320,6 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     return gamma
 
 
-def interpolated_product(plan: SegmentPlan, energies: np.ndarray, recorder: Recorder | None = None):
-    """gamma at every energy of a sweep's grid, from Chebyshev interpolants, or None.
-
-    The grid's `product_interpolant` on its window [min E, max E], with the
-    grid's own size as the bound on its nodes, evaluated at every grid
-    energy.  None, before any factor is built, for a grid of no more points
-    than the first nodes (_SWEEP_DEGREE + 1), and wherever that function
-    declines.  The energies are a checked batch (`core.scattering_channels`).
-    """
-    if energies.size - 1 <= _SWEEP_DEGREE:
-        return None
-    interpolant = product_interpolant(plan, energies.min(), energies.max(), energies.size - 1, recorder)
-    return None if interpolant is None else interpolant(energies)
-
-
 def product_interpolant(plan: SegmentPlan, lo: float, hi: float, stop: int,
                         recorder: Recorder | None = None):
     """A function giving gamma, (n, 4, 4), at an array of energies in [lo, hi], or None.
@@ -358,17 +343,19 @@ def product_interpolant(plan: SegmentPlan, lo: float, hi: float, stop: int,
     segments, where a granule is half the wire).  The node rule depends only
     on the plan and the window, so the interpolant does too.
 
-    None, before any factor is built, for a window of zero width and for a
-    window whose lowest energy has an evanescent growth g over
-    REGROUP_GROWTH_LIMIT (about 10.7), since the interpolant keeps gamma only
-    to rounding relative to its largest entry, about eps * e^g.  None too,
-    after the granule products are taken, once the degree the tail asks for,
-    of the granules or of the wire, would reach ``stop``: a caller that would
-    otherwise solve stop + 1 energies directly takes no more products here.
-    A ``recorder`` (`diagnostics.Recorder`) gets each fit's degree and tail
-    and the time of the granule products, layer "granules".
+    None, before any factor is built, when ``stop`` is at most _SWEEP_DEGREE,
+    for a window of zero width, and for a window whose lowest energy has an
+    evanescent growth g over REGROUP_GROWTH_LIMIT (about 10.7), since the
+    interpolant keeps gamma only to rounding relative to its largest entry,
+    about eps * e^g.  None too, after the granule products are taken, once
+    the degree the tail asks for, of the granules or of the wire, would reach
+    ``stop``: a caller that would otherwise solve stop + 1 energies directly
+    takes no more products here.  A ``recorder`` (`diagnostics.Recorder`)
+    gets each fit's degree and tail and the time of the granule products,
+    layer "granules".
     """
-    if lo == hi or evanescent_growth(plan, np.array([lo]))[0] > REGROUP_GROWTH_LIMIT:
+    if stop <= _SWEEP_DEGREE or lo == hi or (
+            evanescent_growth(plan, np.array([lo]))[0] > REGROUP_GROWTH_LIMIT):
         return None
 
     def granule_products(nodes: np.ndarray) -> np.ndarray:

@@ -879,14 +879,14 @@ print("scipy" in sys.modules)
 
 def test_current_prints_a_solve_warning_as_plain_line(monkeypatch, capsys):
     # cli.main turns each warning the command raises, numpy's among them, into one line
-    solve = scattering.solve_scattering_batch
+    product = scattering.ordered_product
 
-    def warning_solve(*args):
+    def warning_product(*args):
         warnings.warn("overflow encountered in the solve", UserWarning)
-        return solve(*args)
+        return product(*args)
 
-    # the uniform field's levels are direct batches
-    monkeypatch.setattr(scattering, "solve_scattering_batch", warning_solve)
+    # the uniform field's levels are matched on their ordered products
+    monkeypatch.setattr(scattering, "ordered_product", warning_product)
     code, out, err = run_cli(["current", *UNIFORM, "--mu-left", "2", "--mu-right", "0"], capsys)
     assert code == 0 and out.startswith("current = ")
     assert err == "warning: overflow encountered in the solve\n"

@@ -36,6 +36,7 @@ from spinwire.scattering import (
     build_result,
     build_results,
     landauer_current,
+    physical_mask,
     solve_scattering,
     solve_scattering_batch,
     solve_scattering_sweep,
@@ -165,6 +166,13 @@ class TestProbabilityTable:
         assert table["P01"] == table["P10"] == table["P11"] == 0.0
         assert table["P00"] + table["R00sq"] == pytest.approx(1.0, abs=1e-10)
 
+    def test_the_physical_mask_of_a_batch_and_of_one_result(self):
+        # all four entries with two open channels, else the (0, 0) entry alone
+        batch = solve_scattering_batch(scheme1_field(1, 1, 3.0), [-0.5, 0.5, 2.0, 5.0], 64)
+        assert physical_mask(batch.two_channel).tolist() == physical_entries(batch).tolist()
+        for res in batch:
+            assert physical_mask(res.two_channel).tolist() == physical_entries([res])[0].tolist()
+
 
 class TestConductance:
     def test_transparent_wire(self):
@@ -199,14 +207,20 @@ def transparent_current(mu_left, mu_right, temperature):
 
 
 def record_sweeps(monkeypatch):
-    """The batch of each level the current solves (`scattering._level_batch`), in call order."""
-    batches, level = [], scattering._level_batch
+    """The batch of each call of the solve a `scattering._window` returns (a level of the
+    current, or a whole sweep), in call order."""
+    batches, window = [], scattering._window
 
     def recording(*args):
-        batches.append(level(*args))
-        return batches[-1]
+        solve = window(*args)
 
-    monkeypatch.setattr(scattering, "_level_batch", recording)
+        def solve_recorded(channels):
+            batches.append(solve(channels))
+            return batches[-1]
+
+        return solve_recorded
+
+    monkeypatch.setattr(scattering, "_window", recording)
     return batches
 
 
@@ -1119,7 +1133,7 @@ class TestSweep:
             return chained[-1]
 
         monkeypatch.setattr(transfer, "_chain", keep)
-        assert transfer.interpolated_product(plan, SWEEP_GRID) is not None
+        assert transfer.product_interpolant(plan, lo, hi, SWEEP_GRID.size - 1) is not None
         assert sizes == [9]  # a 32-segment granule of a wire of length 6 needs degree 8 on [-1, 5]
         nodes = transfer._lobatto_energies(transfer._SWEEP_DEGREE, lo, hi)
         got = chained[0]  # the wire's first nodes, chained from the granule interpolants
@@ -1175,7 +1189,8 @@ class TestDiagnostics:
     )
     def test_flow_defect_is_that_of_the_gamma_matched_on(self, field, energies, route):
         plan = segment_plan(field, DEFAULT_SEGMENTS)
-        interpolated = transfer.interpolated_product(plan, energies)
+        interpolant = transfer.product_interpolant(plan, energies.min(), energies.max(), energies.size - 1)
+        interpolated = None if interpolant is None else interpolant(energies)
         assert (interpolated is None) is (route != "interpolated")
         gamma = transfer.ordered_product(plan, energies) if interpolated is None else interpolated
         if route == "one-energy":
@@ -1221,7 +1236,7 @@ class TestDiagnostics:
         assert np.max(np.abs(np.array(record["flow_defect"]) - direct)) <= 1e-10
 
         # rcond: the 2x2 inverses of the matching, rebuilt from the S-matrices of np.linalg
-        gamma = transfer.interpolated_product(plan, SWEEP_GRID)
+        gamma = transfer.product_interpolant(plan, lo, hi, SWEEP_GRID.size - 1)(SWEEP_GRID)
         k = spinwire.scattering_channels(SWEEP_GRID)[1]
         block = np.linalg.inv(W0) @ gamma @ W0
         left_rp = s_matrix_reference(np.linalg.inv(W0) @ lead_waves(k))[2]

@@ -828,24 +828,35 @@ def record_block_products(monkeypatch):
     return sizes
 
 
-class TestInterpolatedProduct:
-    """`interpolated_product` returns None on the grids a sweep solves directly."""
+def interpolant_of_grid(plan, energies):
+    """`product_interpolant` as a sweep calls it: the grid's window, its size less one as ``stop``."""
+    return transfer.product_interpolant(plan, energies.min(), energies.max(), energies.size - 1)
+
+
+class TestProductInterpolantDeclines:
+    """`product_interpolant` returns None on the grids a sweep solves directly."""
 
     @pytest.mark.parametrize(
         "field, energies",
         [
             (scheme1_field(1, 1, 3.0), np.linspace(-0.999, 5.0, 25)),
+            (scheme1_field(1, 1, 3.0), np.linspace(-0.999, 5.0, 21)),
+            (scheme1_field(1, 1, 3.0), np.linspace(-0.999, 5.0, 9)),
+            (scheme1_field(1, 1, 3.0), np.linspace(-0.999, 5.0, 2)),
             (scheme1_field(1, 1, 3.0), np.full(60, 2.0)),
             (scheme1_field(0, 0, 8.0), np.linspace(-1.0 + 1e-9, 5.0, 600)),
         ],
-        ids=["short-grid", "zero-width", "over-the-growth-gate"],
+        ids=["short-grid", "short-grid-21", "short-grid-9", "short-grid-2", "zero-width",
+             "over-the-growth-gate"],
     )
     def test_declines_before_any_factor_is_built(self, field, energies, monkeypatch):
-        # 25 points are no more than the wire's first nodes; scheme1 (0, 0, 8)
-        # grows by e^11.1 at its lowest energy, over the regrouping limit
+        # 25 points or fewer are no more than the wire's first nodes, so a stop of at
+        # most 24 declines before the granule products (the tail rule alone would take
+        # 9 nodes, or 17 at 21 and 25 points); scheme1 (0, 0, 8) grows by e^11.1 at its
+        # lowest energy, over the regrouping limit
         plan = segment_plan(field, 256)
         sizes = record_block_products(monkeypatch)
-        assert transfer.interpolated_product(plan, energies) is None
+        assert interpolant_of_grid(plan, energies) is None
         assert sizes == []
 
     def test_declines_once_the_tail_asks_for_the_grid_size(self, monkeypatch):
@@ -854,7 +865,7 @@ class TestInterpolatedProduct:
         plan = segment_plan(scheme1_field(1, 1, 3.0), 256)
         energies = np.linspace(-1.0 + 1e-9, 2000.0, 60)
         sizes = record_block_products(monkeypatch)
-        assert transfer.interpolated_product(plan, energies) is None
+        assert interpolant_of_grid(plan, energies) is None
         assert sizes == [9, 8, 16]
 
 
