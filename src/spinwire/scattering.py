@@ -156,14 +156,34 @@ def build_result(
 
 
 _EYE = np.eye(2)[:, :, None]  # the identity of a (2, 2, n) stack
+_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]  # a 2x2 adjugate's signs
 
 
 def _mul(a, b):
     """Products of two stacks of 2x2 matrices held matrix axes first, (2, 2, n), entry by entry.
 
-    On a sweep's 600 energies this is 15x faster than np.matmul on (n, 2, 2) stacks.
+    A diagonal operand is held as its (2, n) diagonal and multiplies with one
+    broadcast: a left one scales the other's rows, a right one its columns.
+    That gives the bits of the full product, whose zero entries add only
+    x * 0 terms.  On a sweep's 600 energies two full stacks multiply 15x
+    faster than with np.matmul on (n, 2, 2) stacks.
     """
+    if b.ndim == 2:
+        return a * b
+    if a.ndim == 2:
+        return a[:, None] * b
     return a[:, :1] * b[0] + a[:, 1:] * b[1]
+
+
+def _add(a, b):
+    """The sum of two (2, 2, n) stacks, either of them maybe a (2, n) diagonal (see `_mul`),
+    which is added to the other's diagonal entries only."""
+    if a.ndim == b.ndim:
+        return a + b
+    full, diagonal = (a, b) if b.ndim == 2 else (b, a)
+    out = full.copy()
+    out.reshape(4, -1)[::3] += diagonal  # entries (0, 0) and (1, 1)
+    return out
 
 
 def _inv2(m, conditions=None):
@@ -179,25 +199,28 @@ def _inv2(m, conditions=None):
     if conditions is not None:
         a = np.abs(m)
         conditions.append(np.abs(det) / ((a[0] + a[1]).max(axis=0) * (a[:, 0] + a[:, 1]).max(axis=0)))
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    return m[::-1, ::-1].swapaxes(0, 1) * _SIGNS / det  # the adjugate over det
 
 
 def _star(a, b, conditions=None):
     """Redheffer star product of two S-matrices (r, t, r', t') of (2, 2, n) stacks, a on the left.
 
     r and t answer a wave incident from the left, r' and t' one from the
-    right.  Given only b's r and t, it gives only the product's r and t.
-    ``conditions`` goes to its one `_inv2`.
+    right.  A block may be held as its (2, n) diagonal (see `_mul`), as a lead
+    step's are, so long as a's r' or b's r is full; a diagonal r or r' is
+    added to the diagonal entries only.  Given only b's r and t, it gives
+    only the product's r and t.  ``conditions`` goes to its one `_inv2`.
     """
     ra, ta, rpa, tpa = a
     rb, tb, *primed = b
     m = _inv2(_EYE - _mul(rpa, rb), conditions)  # the multiple reflections between a and b
     rb_m, tb_m = _mul(rb, m), _mul(tb, m)
-    r, t = ra + _mul(tpa, _mul(rb_m, ta)), _mul(tb_m, ta)
+    r, t = _add(ra, _mul(tpa, _mul(rb_m, ta))), _mul(tb_m, ta)
     if not primed:
         return r, t
     rpb, tpb = primed
-    return r, t, rpb + _mul(_mul(tb_m, rpa), tpb), _mul(tpa, _mul(_EYE + _mul(rb_m, rpa), tpb))
+    return (r, t, _add(rpb, _mul(_mul(tb_m, rpa), tpb)),
+            _mul(tpa, _mul(_EYE + _mul(rb_m, rpa), tpb)))
 
 
 def _wire_block(gamma: np.ndarray, conditions=None):
@@ -289,7 +312,7 @@ def _match(field: PlanarField, channels, plan: SegmentPlan, interpolant,
     conditions = None if recorder is None else []
     with timed(recorder, "matching"):
         k = channels[1].T
-        rho, tau = (d * _EYE for d in _lead_step(k))
+        rho, tau = _lead_step(k)  # (2, n) diagonals
         left = _star((rho, tau, -rho, tau), _wire_block(gamma, conditions), conditions)
         r, t = _star(left, (-rho, tau), conditions)
         t = np.exp(-1j * k * field.length)[:, None] * t  # the right lead's waves carry diag(exp(i k L))
