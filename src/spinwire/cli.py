@@ -302,7 +302,7 @@ VALIDATE_CHECKS = {
         # relative where the engine's probability is nonzero, absolute where it is 0
         lambda ref, eng: float(np.max(np.abs(ref.probabilities - eng.probabilities)
                                       / np.where(eng.probabilities > 0, eng.probabilities, 1.0))),
-    ) for energy in (2.0, 5.0)),
+    ) for energy in (2.0, 5.0, -0.5, 0.5)),
     "wall": (functools.partial(
         _engine_check, "entrywise engine vs wall matching", 1e-10, np.linspace(1.01, 100.0, 50),
         lambda wall, e: magnetic_wall_scattering(

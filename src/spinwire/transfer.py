@@ -54,11 +54,12 @@ g alone picks how the energy's product is grouped.
 
 * An energy with g <= REGROUP_GROWTH_LIMIT (every open energy, E >= max|B|,
   has g = 0) reduces each granule of _GRANULE consecutive segments, counted
-  from segment 0, by a balanced pairwise tree (`_pairwise_products`) and
-  chains the granule products in segment order, which removes most of the
-  per-segment multiplication calls.  Its rounding relative to the largest
-  entry, about eps * e^g, stays under 1e-11, so the grouping moves a result
-  by no more than that.
+  from segment 0, by a balanced pairwise tree (`_pairwise_products`), then
+  all its granule products by one more such tree, and multiplies the first
+  jump last.  That takes 6 or 7 multiplication calls over the granules of a
+  4096-segment plan where a chain in segment order took 64 or 128.  Its
+  rounding relative to the largest entry, about eps * e^g, stays under
+  1e-11, so the grouping moves a result by no more than that.
 * On a plan of even N whose field is `mirror_symmetric`, those energies
   run the tree over the first N/2 segments, to H, which ends with the middle
   jump R_m.  The plan is a palindrome to rounding (2e-14 on the schemes with
@@ -75,14 +76,18 @@ g alone picks how the energy's product is grouped.
   instead of 7.
 
 One block loop (`_block_products`) yields each block's granule products,
-and `_chain` multiplies them after the plan's first jump.  One flag,
+and `_chain` multiplies them with the plan's first jump.  One flag,
 ``regroup``, selects all that a tree row does differently in the two: the
 first half of a mirror-symmetric plan, granules of _GRANULE segments built
-from the series pieces, and the final mirror step.  A sweep or a current
-(`product_interpolant`) takes the tree rows' granule products at a few
-energies, interpolates each granule in E, and chains the interpolants
-evaluated at its own nodes: its node products come from the granule
-interpolants, not from `ordered_product`.
+from the series pieces, the pairwise tree over the granule products in
+place of the chain, and the final mirror step.  A batch's tree rows are
+reduced in chunks of energies whose granule products fit in _BLOCK_BYTES;
+each 4x4 product is its own multiplication, so a chunk moves no bit.  A
+sweep or a current (`product_interpolant`) takes the tree rows' granule
+products at a few energies, interpolates each granule in E, and reduces the
+interpolants evaluated at its own nodes by the same `_chain`: its node
+products come from the granule interpolants, not from `ordered_product`,
+but are associated as that function's are.
 """
 
 from __future__ import annotations
@@ -115,6 +120,8 @@ REGROUP_GROWTH_LIMIT = float(np.log(1e-11 / np.finfo(float).eps))
 # temporary of a call grows past it either: a span holds more than one block
 # only for batches of at most 5 energies (10 blocks, 2560 rows, for one), and
 # a one-energy solve then takes its pieces in one or two passes, not 8 or 16.
+# A batch's tree rows are reduced in chunks of energies whose granule products
+# fit in _BLOCK_BYTES too: 128 energies at 64 granules, 64 at 128.
 _BLOCK_BYTES = 1 << 20
 _BLOCK_ROWS = 256
 # Consecutive segments an energy within REGROUP_GROWTH_LIMIT reduces by a
@@ -301,9 +308,10 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     none).  The batch is refused if one of them exceeds GROWTH_GUARD, before
     any factor is built.  Otherwise the energies within REGROUP_GROWTH_LIMIT
     run the granule tree with the series pieces, on a mirror-symmetric plan
-    over its first half, and the rest chain segment by segment (see the
-    module docstring), so an energy's product depends only on the plan and
-    on that energy.
+    over its first half, and reduce their granule products by one pairwise
+    tree, in chunks of energies whose granule products fit in _BLOCK_BYTES.
+    The rest chain segment by segment (see the module docstring), so an
+    energy's product depends only on the plan and on that energy.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
     growth = evanescent_growth(plan, energies)
@@ -313,10 +321,15 @@ def ordered_product(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
         )
     gamma = np.empty((energies.shape[0], 4, 4))
     tree = growth <= REGROUP_GROWTH_LIMIT
-    for rows, regroup in ((tree, True), (~tree, False)):
-        if rows.any():
-            blocks = _block_products(plan, energies[rows], regroup)
-            gamma[rows] = _chain(plan, blocks, rows.sum(), regroup)
+    loop = ~tree
+    if loop.any():
+        gamma[loop] = _chain(plan, _block_products(plan, energies[loop], False), loop.sum(), False)
+    # the tree rows in chunks of energies whose granule products fit in _BLOCK_BYTES
+    rows = np.flatnonzero(tree)
+    step = max(1, _BLOCK_BYTES // (_granule_count(plan) * 16 * 8))
+    for i in range(0, rows.size, step):
+        chunk = rows[i : i + step]
+        gamma[chunk] = _chain(plan, _block_products(plan, energies[chunk], True), chunk.size, True)
     return gamma
 
 
@@ -336,8 +349,9 @@ def product_interpolant(plan: SegmentPlan, lo: float, hi: float, stop: int,
     of the tree rows (`_block_products` with ``regroup``, over the first half
     of a mirror-symmetric plan) is taken at the Lobatto nodes of degree
     _GRANULE_DEGREE, fitted and doubled by the same tail rule, granule by
-    granule, then evaluated and chained at the wire's nodes (`_chain`, with
-    the mirror step), so a later doubling of the wire takes no new product.
+    granule, then evaluated at the wire's nodes and reduced by `_chain`,
+    with the mirror step, so a later doubling of the wire takes no new
+    product and the node products are associated as `ordered_product`'s.
     A granule is entire in E as the wire is, and shorter, so it needs a lower
     degree (8 on [-1, 5] at 4096 segments, where the wire needs 24; 32 at 64
     segments, where a granule is half the wire).  The node rule depends only
@@ -369,7 +383,7 @@ def product_interpolant(plan: SegmentPlan, lo: float, hi: float, stop: int,
 
     def node_products(nodes: np.ndarray) -> np.ndarray:
         values = _chebyshev_values(granules, nodes, lo, hi).reshape(nodes.size, -1, 4, 4)
-        gamma = _chain(plan, [np.ascontiguousarray(values.swapaxes(0, 1))], nodes.size, True)
+        gamma = _chain(plan, [values.swapaxes(0, 1)], nodes.size, True)
         return gamma.reshape(-1, 1, 16)
 
     coeffs = _fit(node_products, _SWEEP_DEGREE, stop, lo, hi, recorder, "wire")
@@ -395,20 +409,40 @@ def evanescent_growth(plan: SegmentPlan, energies: np.ndarray) -> np.ndarray:
     return growth
 
 
-def _chain(plan: SegmentPlan, blocks, n_e: int, regroup: bool) -> np.ndarray:
-    """The plan's first jump, then each granule product of each block multiplied on the left.
+def _granule_count(plan: SegmentPlan) -> int:
+    """How many granule products a tree row reduces: its segments, the first half of a
+    `mirror_symmetric` plan, in granules of _GRANULE, the last maybe short."""
+    segments = plan.n_segments // 2 if plan.mirror_symmetric else plan.n_segments
+    return -(-segments // _GRANULE)
 
-    With ``regroup`` on a `mirror_symmetric` plan the blocks are those of the
-    first half, whose product H is followed by the mirror step
-    K H^-1 K R_m^-1 H (module docstring).
+
+def _chain(plan: SegmentPlan, blocks, n_e: int, regroup: bool) -> np.ndarray:
+    """The product of the granule products of `blocks`, after the plan's first jump.
+
+    Without ``regroup`` (the chain rows) each granule product, one segment's
+    factor, is multiplied on the left in segment order.  With it (the tree
+    rows) the blocks' granule products are collected into one buffer and
+    reduced by one balanced pairwise tree (`_pairwise_products`), which then
+    multiplies the first jump; on a `mirror_symmetric` plan they are those of
+    the first half, whose product H is followed by the mirror step
+    K H^-1 K R_m^-1 H (module docstring).  The association depends only on
+    the plan.
     """
     gamma = np.zeros((n_e, 4, 4))
     gamma[:, :2, :2] = plan.jumps[0]
     gamma[:, 2:, 2:] = plan.jumps[0]
+    if not regroup:
+        for products in blocks:
+            for product in products:
+                gamma = np.matmul(product, gamma)
+        return gamma
+    granules = np.empty((_granule_count(plan), n_e, 4, 4))
+    g0 = 0
     for products in blocks:
-        for product in products:
-            gamma = np.matmul(product, gamma)
-    if not (regroup and plan.mirror_symmetric):
+        granules[g0 : g0 + len(products)] = products
+        g0 += len(products)
+    gamma = np.matmul(_pairwise_products(granules, len(granules))[0], gamma)
+    if not plan.mirror_symmetric:
         return gamma
     m = plan.n_segments // 2
     mirrored = _MIRROR @ gamma.swapaxes(1, 2) @ _MIRROR  # K H^-1 K, exact

@@ -568,7 +568,7 @@ SMOKE_REPORTS = {
                     ["error ratio per halving at E=3: max deviation D (tol 5.0e-01) at E=3 [ok]"]),
     "oracle": (["--scheme", "scheme1", "--L", "3"],
                [f"probability rel. error (a=L/8192): max deviation D (tol 1.0e-04) at E={e} [ok]"
-                for e in (2, 5)]),
+                for e in (2, 5, -0.5, 0.5)]),
 }
 
 

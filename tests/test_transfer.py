@@ -263,23 +263,29 @@ def ordered_product_reference(plan, energies):
     return gamma
 
 
+def pairwise_reference(level):
+    """A list of matrix stacks reduced pair by pair, the later one on the left and an
+    odd one carried up unchanged."""
+    while len(level) > 1:
+        pairs = [later @ earlier for earlier, later in zip(level[::2], level[1::2])]
+        level = pairs + level[2 * len(pairs) :]
+    return level[0]
+
+
 def tree_product_reference(plan, energies, granule=transfer._GRANULE):
     """Complex128 product over granules of `granule` segments counted from segment 0.
 
-    Each granule is reduced pair by pair, the later factor on the left and an
-    odd factor carried up unchanged; the granule products are then chained.
+    Each granule is reduced pairwise (`pairwise_reference`), and so are the
+    granule products, whose product then multiplies the lead-side rotation.
     The factors take the tree rows' pieces, `series_entries_reference`.
     """
     energies = np.atleast_1d(np.asarray(energies, dtype=float))
-    gamma = initial_reference(plan, energies.shape[0])
     factors = segment_factors_reference(plan, energies, series_entries_reference)
-    for g0 in range(0, plan.n_segments, granule):
-        level = [next(factors) for _ in range(min(granule, plan.n_segments - g0))]
-        while len(level) > 1:
-            pairs = [later @ earlier for earlier, later in zip(level[::2], level[1::2])]
-            level = pairs + level[2 * len(pairs) :]
-        gamma = level[0] @ gamma
-    return gamma
+    granules = [
+        pairwise_reference([next(factors) for _ in range(min(granule, plan.n_segments - g0))])
+        for g0 in range(0, plan.n_segments, granule)
+    ]
+    return pairwise_reference(granules) @ initial_reference(plan, energies.shape[0])
 
 
 # K = diag(1, -1, -1, 1): K F K = F^-1 for every jump and propagator the engine builds
@@ -798,6 +804,37 @@ class TestMirrorProduct:
         tree_segments = n_segments // 2 if plan.mirror_symmetric else n_segments
         assert granules.shape == (-(-tree_segments // transfer._GRANULE), 3, 4, 4)
         assert np.array_equal(transfer._chain(plan, [granules], 3, True), ordered_product(plan, energies))
+
+    @pytest.mark.parametrize("field, count", [(scheme2_field(1, 1, 6.0), 64), (tabulated_field(), 128)],
+                             ids=["mirror", "tabulated"])
+    def test_tree_rows_in_energy_chunks_equal_single_energies(self, field, count, monkeypatch):
+        # the tree rows are reduced in chunks of energies whose granule products fit
+        # in _BLOCK_BYTES: 64 granules on the mirror plan's first half, 128 on the
+        # tabulated plan; a budget of 7 energies cuts 40 into six chunks
+        plan = segment_plan(field, 4096)
+        energies = np.linspace(-0.9, 5.0, 40)
+        assert np.all(transfer.evanescent_growth(plan, energies) <= transfer.REGROUP_GROWTH_LIMIT)
+        singles = np.concatenate([ordered_product(plan, [e]) for e in energies])
+        assert transfer._granule_count(plan) == count
+        monkeypatch.setattr(transfer, "_BLOCK_BYTES", 7 * count * 16 * 8)
+        chunks, chain = [], transfer._chain
+        monkeypatch.setattr(transfer, "_chain", lambda plan, blocks, n_e, regroup: (
+            chunks.append(n_e) or chain(plan, blocks, n_e, regroup)))
+        got = ordered_product(plan, energies)
+        assert chunks == [7] * 5 + [5]
+        assert got.tobytes() == singles.tobytes()
+
+    def test_a_sweeps_tree_rows_hold_at_most_the_block_budget_of_granules(self, monkeypatch):
+        # 600 energies on a 4096-segment plan that is not mirror-symmetric: 128
+        # granule products of 128 bytes per energy, so 64 energies per chunk
+        plan = segment_plan(scheme2_field(0, 1, 6.0), 4095)
+        energies = np.linspace(-0.9, 5.0, 600)
+        chunks, chain = [], transfer._chain
+        monkeypatch.setattr(transfer, "_chain", lambda plan, blocks, n_e, regroup: (
+            chunks.append(n_e) or chain(plan, blocks, n_e, regroup)))
+        ordered_product(plan, energies)
+        assert sum(chunks) == 600 and max(chunks) == 64
+        assert max(chunks) * transfer._granule_count(plan) * 16 * 8 <= transfer._BLOCK_BYTES
 
     def test_batch_chunks_singles_and_blocks_agree_on_a_mirror_field(self, monkeypatch):
         # the growth crosses the regrouping limit inside the window, so the batch
